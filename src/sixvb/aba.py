@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence
 
 from .contraction import boundary_line_invariant, line_invariant
@@ -23,11 +24,11 @@ from .lattice import (
     ExternalConfig,
     LatticeSpec,
     canonical_bethe_roots,
-    ice_rule_satisfied,
     inhomogeneities,
     q_function,
     reference_config,
     require_valid,
+    sweep,
 )
 from .monodromy import (
     QuantumState,
@@ -67,7 +68,6 @@ def bethe_state(spec: LatticeSpec, roots) -> QuantumState:
     The result does not depend on the order of the roots.  Raises
     DegenerateSpecError when the state vanishes identically.
     """
-    require_valid(spec)
     state = reference_state(spec)
     for z in reversed(_root_tuple(roots)):
         state = apply_open_b(spec, z, state)
@@ -88,25 +88,12 @@ def solve_aba(spec: LatticeSpec) -> AbaResult:
 
 def z_aba(spec: LatticeSpec, config: ExternalConfig) -> Fraction:
     """Partition function from the creation-operator representation."""
-    if not ice_rule_satisfied(spec, config):
-        return _F0
-    result = solve_aba(spec)
-    return external_component(result.bethe_state, spec, config) / result.normalization_component
+    return z_aba_table(spec, [config])[0]
 
 
 def z_aba_table(spec: LatticeSpec, configs: Sequence[ExternalConfig]) -> list:
     """Values for many configs from a single state construction."""
-    result = solve_aba(spec)
-    out = []
-    for config in configs:
-        if not ice_rule_satisfied(spec, config):
-            out.append(_F0)
-        else:
-            out.append(
-                external_component(result.bethe_state, spec, config)
-                / result.normalization_component
-            )
-    return out
+    return sweep(spec, configs, lambda s: partial(external_component, solve_aba(s).bethe_state, s))
 
 
 def check_invariance(spec: LatticeSpec, state: QuantumState, z) -> bool:
@@ -115,7 +102,6 @@ def check_invariance(spec: LatticeSpec, state: QuantumState, z) -> bool:
     The off-diagonal blocks must annihilate the state while the diagonal
     blocks act with eigenvalue Lambda(z) times (q+z) and (q-z).
     """
-    require_valid(spec)
     z = Fraction(z)
     q = spec.boundary_q
     lam = lambda_value(spec, z)
@@ -252,7 +238,6 @@ def check_fcr_open(spec: LatticeSpec, x, y) -> bool:
 
     Dense block products; intended for short chains.
     """
-    require_valid(spec)
     x, y = Fraction(x), Fraction(y)
     ux = double_row(spec, x)
     uy = double_row(spec, y)
@@ -280,23 +265,11 @@ def check_fcr_open(spec: LatticeSpec, x, y) -> bool:
 
 def check_b_reflection(spec: LatticeSpec, z) -> bool:
     """Creation-block reflection symmetry B(z) = -(z/(z+1)) B(-z-1), exactly."""
-    require_valid(spec)
     z = Fraction(z)
     if z == 0 or z == -1:
         raise PoleError("reflection factor z/(z+1) degenerates at z in {0, -1}")
     lhs = double_row(spec, z).b_block
     rhs = double_row(spec, -z - 1).b_block.scale(-z / (z + 1))
-    return lhs == rhs
-
-
-def check_b_reflection_on_state(spec: LatticeSpec, z, state: QuantumState) -> bool:
-    """State-level variant of the reflection symmetry (cheap at any length)."""
-    require_valid(spec)
-    z = Fraction(z)
-    if z == 0 or z == -1:
-        raise PoleError("reflection factor z/(z+1) degenerates at z in {0, -1}")
-    lhs = apply_open_b(spec, z, state)
-    rhs = apply_open_b(spec, -z - 1, state).scale(-z / (z + 1))
     return lhs == rhs
 
 
@@ -340,7 +313,6 @@ def check_reduction(spec: LatticeSpec, m: int, extra_roots: Sequence) -> bool:
     remaining m-1 roots) tensor (two-site invariant scaled by h).  Also
     verifies that components with unequal labels on the pair vanish.
     """
-    require_valid(spec)
     if len(extra_roots) != m - 1:
         raise ValueError(f"need {m - 1} extra roots for magnon number {m}")
     extra = tuple(Fraction(z) for z in extra_roots)

@@ -17,16 +17,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from .errors import DegenerateSpecError, PoleError
+from .errors import PoleError
 from .lattice import (
     BetheRootSet,
     ExternalConfig,
     LatticeSpec,
     canonical_bethe_roots,
-    ice_rule_satisfied,
     inhomogeneities,
     magnon_positions,
-    require_valid,
+    sweep,
 )
 from .monodromy import (
     QuantumState,
@@ -167,7 +166,6 @@ class WaveEngine:
 
 def wave_function(spec: LatticeSpec, roots, x: Sequence[int]) -> Fraction:
     """Wave sum for a lattice instance at explicit roots and positions."""
-    require_valid(spec)
     zs = roots.roots if isinstance(roots, BetheRootSet) else tuple(Fraction(z) for z in roots)
     engine = WaveEngine(inhomogeneities(spec).values, zs, spec.boundary_q, spec.length)
     return engine.upsilon(tuple(x))
@@ -175,7 +173,6 @@ def wave_function(spec: LatticeSpec, roots, x: Sequence[int]) -> Fraction:
 
 def spec_wave_engine(spec: LatticeSpec, roots: Optional[Sequence] = None) -> WaveEngine:
     """Engine at the canonical roots (or explicit ones) of an instance."""
-    require_valid(spec)
     if roots is None:
         zs = canonical_bethe_roots(spec).roots
     else:
@@ -188,40 +185,19 @@ def _beta_sign(config: ExternalConfig) -> Fraction:
     return _F1 if flips % 2 == 0 else -_F1
 
 
-def _reference_positions(spec: LatticeSpec) -> tuple:
-    return tuple(sorted(c.end for c in spec.chords))
+def _wave_component(spec: LatticeSpec):
+    engine = spec_wave_engine(spec)
+    return lambda config: _beta_sign(config) * engine.upsilon(magnon_positions(spec, config))
 
 
 def z_cba(spec: LatticeSpec, config: ExternalConfig) -> Fraction:
     """Partition function from the coordinate wave function."""
-    if not ice_rule_satisfied(spec, config):
-        return _F0
-    engine = spec_wave_engine(spec)
-    return _z_cba_from_engine(spec, engine, config)
-
-
-def _z_cba_from_engine(spec, engine, config) -> Fraction:
-    ref = engine.upsilon(_reference_positions(spec))
-    if ref == 0:
-        raise DegenerateSpecError("reference wave value vanished")
-    return _beta_sign(config) * engine.upsilon(magnon_positions(spec, config)) / ref
+    return z_cba_table(spec, [config])[0]
 
 
 def z_cba_table(spec: LatticeSpec, configs: Sequence[ExternalConfig]) -> list:
     """Values for many configs from one shared engine."""
-    engine = spec_wave_engine(spec)
-    ref = engine.upsilon(_reference_positions(spec))
-    if ref == 0:
-        raise DegenerateSpecError("reference wave value vanished")
-    out = []
-    for config in configs:
-        if not ice_rule_satisfied(spec, config):
-            out.append(_F0)
-        else:
-            out.append(
-                _beta_sign(config) * engine.upsilon(magnon_positions(spec, config)) / ref
-            )
-    return out
+    return sweep(spec, configs, _wave_component)
 
 
 def norm_prefactor(spec: LatticeSpec, roots: Sequence) -> Fraction:
@@ -242,7 +218,6 @@ def cba_state(spec: LatticeSpec, roots: Optional[Sequence] = None) -> QuantumSta
     Matches the creation-operator construction exactly, including the
     normalization prefactor and the end-site rotations.
     """
-    require_valid(spec)
     engine = spec_wave_engine(spec, roots)
     zs = engine.roots
     m = len(zs)
@@ -323,7 +298,6 @@ def check_closed_fcr(spec: LatticeSpec, x, y) -> bool:
 
     [B(x), B(y)] = 0 and A(x)B(y) = h(y,x) B(y)A(x) - k(y,x) B(x)A(y).
     """
-    require_valid(spec)
     x, y = Fraction(x), Fraction(y)
     mx = single_row(spec, x, hat=False)
     my = single_row(spec, y, hat=False)
@@ -339,7 +313,6 @@ def check_b_expansion(spec: LatticeSpec, z) -> bool:
 
     Bopen(z) = (-1)^L 2z/(2z+1) [ (q-z-1) B(z) A(-z-1) - (q+z) B(-z-1) A(z) ].
     """
-    require_valid(spec)
     z = Fraction(z)
     if 2 * z + 1 == 0:
         raise PoleError("expansion pole at z = -1/2")
@@ -370,7 +343,6 @@ def check_state_expansion(spec: LatticeSpec, m: int, roots: Sequence) -> bool:
             prod_i (q - z_i - 1) kappa(-z_i - 1) B(z_i) |Omega>,
     evaluated over the 2^m reflections of the given (off-shell) roots.
     """
-    require_valid(spec)
     from .aba import bethe_state  # deferred: aba imports contraction, not cba
 
     zs = tuple(Fraction(z) for z in roots)

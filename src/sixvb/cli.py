@@ -2,9 +2,7 @@
 
 Subcommands: validate | compute | verify | bench.  Exit codes are a stable
 contract: 0 for success or agreement, 1 for disagreement, validation
-violations or identity failures, 2 for input errors.  The BPBA_THREADS
-environment variable caps worker threads for config sweeps and verify
-draws.
+violations or identity failures, 2 for input errors.
 """
 
 from __future__ import annotations

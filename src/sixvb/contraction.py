@@ -12,19 +12,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence
 
-from .errors import DegenerateSpecError, PoleError
+from .errors import PoleError
 from .exact import format_rational
 from .lattice import (
     ExternalConfig,
     LatticeSpec,
-    ice_rule_satisfied,
     inhomogeneities,
     initial_spec,
     is_initial,
-    reference_config,
     require_valid,
+    sweep,
 )
 from .monodromy import QuantumState, external_component
 
@@ -121,7 +121,6 @@ def plan_moves(spec: LatticeSpec, lowest_first: bool = False) -> MoveSequence:
     ever swaps the two endpoints of the same line, so no crossing factor is
     evaluated at its pole.
     """
-    require_valid(spec)
     source = initial_spec(spec)
     target_owner, _ = _endpoint_layout(spec)
     owner, v = _endpoint_layout(source)
@@ -200,7 +199,6 @@ def build_invariant(spec: LatticeSpec, plan: Optional[MoveSequence] = None) -> Q
     then travels with the endpoints.  The state is exact throughout; its
     overall normalization is arbitrary.
     """
-    require_valid(spec)
     if plan is None:
         plan = plan_moves(spec)
     source = plan.source
@@ -232,25 +230,9 @@ def build_invariant(spec: LatticeSpec, plan: Optional[MoveSequence] = None) -> Q
 
 def z_direct(spec: LatticeSpec, config: ExternalConfig) -> Fraction:
     """Partition function read off the woven invariant state."""
-    if not ice_rule_satisfied(spec, config):
-        return _F0
-    state = build_invariant(spec)
-    norm = external_component(state, spec, reference_config(spec.n))
-    if norm == 0:
-        raise DegenerateSpecError("reference component of the invariant vanished")
-    return external_component(state, spec, config) / norm
+    return z_direct_table(spec, [config])[0]
 
 
 def z_direct_table(spec: LatticeSpec, configs: Sequence[ExternalConfig]) -> list:
     """Values for many configs from a single weave."""
-    state = build_invariant(spec)
-    norm = external_component(state, spec, reference_config(spec.n))
-    if norm == 0:
-        raise DegenerateSpecError("reference component of the invariant vanished")
-    out = []
-    for config in configs:
-        if not ice_rule_satisfied(spec, config):
-            out.append(_F0)
-        else:
-            out.append(external_component(state, spec, config) / norm)
-    return out
+    return sweep(spec, configs, lambda s: partial(external_component, build_invariant(s), s))

@@ -13,9 +13,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
-from .errors import InvalidSpecError
+from .errors import DegenerateSpecError, InvalidSpecError
 from .exact import format_rational, parse_rational
 
 _HALF = Fraction(1, 2)
@@ -206,7 +206,6 @@ def _check_config(spec: LatticeSpec, config: ExternalConfig) -> None:
 
 def magnon_positions(spec: LatticeSpec, config: ExternalConfig) -> tuple:
     """Sites carrying a magnon: starts with alpha=2 plus ends with beta=1."""
-    require_valid(spec)
     _check_config(spec, config)
     positions = {c.start for c, a in zip(spec.chords, config.alpha) if a == 2}
     positions |= {c.end for c, b in zip(spec.chords, config.beta) if b == 1}
@@ -215,7 +214,6 @@ def magnon_positions(spec: LatticeSpec, config: ExternalConfig) -> tuple:
 
 def ice_rule_satisfied(spec: LatticeSpec, config: ExternalConfig) -> bool:
     """Charge conservation: the magnon count must equal the number of lines."""
-    require_valid(spec)
     _check_config(spec, config)
     count = sum(1 for a in config.alpha if a == 2) + sum(1 for b in config.beta if b == 1)
     return count == spec.n
@@ -224,6 +222,30 @@ def ice_rule_satisfied(spec: LatticeSpec, config: ExternalConfig) -> bool:
 def reference_config(n: int) -> ExternalConfig:
     """All edge states 1; every method normalizes its output to 1 here."""
     return ExternalConfig((1,) * n, (1,) * n)
+
+
+def sweep(
+    spec: LatticeSpec,
+    configs: Sequence[ExternalConfig],
+    build_component: Callable[[LatticeSpec], Callable[[ExternalConfig], Fraction]],
+) -> list:
+    """Partition-function values of many configs from one route's component.
+
+    ``build_component(spec)`` returns the route's unnormalized component as
+    a function of the config; it is built once, and only when some config
+    satisfies the ice rule.  Values are normalized to 1 at the reference
+    config, and configs that break the ice rule get 0.
+    """
+    require_valid(spec)
+    configs = list(configs)
+    allowed = [ice_rule_satisfied(spec, config) for config in configs]
+    if not any(allowed):
+        return [Fraction(0)] * len(allowed)
+    component = build_component(spec)
+    norm = component(reference_config(spec.n))
+    if norm == 0:
+        raise DegenerateSpecError("reference component vanished")
+    return [component(c) / norm if ok else Fraction(0) for c, ok in zip(configs, allowed)]
 
 
 def all_configs(n: int) -> Iterator[ExternalConfig]:
@@ -270,12 +292,23 @@ def spec_to_dict(spec: LatticeSpec) -> dict:
     }
 
 
+def _strict(value, kind: type, what: str):
+    """``value`` unchanged if its JSON type is ``kind``; a bool is not an int."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 def spec_from_dict(data: dict) -> LatticeSpec:
     try:
-        n = int(data["n"])
+        n = _strict(data["n"], int, "n")
         lines = data["lines"]
-        chords = tuple(Chord(int(l["start"]), int(l["end"])) for l in lines)
-        reflected = frozenset(k for k, l in enumerate(lines, start=1) if bool(l["reflected"]))
+        chords = tuple(
+            Chord(_strict(l["start"], int, "start"), _strict(l["end"], int, "end")) for l in lines
+        )
+        reflected = frozenset(
+            k for k, l in enumerate(lines, start=1) if _strict(l["reflected"], bool, "reflected")
+        )
         rapidities = tuple(parse_rational(l["rapidity"]) for l in lines)
         q = parse_rational(data["q"])
     except (KeyError, TypeError) as exc:

@@ -203,7 +203,6 @@ class ChainData:
 
 @lru_cache(maxsize=256)
 def chain_data(spec: LatticeSpec) -> ChainData:
-    require_valid(spec)
     v = inhomogeneities(spec).values
     conj = [False] * spec.length
     for chord in spec.chords:

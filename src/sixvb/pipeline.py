@@ -10,13 +10,12 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .aba import z_aba_table
 from .cba import z_cba_table
-from .concurrency import parallel_map
 from .contraction import z_direct_table
 from .exact import format_rational, parse_rational
 from .lattice import ExternalConfig, LatticeSpec, config_to_dict, spec_to_dict
@@ -43,7 +42,6 @@ class RunReport:
     values: Dict[str, List[Fraction]]
     timings: Dict[str, float]
     agreement: bool
-    identity_results: Optional[list] = field(default=None)
 
 
 def compute_report(
@@ -53,17 +51,12 @@ def compute_report(
         if m not in _TABLES:
             raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
     configs = list(configs)
-
-    def run(method: str):
-        start = time.perf_counter()
-        values = _TABLES[method](spec, configs)
-        return method, values, time.perf_counter() - start
-
     values: Dict[str, List[Fraction]] = {}
     timings: Dict[str, float] = {}
-    for method, vals, seconds in parallel_map(run, list(methods)):
-        values[method] = vals
-        timings[method] = seconds
+    for method in methods:
+        start = time.perf_counter()
+        values[method] = _TABLES[method](spec, configs)
+        timings[method] = time.perf_counter() - start
 
     first = values[methods[0]]
     agreement = all(values[m] == first for m in methods)
@@ -83,24 +76,13 @@ def report_to_dict(report: RunReport) -> dict:
         row = config_to_dict(config)
         row["z"] = {m: format_rational(report.values[m][i]) for m in report.methods}
         rows.append(row)
-    out = {
+    return {
         "spec_digest": report.spec_digest,
         "methods": list(report.methods),
         "configs": rows,
         "agreement": report.agreement,
         "timings_s": {m: report.timings[m] for m in report.methods},
     }
-    if report.identity_results is not None:
-        out["identity_suites"] = [
-            {
-                "name": r.name,
-                "total": r.total,
-                "failed": len(r.failures),
-                "failures": list(r.failures),
-            }
-            for r in report.identity_results
-        ]
-    return out
 
 
 def values_from_report_dict(data: dict) -> Dict[str, List[Fraction]]:

@@ -117,6 +117,32 @@ class TestCompute:
         assert main(["compute", str(path)]) == 2
 
 
+class TestStrictInput:
+    """Lattice fields keep their JSON types; nothing is coerced."""
+
+    @staticmethod
+    def write(tmp_path, line, n=1):
+        path = tmp_path / "lattice.json"
+        line = {"start": 2, "end": 1, "reflected": False, "rapidity": "1/3", **line}
+        path.write_text(json.dumps({"n": n, "lines": [line], "q": "2"}), encoding="utf-8")
+        return str(path)
+
+    def test_non_bool_reflected_exit_two(self, tmp_path):
+        path = self.write(tmp_path, {"reflected": "false"})
+        assert main(["validate", path]) == 2
+        assert main(["compute", path]) == 2
+
+    @pytest.mark.parametrize(
+        "line, n",
+        [({"start": 2.9}, 1), ({"end": True}, 1), ({}, "1"), ({}, True)],
+        ids=["float-start", "bool-end", "string-n", "bool-n"],
+    )
+    def test_non_integer_field_exit_two(self, tmp_path, line, n):
+        path = self.write(tmp_path, line, n)
+        assert main(["validate", path]) == 2
+        assert main(["compute", path]) == 2
+
+
 class TestVerify:
     def test_small_run_passes(self, capsys):
         assert main(["verify", "--suite", "baxter", "--draws", "3", "--seed", "1"]) == 0

@@ -1,0 +1,19 @@
+import random
+
+from sixvb import lattice
+from sixvb.lattice import all_configs
+from sixvb.pipeline import METHODS, compute_report
+from sixvb.sampling import random_spec
+
+
+def test_validation_count_does_not_grow_with_the_sweep(monkeypatch):
+    calls = []
+    real = lattice.validate_spec
+    monkeypatch.setattr(lattice, "validate_spec", lambda spec: calls.append(spec) or real(spec))
+    counts = []
+    for n in (2, 3):
+        calls.clear()
+        report = compute_report(random_spec(random.Random(31), n), all_configs(n), METHODS)
+        assert report.agreement and len(report.configs) == 4**n
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 16
