@@ -33,12 +33,12 @@ from .lattice import (
 from .monodromy import (
     QuantumState,
     apply_open_b,
-    d_tilde,
     double_row,
     double_row_on_state,
     external_component,
     lambda_value,
     reference_state,
+    shifted_d_block,
     vacuum_eigenvalues,
     xi_value,
 )
@@ -245,21 +245,23 @@ def check_fcr_open(spec: LatticeSpec, x, y) -> bool:
     if bx @ by != by @ bx:
         return False
     ax, ay = ux.a_block, uy.a_block
-    dtx = d_tilde(spec, x).matrix
-    dty = d_tilde(spec, y).matrix
+    dtx = shifted_d_block(ux, x)
+    dty = shifted_d_block(uy, y)
+    bx_ay = bx @ ay
+    bx_dty = bx @ dty
     rel_a = (
         ax @ by
         == (by @ ax).scale(h_a_coeff(x, y))
-        + (bx @ ay).scale(g_a_coeff(x, y))
-        + (bx @ dty).scale(g_dt_coeff(x, y))
+        + bx_ay.scale(g_a_coeff(x, y))
+        + bx_dty.scale(g_dt_coeff(x, y))
     )
     if not rel_a:
         return False
     return (
         dtx @ by
         == (by @ dtx).scale(h_dt_coeff(x, y))
-        + (bx @ ay).scale(k_a_coeff(x, y))
-        + (bx @ dty).scale(k_dt_coeff(x, y))
+        + bx_ay.scale(k_a_coeff(x, y))
+        + bx_dty.scale(k_dt_coeff(x, y))
     )
 
 

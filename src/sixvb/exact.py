@@ -59,35 +59,12 @@ class ExactVector:
     def dim(self) -> int:
         return len(self.entries)
 
-    @classmethod
-    def zero(cls, dim: int) -> "ExactVector":
-        return cls((_ZERO,) * dim)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def __getitem__(self, i: int) -> Fraction:
         return self.entries[i]
-
-    def __add__(self, other: "ExactVector") -> "ExactVector":
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return ExactVector(tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "ExactVector") -> "ExactVector":
-        return self + other.scale(Fraction(-1))
 
     def scale(self, c) -> "ExactVector":
         c = Fraction(c)
         return ExactVector(tuple(c * a for a in self.entries))
-
-    def dot(self, other: "ExactVector") -> Fraction:
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return sum((a * b for a, b in zip(self.entries, other.entries)), _ZERO)
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
 
 
 @dataclass(frozen=True)
@@ -202,6 +179,3 @@ class ExactMatrix:
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(tuple(zip(*self.entries))) if self.entries else self
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for row in self.entries for a in row)

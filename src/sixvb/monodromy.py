@@ -7,11 +7,12 @@ kept as explicit 2x2 blocks of chain-space operators; block (1,1) is the A
 block, (1,2) the creation block B, (2,1) the annihilation block C and (2,2)
 the D block.
 
-Every local factor of a monodromy touches one site only, so besides the
-dense block representation there is a fast path that applies a whole
-monodromy to a state while tracking the 2x2 auxiliary structure.  The dense
-path is used for operator-level identity checks at small L; the fast path
-drives every state-level computation.
+Every local factor of a monodromy touches one site only, so one site-local
+kernel applies a whole monodromy to chain vectors while tracking the 2x2
+auxiliary structure.  It drives every state-level computation, and the
+dense blocks of ``single_row``/``double_row`` are assembled from its action
+on each basis vector.  ``lax_embed`` builds the same local factors as dense
+full-chain operators; it is kept only as an independent reference for tests.
 """
 
 from __future__ import annotations
@@ -143,16 +144,8 @@ class AuxOperator:
         return self.blocks[0][1]
 
     @property
-    def c_block(self) -> ExactMatrix:
-        return self.blocks[1][0]
-
-    @property
     def d_block(self) -> ExactMatrix:
         return self.blocks[1][1]
-
-    def block(self, r: int, c: int) -> ExactMatrix:
-        """1-based auxiliary indices; block(1, 2) is the creation block."""
-        return self.blocks[r - 1][c - 1]
 
     def __matmul__(self, other: "AuxOperator") -> "AuxOperator":
         if self.length != other.length:
@@ -329,6 +322,16 @@ def _apply_single_row(phi, chain: ChainData, z, hat: bool):
     return phi
 
 
+def _apply_double_row(phi, chain: ChainData, z):
+    """Left-multiply a 2x2 array of chain vectors by the double row M K Mhat."""
+    _apply_single_row(phi, chain, z, hat=True)
+    q = chain.q
+    for c in (0, 1):
+        phi[0][c] = [(q + z) * x for x in phi[0][c]]
+        phi[1][c] = [(q - z) * x for x in phi[1][c]]
+    return _apply_single_row(phi, chain, z, hat=False)
+
+
 def _aux_columns(vec):
     zero = [_F0] * len(vec)
     return [[list(vec), list(zero)], [list(zero), list(vec)]]
@@ -349,14 +352,7 @@ def single_row_on_state(spec: LatticeSpec, z, hat: bool, state: QuantumState):
 def double_row_on_state(spec: LatticeSpec, z, state: QuantumState):
     """Blocks of the double-row monodromy applied to a state (2x2 nested list)."""
     chain = chain_data(spec)
-    z = Fraction(z)
-    q = chain.q
-    phi = _aux_columns(state.amplitudes)
-    _apply_single_row(phi, chain, z, hat=True)
-    for c in (0, 1):
-        phi[0][c] = [(q + z) * x for x in phi[0][c]]
-        phi[1][c] = [(q - z) * x for x in phi[1][c]]
-    _apply_single_row(phi, chain, z, hat=False)
+    phi = _apply_double_row(_aux_columns(state.amplitudes), chain, Fraction(z))
     return [[QuantumState(chain.length, tuple(col)) for col in row] for row in phi]
 
 
@@ -437,44 +433,52 @@ def lax_embed(z, site: int, length: int, conjugate: bool = False) -> AuxOperator
     return AuxOperator(length, blocks)
 
 
+def _assemble(length: int, apply) -> AuxOperator:
+    """Dense blocks of the operator that ``apply`` multiplies onto a 2x2 array.
+
+    Fed the identity-dressed basis vector e_j, ``apply`` returns column j of
+    every block.
+    """
+    size = 1 << length
+    cols = []
+    for j in range(size):
+        e = [_F0] * size
+        e[j] = _F1
+        cols.append(apply(_aux_columns(e)))
+    return AuxOperator(
+        length,
+        tuple(
+            tuple(ExactMatrix(tuple(zip(*(col[r][c] for col in cols)))) for c in (0, 1))
+            for r in (0, 1)
+        ),
+    )
+
+
 def single_row(spec: LatticeSpec, z, hat: bool = False) -> AuxOperator:
     """Dense conjugated single-row monodromy (end sites carry conjugate blocks)."""
     chain = chain_data(spec)
     z = Fraction(z)
-    sites = range(chain.length, 0, -1) if hat else range(1, chain.length + 1)
-    op = None
-    for site in sites:
-        w = z + chain.v[site - 1] if hat else z - chain.v[site - 1]
-        factor = lax_embed(w, site, chain.length, conjugate=chain.conjugate[site - 1])
-        op = factor if op is None else op @ factor
-    return op
+    return _assemble(chain.length, lambda phi: _apply_single_row(phi, chain, z, hat))
 
 
 def double_row(spec: LatticeSpec, z) -> AuxOperator:
     """Dense double-row monodromy M K Mhat with the dressed boundary matrix."""
     chain = chain_data(spec)
     z = Fraction(z)
-    q = chain.q
-    eye = ExactMatrix.identity(1 << chain.length)
-    boundary = AuxOperator(
-        chain.length,
-        (
-            (eye.scale(q + z), ExactMatrix.zeros(eye.rows, eye.cols)),
-            (ExactMatrix.zeros(eye.rows, eye.cols), eye.scale(q - z)),
-        ),
-    )
-    return single_row(spec, z, hat=False) @ boundary @ single_row(spec, z, hat=True)
+    return _assemble(chain.length, lambda phi: _apply_double_row(phi, chain, z))
+
+
+def shifted_d_block(u: AuxOperator, z) -> ExactMatrix:
+    """Dtilde(z) = D(z) - A(z)/(2z+1) from the double row ``u`` at z."""
+    z = Fraction(z)
+    if 2 * z + 1 == 0:
+        raise PoleError("shifted D block has a pole at z = -1/2")
+    return u.d_block - u.a_block.scale(_F1 / (2 * z + 1))
 
 
 def d_tilde(spec: LatticeSpec, z) -> QuantumOperator:
     """Shifted diagonal block Dtilde(z) = D(z) - A(z)/(2z+1)."""
-    z = Fraction(z)
-    if 2 * z + 1 == 0:
-        raise PoleError("shifted D block has a pole at z = -1/2")
-    u = double_row(spec, z)
-    return QuantumOperator(
-        spec.length, u.d_block - u.a_block.scale(_F1 / (2 * z + 1))
-    )
+    return QuantumOperator(spec.length, shifted_d_block(double_row(spec, z), z))
 
 
 def check_crossing(spec: LatticeSpec, z) -> bool:

@@ -130,24 +130,24 @@ def fcr_suite(seed: int, draws: int) -> List[CheckResult]:
         s2, s4 = spec_pair(rng)
         x, y = random_positive_pair(rng)
         ok = aba.check_fcr_open(s2, x, y) and aba.check_fcr_open(s4, x, y)
-        return ok, f"x={x} y={y}"
+        return ok, f"spec={s2} spec={s4} x={x} y={y}"
 
     def closed_draw(rng, _i):
         s2, s4 = spec_pair(rng)
         x, y = random_positive_pair(rng)
         ok = cba.check_closed_fcr(s2, x, y) and cba.check_closed_fcr(s4, x, y)
-        return ok, f"x={x} y={y}"
+        return ok, f"spec={s2} spec={s4} x={x} y={y}"
 
     def algebra_draw(rng, _i):
         s2 = random_spec(rng, 1)
         x, y = random_positive_pair(rng)
-        return monodromy.check_reflection_algebra(s2, x, y), f"x={x} y={y}"
+        return monodromy.check_reflection_algebra(s2, x, y), f"spec={s2} x={x} y={y}"
 
     def expansion_draw(rng, _i):
         s2, s4 = spec_pair(rng)
         z = random_z(rng)
         ok = cba.check_b_expansion(s2, z) and cba.check_b_expansion(s4, z)
-        return ok, f"z={z}"
+        return ok, f"spec={s2} spec={s4} z={z}"
 
     def state_draw(rng, _i):
         s4 = random_spec(rng, 2)
@@ -155,7 +155,7 @@ def fcr_suite(seed: int, draws: int) -> List[CheckResult]:
         ok = cba.check_state_expansion(s4, 1, (r1,)) and cba.check_state_expansion(
             s4, 2, (r1, r2)
         )
-        return ok, f"roots=({r1},{r2})"
+        return ok, f"spec={s4} roots=({r1},{r2})"
 
     def two_reflection_draw(rng, _i):
         q = random_q(rng)

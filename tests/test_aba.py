@@ -184,6 +184,11 @@ class TestOpenExchangeRelations:
         with pytest.raises(PoleError):
             check_fcr_open(line_spec(theta=F(2, 7), q=F(4, 5)), F(1, 3), F(1, 3))
 
+    @pytest.mark.parametrize("x, y", [(F(-1, 2), F(1, 7)), (F(1, 3), F(-1, 2))])
+    def test_shifted_d_pole_in_either_argument(self, x, y):
+        with pytest.raises(PoleError, match="shifted D block has a pole at z = -1/2"):
+            check_fcr_open(line_spec(theta=F(2, 7), q=F(4, 5)), x, y)
+
 
 class TestBReflection:
     def test_generic_point(self):

@@ -143,6 +143,57 @@ class TestSingleRow:
             assert down[0][1].is_zero() and down[1][0].is_zero()
 
 
+def _explicit_row(z, sites, hat):
+    """Product of full-chain local factors; ``sites`` lists (v, conjugate) per site."""
+    length = len(sites)
+    order = range(length, 0, -1) if hat else range(1, length + 1)
+    op = None
+    for site in order:
+        v, conj = sites[site - 1]
+        factor = lax_embed(z + v if hat else z - v, site, length, conjugate=conj)
+        op = factor if op is None else op @ factor
+    return op
+
+
+T1, T2 = F(2, 7), F(3, 11)
+FOUR_SITE_CASES = [
+    # crossed (4,2),(3,1), line 2 reflected: end sites 2 and 1 are conjugate
+    (
+        crossed_spec(frozenset({2}), T1, T2),
+        [(-T2 - 1, True), (T1 - 1, True), (T2, False), (T1, False)],
+    ),
+    # nested (4,3),(2,1), nothing reflected: end sites 3 and 1 are conjugate
+    (
+        LatticeSpec(
+            chords=(Chord(4, 3), Chord(2, 1)),
+            reflected=frozenset(),
+            rapidities=(T1, T2),
+            boundary_q=F(4, 5),
+        ),
+        [(T2 - 1, True), (T2, False), (T1 - 1, True), (T1, False)],
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, sites", FOUR_SITE_CASES)
+class TestKernelBuiltOperatorsAtFourSites:
+    """The dense blocks assembled from the site-local kernel equal the explicit
+    product of full-chain local factors."""
+
+    def test_single_rows(self, spec, sites):
+        z = F(5, 13)
+        for hat in (False, True):
+            assert single_row(spec, z, hat) == _explicit_row(z, sites, hat)
+
+    def test_double_row(self, spec, sites):
+        z, q = F(2, 9), spec.boundary_q
+        eye = ExactMatrix.identity(16)
+        zero = ExactMatrix.zeros(16, 16)
+        boundary = AuxOperator(4, ((eye.scale(q + z), zero), (zero, eye.scale(q - z))))
+        explicit = _explicit_row(z, sites, False) @ boundary @ _explicit_row(z, sites, True)
+        assert double_row(spec, z) == explicit
+
+
 class TestCrossing:
     def test_line_case(self):
         assert check_crossing(line_spec(), F(2, 7))

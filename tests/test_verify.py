@@ -2,7 +2,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import sixvb
+from sixvb import aba, cba, monodromy, verify
 
 _DRAWS = """
 from sixvb.verify import _seeded
@@ -20,3 +23,20 @@ def test_seeded_draws_do_not_depend_on_hash_seed():
         )
         outs.append(done.stdout)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "module, checker, name",
+    [
+        (aba, "check_fcr_open", "fcr_open"),
+        (cba, "check_closed_fcr", "fcr_closed"),
+        (monodromy, "check_reflection_algebra", "reflection_algebra"),
+        (cba, "check_b_expansion", "b_expansion"),
+        (cba, "check_state_expansion", "state_expansion"),
+    ],
+)
+def test_fcr_failures_record_the_drawn_spec(monkeypatch, module, checker, name):
+    monkeypatch.setattr(module, checker, lambda *args: False)
+    result = next(r for r in verify.fcr_suite(3, 1) if r.name == name)
+    assert len(result.failures) == 1
+    assert "spec=LatticeSpec(" in result.failures[0]
