@@ -33,6 +33,7 @@ from .lattice import (
 from .monodromy import (
     QuantumState,
     apply_open_b,
+    aux_block,
     double_row,
     double_row_on_state,
     external_component,
@@ -241,10 +242,10 @@ def check_fcr_open(spec: LatticeSpec, x, y) -> bool:
     x, y = Fraction(x), Fraction(y)
     ux = double_row(spec, x)
     uy = double_row(spec, y)
-    bx, by = ux.b_block, uy.b_block
+    bx, by = aux_block(ux, 0, 1), aux_block(uy, 0, 1)
     if bx @ by != by @ bx:
         return False
-    ax, ay = ux.a_block, uy.a_block
+    ax, ay = aux_block(ux, 0, 0), aux_block(uy, 0, 0)
     dtx = shifted_d_block(ux, x)
     dty = shifted_d_block(uy, y)
     bx_ay = bx @ ay
@@ -270,8 +271,8 @@ def check_b_reflection(spec: LatticeSpec, z) -> bool:
     z = Fraction(z)
     if z == 0 or z == -1:
         raise PoleError("reflection factor z/(z+1) degenerates at z in {0, -1}")
-    lhs = double_row(spec, z).b_block
-    rhs = double_row(spec, -z - 1).b_block.scale(-z / (z + 1))
+    lhs = aux_block(double_row(spec, z), 0, 1)
+    rhs = aux_block(double_row(spec, -z - 1), 0, 1).scale(-z / (z + 1))
     return lhs == rhs
 
 

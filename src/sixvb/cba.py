@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .errors import PoleError
 from .lattice import (
@@ -30,6 +30,7 @@ from .lattice import (
 from .monodromy import (
     QuantumState,
     apply_closed_b,
+    aux_block,
     basis_index,
     double_row,
     reference_state,
@@ -46,21 +47,13 @@ class WaveInput:
 
     v: tuple
     roots: tuple
-    positions: tuple
     q: Fraction
     length: int
 
     def __post_init__(self):
         object.__setattr__(self, "v", tuple(Fraction(x) for x in self.v))
         object.__setattr__(self, "roots", tuple(Fraction(z) for z in self.roots))
-        object.__setattr__(self, "positions", tuple(int(x) for x in self.positions))
         object.__setattr__(self, "q", Fraction(self.q))
-        if list(self.positions) != sorted(set(self.positions)):
-            raise ValueError("magnon positions must be strictly increasing")
-        if self.positions and not (
-            1 <= self.positions[0] and self.positions[-1] <= self.length
-        ):
-            raise ValueError(f"magnon positions must lie in 1..{self.length}")
 
 
 def amplitude(ordered_roots: Sequence) -> Fraction:
@@ -112,7 +105,7 @@ class WaveEngine:
         self.roots = tuple(Fraction(z) for z in roots)
         self.q = Fraction(q)
         self.length = length
-        self._winput = WaveInput(self.v, self.roots, (), self.q, self.length)
+        self._winput = WaveInput(self.v, self.roots, self.q, self.length)
         self._phi: Dict[Tuple[Fraction, int], Fraction] = {}
         self._amp: Dict[Tuple[Fraction, ...], Fraction] = {}
         self._upsilon: Dict[Tuple[int, ...], Fraction] = {}
@@ -150,6 +143,10 @@ class WaveEngine:
             raise ValueError(
                 f"need {len(self.roots)} magnon positions, got {len(x)}"
             )
+        if any(a >= b for a, b in zip(x, x[1:])):
+            raise ValueError("magnon positions must be strictly increasing")
+        if x and not (1 <= x[0] and x[-1] <= self.length):
+            raise ValueError(f"magnon positions must lie in 1..{self.length}")
         cached = self._upsilon.get(x)
         if cached is not None:
             return cached
@@ -171,12 +168,9 @@ def wave_function(spec: LatticeSpec, roots, x: Sequence[int]) -> Fraction:
     return engine.upsilon(tuple(x))
 
 
-def spec_wave_engine(spec: LatticeSpec, roots: Optional[Sequence] = None) -> WaveEngine:
-    """Engine at the canonical roots (or explicit ones) of an instance."""
-    if roots is None:
-        zs = canonical_bethe_roots(spec).roots
-    else:
-        zs = tuple(Fraction(z) for z in roots)
+def spec_wave_engine(spec: LatticeSpec) -> WaveEngine:
+    """Engine at the canonical roots of an instance."""
+    zs = canonical_bethe_roots(spec).roots
     return WaveEngine(inhomogeneities(spec).values, zs, spec.boundary_q, spec.length)
 
 
@@ -212,13 +206,14 @@ def norm_prefactor(spec: LatticeSpec, roots: Sequence) -> Fraction:
     return out
 
 
-def cba_state(spec: LatticeSpec, roots: Optional[Sequence] = None) -> QuantumState:
-    """Assemble the Bethe state from wave values over all position sets.
+def cba_state(spec: LatticeSpec) -> QuantumState:
+    """Assemble the Bethe state at the canonical roots from wave values over
+    all position sets.
 
     Matches the creation-operator construction exactly, including the
     normalization prefactor and the end-site rotations.
     """
-    engine = spec_wave_engine(spec, roots)
+    engine = spec_wave_engine(spec)
     zs = engine.roots
     m = len(zs)
     length = spec.length
@@ -301,10 +296,10 @@ def check_closed_fcr(spec: LatticeSpec, x, y) -> bool:
     x, y = Fraction(x), Fraction(y)
     mx = single_row(spec, x, hat=False)
     my = single_row(spec, y, hat=False)
-    bx, by = mx.b_block, my.b_block
+    bx, by = aux_block(mx, 0, 1), aux_block(my, 0, 1)
     if bx @ by != by @ bx:
         return False
-    ax, ay = mx.a_block, my.a_block
+    ax, ay = aux_block(mx, 0, 0), aux_block(my, 0, 0)
     return ax @ by == (by @ ax).scale(h_closed(y, x)) - (bx @ ay).scale(k_closed(y, x))
 
 
@@ -317,11 +312,11 @@ def check_b_expansion(spec: LatticeSpec, z) -> bool:
     if 2 * z + 1 == 0:
         raise PoleError("expansion pole at z = -1/2")
     q = spec.boundary_q
-    lhs = double_row(spec, z).b_block
+    lhs = aux_block(double_row(spec, z), 0, 1)
     m_plus = single_row(spec, z, hat=False)
     m_minus = single_row(spec, -z - 1, hat=False)
-    combo = (m_plus.b_block @ m_minus.a_block).scale(q - z - 1) - (
-        m_minus.b_block @ m_plus.a_block
+    combo = (aux_block(m_plus, 0, 1) @ aux_block(m_minus, 0, 0)).scale(q - z - 1) - (
+        aux_block(m_minus, 0, 1) @ aux_block(m_plus, 0, 0)
     ).scale(q + z)
     sign = _F1 if spec.length % 2 == 0 else -_F1
     return lhs == combo.scale(sign * 2 * z / (2 * z + 1))

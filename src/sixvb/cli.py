@@ -58,14 +58,7 @@ def _parse_labels(text: str, n: int, what: str) -> tuple:
 
 
 def cmd_validate(args) -> int:
-    try:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        spec = spec_from_dict(data)
-    except OSError as exc:
-        return _input_error(f"cannot read {args.spec}: {exc}")
-    except (ValueError, ZeroDivisionError) as exc:
-        return _input_error(f"malformed lattice file {args.spec}: {exc}")
+    spec = _load_spec(args.spec)
     report = validate_spec(spec)
     if args.json:
         print(json.dumps({"ok": report.ok, "violations": list(report.violations)}, indent=2))
@@ -143,10 +136,8 @@ def cmd_bench(args) -> int:
     for n in range(1, args.nmax + 1):
         spec = random_spec(rng, n)
         config = random_ice_config(rng, spec)
-        timings = {}
         run = compute_report(spec, [reference_config(n), config], METHODS)
-        timings = run.timings
-        rows.append((n, timings))
+        rows.append((n, run.timings))
     print(f"{'N':>2} {'L':>3} {'direct':>10} {'aba':>10} {'cba':>10}   (seconds; one sweep of 2 configs)")
     for n, t in rows:
         print(

@@ -43,7 +43,7 @@ def format_rational(x: Fraction) -> str:
 
 
 def _as_fraction_row(row: Iterable) -> tuple:
-    return tuple(Fraction(x) for x in row)
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in row)
 
 
 @dataclass(frozen=True)
@@ -92,10 +92,6 @@ class ExactMatrix:
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
         return cls(tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(((_ZERO,) * cols,) * rows)
 
     @classmethod
     def diagonal(cls, values: Sequence) -> "ExactMatrix":

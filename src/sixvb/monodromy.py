@@ -2,17 +2,19 @@
 
 The chain has L = 2N sites; site 1 owns the most significant position, so a
 product basis state (s_1, ..., s_L) with s_i in {1, 2} sits at index
-``sum((s_i - 1) << (L - i))``.  Operators carrying an auxiliary space are
-kept as explicit 2x2 blocks of chain-space operators; block (1,1) is the A
-block, (1,2) the creation block B, (2,1) the annihilation block C and (2,2)
-the D block.
+``sum((s_i - 1) << (L - i))``.  An operator carrying an auxiliary leg is one
+``ExactMatrix`` of size 2^(L+1) on (auxiliary leg, chain), the auxiliary leg
+most significant as everywhere in the package; ``aux_block(op, r, c)``
+slices out its chain block, (0,0) the A block, (0,1) the creation block B,
+(1,0) the annihilation block C and (1,1) the D block.
 
 Every local factor of a monodromy touches one site only, so one site-local
 kernel applies a whole monodromy to chain vectors while tracking the 2x2
 auxiliary structure.  It drives every state-level computation, and the
-dense blocks of ``single_row``/``double_row`` are assembled from its action
-on each basis vector.  ``lax_embed`` builds the same local factors as dense
-full-chain operators; it is kept only as an independent reference for tests.
+dense ``single_row``/``double_row`` operators are assembled from its action
+on each basis vector.  ``lax_embed`` embeds the 4x4 local block of
+:func:`sixvb.weights.lax_matrix` into the full space; it is kept only as an
+independent reference for tests.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Sequence
 from .errors import PoleError
 from .exact import ExactMatrix, format_rational, parse_rational
 from .lattice import LatticeSpec, ExternalConfig, inhomogeneities, require_valid
-from .weights import r_matrix
+from .weights import PERMUTATION, S_MATRIX, embed_pair, lax_matrix, r_matrix
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -116,64 +118,6 @@ def states_proportional(u: QuantumState, v: QuantumState) -> bool:
         return False
     c = va[pivot] / ua[pivot]
     return all(c * a == b for a, b in zip(ua, va))
-
-
-@dataclass(frozen=True)
-class QuantumOperator:
-    length: int
-    matrix: ExactMatrix
-
-    def __post_init__(self):
-        if self.matrix.rows != self.matrix.cols or self.matrix.rows != 1 << self.length:
-            raise ValueError("operator must be square of dimension 2^L")
-
-
-@dataclass(frozen=True)
-class AuxOperator:
-    """2x2 array of chain-space operators: ((A, B), (C, D))."""
-
-    length: int
-    blocks: tuple
-
-    @property
-    def a_block(self) -> ExactMatrix:
-        return self.blocks[0][0]
-
-    @property
-    def b_block(self) -> ExactMatrix:
-        return self.blocks[0][1]
-
-    @property
-    def d_block(self) -> ExactMatrix:
-        return self.blocks[1][1]
-
-    def __matmul__(self, other: "AuxOperator") -> "AuxOperator":
-        if self.length != other.length:
-            raise ValueError("chain length mismatch")
-        rows = []
-        for r in range(2):
-            row = []
-            for c in range(2):
-                acc = self.blocks[r][0] @ other.blocks[0][c]
-                acc = acc + self.blocks[r][1] @ other.blocks[1][c]
-                row.append(acc)
-            rows.append(tuple(row))
-        return AuxOperator(self.length, tuple(rows))
-
-    def scale(self, c) -> "AuxOperator":
-        return AuxOperator(
-            self.length,
-            tuple(tuple(b.scale(c) for b in row) for row in self.blocks),
-        )
-
-    def aux_transpose(self) -> "AuxOperator":
-        (a, b), (c, d) = self.blocks
-        return AuxOperator(self.length, ((a, c), (b, d)))
-
-    def aux_s_conjugate(self) -> "AuxOperator":
-        """Conjugation by ((0,1),(-1,0)) in the auxiliary space: ((D,-C),(-B,A))."""
-        (a, b), (c, d) = self.blocks
-        return AuxOperator(self.length, ((d, c.scale(-1)), (b.scale(-1), a)))
 
 
 @dataclass(frozen=True)
@@ -390,108 +334,82 @@ def apply_closed_b(spec: LatticeSpec, z, state: QuantumState) -> QuantumState:
 
 # -- dense operators ----------------------------------------------------------
 
-def _embedded_e(length: int, site: int, a: int, b: int) -> ExactMatrix:
-    """Chain-space embedding of the elementary matrix e_{ab} at one site."""
-    size = 1 << length
-    mask = 1 << (length - site)
-    want = (b - 1) * mask
-    put = (a - 1) * mask
-    rows = [[_F0] * size for _ in range(size)]
-    for j in range(size):
-        if (j & mask) == want:
-            rows[(j & ~mask) | put][j] = _F1
-    return ExactMatrix(tuple(tuple(r) for r in rows))
-
-
-def lax_embed(z, site: int, length: int, conjugate: bool = False) -> AuxOperator:
-    """One local factor as an auxiliary-block operator on the full chain.
-
-    Plain blocks: block(r,c) = z d_{rc} I + e_{cr} at the site, so block
-    (1,2) creates state 2 out of state 1.  Conjugate blocks:
-    block(r,c) = (z+1) d_{rc} I - e_{rc}.
-    """
+def lax_embed(z, site: int, length: int, conjugate: bool = False) -> ExactMatrix:
+    """One local factor on (auxiliary leg, chain), acting on the given site."""
     if not (1 <= site <= length):
         raise ValueError(f"site {site} out of range 1..{length}")
-    z = Fraction(z)
-    eye = ExactMatrix.identity(1 << length)
-    if not conjugate:
-        blocks = (
-            (eye.scale(z) + _embedded_e(length, site, 1, 1), _embedded_e(length, site, 2, 1)),
-            (_embedded_e(length, site, 1, 2), eye.scale(z) + _embedded_e(length, site, 2, 2)),
-        )
-    else:
-        blocks = (
-            (
-                eye.scale(z + 1) - _embedded_e(length, site, 1, 1),
-                _embedded_e(length, site, 1, 2).scale(-1),
-            ),
-            (
-                _embedded_e(length, site, 2, 1).scale(-1),
-                eye.scale(z + 1) - _embedded_e(length, site, 2, 2),
-            ),
-        )
-    return AuxOperator(length, blocks)
+    return embed_pair(lax_matrix(z, conjugate), length + 1, (0, site))
 
 
-def _assemble(length: int, apply) -> AuxOperator:
-    """Dense blocks of the operator that ``apply`` multiplies onto a 2x2 array.
-
-    Fed the identity-dressed basis vector e_j, ``apply`` returns column j of
-    every block.
-    """
-    size = 1 << length
-    cols = []
-    for j in range(size):
-        e = [_F0] * size
-        e[j] = _F1
-        cols.append(apply(_aux_columns(e)))
-    return AuxOperator(
-        length,
-        tuple(
-            tuple(ExactMatrix(tuple(zip(*(col[r][c] for col in cols)))) for c in (0, 1))
-            for r in (0, 1)
-        ),
+def aux_block(op: ExactMatrix, r: int, c: int) -> ExactMatrix:
+    """Chain block (r, c) of an operator on (auxiliary leg, chain)."""
+    size = op.rows // 2
+    return ExactMatrix(
+        tuple(row[c * size : (c + 1) * size] for row in op.entries[r * size : (r + 1) * size])
     )
 
 
-def single_row(spec: LatticeSpec, z, hat: bool = False) -> AuxOperator:
+def aux_transpose(op: ExactMatrix) -> ExactMatrix:
+    """Transpose in the auxiliary leg only: blocks (0,1) and (1,0) swap."""
+    size = op.rows // 2
+    top, bottom = op.entries[:size], op.entries[size:]
+    return ExactMatrix(
+        tuple(a[:size] + b[:size] for a, b in zip(top, bottom))
+        + tuple(a[size:] + b[size:] for a, b in zip(top, bottom))
+    )
+
+
+def _assemble(length: int, apply) -> ExactMatrix:
+    """Dense operator on (auxiliary leg, chain) that ``apply`` multiplies onto
+    a 2x2 array of chain vectors.
+
+    Fed the identity-dressed basis vector e_j, ``apply`` returns in
+    ``phi[0][c] + phi[1][c]`` the column (c, j) of the operator.
+    """
+    size = 1 << length
+    cols = ([], [])
+    for j in range(size):
+        e = [_F0] * size
+        e[j] = _F1
+        phi = apply(_aux_columns(e))
+        for c in (0, 1):
+            cols[c].append(phi[0][c] + phi[1][c])
+    return ExactMatrix(tuple(zip(*cols[0], *cols[1])))
+
+
+def single_row(spec: LatticeSpec, z, hat: bool = False) -> ExactMatrix:
     """Dense conjugated single-row monodromy (end sites carry conjugate blocks)."""
     chain = chain_data(spec)
     z = Fraction(z)
     return _assemble(chain.length, lambda phi: _apply_single_row(phi, chain, z, hat))
 
 
-def double_row(spec: LatticeSpec, z) -> AuxOperator:
+def double_row(spec: LatticeSpec, z) -> ExactMatrix:
     """Dense double-row monodromy M K Mhat with the dressed boundary matrix."""
     chain = chain_data(spec)
     z = Fraction(z)
     return _assemble(chain.length, lambda phi: _apply_double_row(phi, chain, z))
 
 
-def shifted_d_block(u: AuxOperator, z) -> ExactMatrix:
+def shifted_d_block(u: ExactMatrix, z) -> ExactMatrix:
     """Dtilde(z) = D(z) - A(z)/(2z+1) from the double row ``u`` at z."""
     z = Fraction(z)
     if 2 * z + 1 == 0:
         raise PoleError("shifted D block has a pole at z = -1/2")
-    return u.d_block - u.a_block.scale(_F1 / (2 * z + 1))
-
-
-def d_tilde(spec: LatticeSpec, z) -> QuantumOperator:
-    """Shifted diagonal block Dtilde(z) = D(z) - A(z)/(2z+1)."""
-    return QuantumOperator(spec.length, shifted_d_block(double_row(spec, z), z))
+    return aux_block(u, 1, 1) - aux_block(u, 0, 0).scale(_F1 / (2 * z + 1))
 
 
 def check_crossing(spec: LatticeSpec, z) -> bool:
     """The two single-row products are auxiliary transposes of each other.
 
     Mhat(z)^{t_a} = (-1)^L S M(-z-1) S^{-1} with the transpose and the
-    similarity both taken in the auxiliary space.
+    similarity both taken in the auxiliary space; S^{-1} = -S.
     """
     z = Fraction(z)
-    lhs = single_row(spec, z, hat=True).aux_transpose()
+    lhs = aux_transpose(single_row(spec, z, hat=True))
     sign = 1 if spec.length % 2 == 0 else -1
-    rhs = single_row(spec, -z - 1, hat=False).aux_s_conjugate().scale(sign)
-    return lhs == rhs
+    s = S_MATRIX.tensor(ExactMatrix.identity(1 << spec.length))
+    return lhs == (s @ single_row(spec, -z - 1, hat=False) @ s).scale(-sign)
 
 
 def check_reflection_algebra(spec: LatticeSpec, x, y) -> bool:
@@ -501,56 +419,13 @@ def check_reflection_algebra(spec: LatticeSpec, x, y) -> bool:
     (aux leg 1, aux leg 2, chain).  Dense; intended for short chains.
     """
     x, y = Fraction(x), Fraction(y)
-    ux = double_row(spec, x)
-    uy = double_row(spec, y)
-    dim_q = 1 << spec.length
-    dim = 4 * dim_q
-
-    def aux_first(op: AuxOperator):
-        rows = [[_F0] * dim for _ in range(dim)]
-        for a in range(2):
-            for a2 in range(2):
-                blk = op.blocks[a][a2]
-                for b in range(2):
-                    for qi in range(dim_q):
-                        row = (a * 2 + b) * dim_q + qi
-                        base = (a2 * 2 + b) * dim_q
-                        ent = blk.entries[qi]
-                        for qj in range(dim_q):
-                            if ent[qj]:
-                                rows[row][base + qj] = ent[qj]
-        return ExactMatrix(tuple(tuple(r) for r in rows))
-
-    def aux_second(op: AuxOperator):
-        rows = [[_F0] * dim for _ in range(dim)]
-        for b in range(2):
-            for b2 in range(2):
-                blk = op.blocks[b][b2]
-                for a in range(2):
-                    for qi in range(dim_q):
-                        row = (a * 2 + b) * dim_q + qi
-                        base = (a * 2 + b2) * dim_q
-                        ent = blk.entries[qi]
-                        for qj in range(dim_q):
-                            if ent[qj]:
-                                rows[row][base + qj] = ent[qj]
-        return ExactMatrix(tuple(tuple(r) for r in rows))
-
-    def r_on_aux(theta):
-        r4 = r_matrix(theta).matrix
-        rows = [[_F0] * dim for _ in range(dim)]
-        for ab in range(4):
-            for ab2 in range(4):
-                val = r4[ab, ab2]
-                if val:
-                    for qi in range(dim_q):
-                        rows[ab * dim_q + qi][ab2 * dim_q + qi] = val
-        return ExactMatrix(tuple(tuple(r) for r in rows))
-
-    rm = r_on_aux(x - y)
-    rp = r_on_aux(x + y)
-    u1 = aux_first(ux)
-    u2 = aux_second(uy)
+    eye = ExactMatrix.identity(1 << spec.length)
+    i2 = ExactMatrix.identity(2)
+    swap = PERMUTATION.tensor(eye)
+    rm = r_matrix(x - y).matrix.tensor(eye)
+    rp = r_matrix(x + y).matrix.tensor(eye)
+    u1 = swap @ i2.tensor(double_row(spec, x)) @ swap
+    u2 = i2.tensor(double_row(spec, y))
     return rm @ u1 @ rp @ u2 == u2 @ rp @ u1 @ rm
 
 

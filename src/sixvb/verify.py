@@ -12,7 +12,7 @@ import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from . import aba, cba, contraction, monodromy, weights
 from .lattice import Chord, LatticeSpec, canonical_bethe_roots, q_function
@@ -199,13 +199,10 @@ def baxter_suite(seed: int, draws: int) -> List[CheckResult]:
     ]
 
 
-def invariance_suite(
-    seed: int, draws: int, specs: Optional[Sequence[LatticeSpec]] = None
-) -> List[CheckResult]:
+def invariance_suite(seed: int, draws: int) -> List[CheckResult]:
     """Invariance of all three construction routes at random spectral points."""
     rng = random.Random(seed)
-    if specs is None:
-        specs = [random_spec(rng, rng.choice((1, 2, 3))) for _ in range(max(1, draws))]
+    specs = [random_spec(rng, rng.choice((1, 2, 3))) for _ in range(max(1, draws))]
     result = CheckResult(name="invariance_three_routes", total=len(specs))
     for spec in specs:
         states = {

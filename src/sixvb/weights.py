@@ -9,9 +9,11 @@ Conventions (project-wide):
     auxiliary space and the second the chain site.
 
 The crossing weights R and reflection weights K used for partition-function
-normalization are the unit-normalized forms; the unnormalized local blocks
-feeding monodromies live in :mod:`sixvb.monodromy` (poles differ between the
-two, so both are kept explicitly).
+normalization are the unit-normalized forms.  ``lax_matrix`` is the
+unnormalized local block of a monodromy (poles differ between the two, so
+both are kept explicitly); the site-local kernel in :mod:`sixvb.monodromy`
+applies the same block site by site, and its dense operators are tested
+against ``embed_pair(lax_matrix(...))``.
 """
 
 from __future__ import annotations

@@ -78,7 +78,6 @@ class TestWavePart:
         return WaveInput(
             inhomogeneities(spec).values,
             canonical_bethe_roots(spec).roots,
-            (),
             spec.boundary_q,
             spec.length,
         )
@@ -112,7 +111,7 @@ class TestWaveFunction:
     def test_single_magnon_expansion(self):
         spec = line_spec(reflected=True)
         z1 = canonical_bethe_roots(spec).roots[0]
-        w = WaveInput(inhomogeneities(spec).values, (z1,), (), spec.boundary_q, 2)
+        w = WaveInput(inhomogeneities(spec).values, (z1,), spec.boundary_q, 2)
         for x in (1, 2):
             assert wave_function(spec, (z1,), (x,)) == wave_part(x, z1, w) - wave_part(
                 x, -z1 - 1, w
@@ -141,6 +140,12 @@ class TestWaveFunction:
         spec = crossed_spec()
         with pytest.raises(ValueError):
             wave_function(spec, canonical_bethe_roots(spec).roots, (1,))
+
+    @pytest.mark.parametrize("x", [(1, 1, 2, 3), (0, 1, 2, 3), (3, 2, 1, 4), (1, 2, 3, 9)])
+    def test_malformed_positions_rejected(self, x):
+        fig = figure_lattice()
+        with pytest.raises(ValueError):
+            wave_function(fig, canonical_bethe_roots(fig), x)
 
 
 class TestClosedWave:

@@ -27,7 +27,7 @@ from sixvb.lattice import (
     all_configs,
     reference_config,
 )
-from sixvb.monodromy import AuxOperator, lax_embed, states_proportional
+from sixvb.monodromy import aux_block, lax_embed, states_proportional
 from sixvb.sampling import random_spec
 from sixvb.weights import k_matrix
 
@@ -79,9 +79,7 @@ class TestElementaryInvariants:
         # The outer reflection matrix acts on the same site the local blocks
         # touch; with it on the other site the relation is false.
         theta, q, z = F(2, 7), F(4, 5), F(1, 5)
-        eye = ExactMatrix.identity(4)
-        zero = ExactMatrix.zeros(4, 4)
-        kaux = AuxOperator(2, ((eye.scale(q + z), zero), (zero, eye.scale(q - z))))
+        kaux = ExactMatrix.diagonal((q + z, q - z)).tensor(ExactMatrix.identity(4))
         lhs_op = lax_embed(z - theta, 2, 2) @ kaux @ lax_embed(z + theta, 2, 2)
         rhs_op = lax_embed(z + theta, 2, 2) @ kaux @ lax_embed(z - theta, 2, 2)
         psi_b = boundary_line_invariant(theta, q)
@@ -89,9 +87,9 @@ class TestElementaryInvariants:
         k2 = ExactMatrix.identity(2).tensor(k_matrix(theta, q).matrix)
         for r in range(2):
             for c in range(2):
-                lhs = lhs_op.blocks[r][c] @ ExactMatrix(tuple((x,) for x in psi_b.amplitudes))
+                lhs = aux_block(lhs_op, r, c) @ ExactMatrix(tuple((x,) for x in psi_b.amplitudes))
                 rhs = k2 @ (
-                    rhs_op.blocks[r][c] @ ExactMatrix(tuple((x,) for x in psi_l.amplitudes))
+                    aux_block(rhs_op, r, c) @ ExactMatrix(tuple((x,) for x in psi_l.amplitudes))
                 )
                 assert lhs == rhs
 

@@ -7,13 +7,14 @@ from sixvb.errors import PoleError
 from sixvb.exact import ExactMatrix
 from sixvb.fixtures import figure_lattice
 from sixvb.lattice import Chord, ExternalConfig, LatticeSpec, reference_config
+from sixvb import monodromy
 from sixvb.monodromy import (
-    AuxOperator,
     QuantumState,
+    aux_block,
+    aux_transpose,
     basis_index,
     check_crossing,
     check_reflection_algebra,
-    d_tilde,
     double_row,
     double_row_on_state,
     external_component,
@@ -22,6 +23,7 @@ from sixvb.monodromy import (
     lambda_value,
     lax_embed,
     reference_state,
+    shifted_d_block,
     single_row,
     single_row_on_state,
     states_proportional,
@@ -68,7 +70,7 @@ class TestLaxEmbed:
     def test_plain_at_zero_is_permutation(self):
         op = lax_embed(F(0), 1, 1)
         full = [
-            [op.blocks[r][c][i, j] for c in range(2) for j in range(2)]
+            [aux_block(op, r, c)[i, j] for c in range(2) for j in range(2)]
             for r in range(2)
             for i in range(2)
         ]
@@ -77,12 +79,12 @@ class TestLaxEmbed:
     def test_block_trace(self):
         z = F(3, 7)
         op = lax_embed(z, 1, 1)
-        total = op.a_block + op.d_block
+        total = aux_block(op, 0, 0) + aux_block(op, 1, 1)
         assert total == ExactMatrix.identity(2).scale(2 * z + 1)
 
     def test_creation_block_raises_site_state(self):
         op = lax_embed(F(5, 3), 1, 2)
-        b = op.b_block  # embeds e_21 at site 1
+        b = aux_block(op, 0, 1)  # embeds e_21 at site 1
         vec = [F(0)] * 4
         vec[basis_index((1, 1))] = F(1)
         out = b @ ExactMatrix(tuple((x,) for x in vec))
@@ -96,7 +98,7 @@ class TestLaxEmbed:
         s_inv = S_MATRIX.scale(-1)
         for r in range(2):
             for c in range(2):
-                assert conj.blocks[r][c] == s @ plain.blocks[r][c] @ s_inv
+                assert aux_block(conj, r, c) == s @ aux_block(plain, r, c) @ s_inv
 
     def test_site_out_of_range(self):
         with pytest.raises(ValueError):
@@ -187,9 +189,7 @@ class TestKernelBuiltOperatorsAtFourSites:
 
     def test_double_row(self, spec, sites):
         z, q = F(2, 9), spec.boundary_q
-        eye = ExactMatrix.identity(16)
-        zero = ExactMatrix.zeros(16, 16)
-        boundary = AuxOperator(4, ((eye.scale(q + z), zero), (zero, eye.scale(q - z))))
+        boundary = ExactMatrix.diagonal((q + z, q - z)).tensor(ExactMatrix.identity(16))
         explicit = _explicit_row(z, sites, False) @ boundary @ _explicit_row(z, sites, True)
         assert double_row(spec, z) == explicit
 
@@ -204,8 +204,10 @@ class TestCrossing:
     def test_sign_matters(self):
         spec = line_spec()
         z = F(3, 11)
-        lhs = single_row(spec, z, hat=True).aux_transpose()
-        wrong = single_row(spec, -z - 1, hat=False).aux_s_conjugate().scale(-1)
+        lhs = aux_transpose(single_row(spec, z, hat=True))
+        # S M S^{-1} with the sign flipped; S^{-1} = -S
+        s = S_MATRIX.tensor(ExactMatrix.identity(4))
+        wrong = s @ single_row(spec, -z - 1, hat=False) @ s
         assert lhs != wrong
 
 
@@ -214,9 +216,7 @@ class TestDoubleRow:
         spec = line_spec()
         theta, q = spec.rapidities[0], spec.boundary_q
         z = F(2, 9)
-        eye = ExactMatrix.identity(4)
-        zero = ExactMatrix.zeros(4, 4)
-        boundary = AuxOperator(2, ((eye.scale(q + z), zero), (zero, eye.scale(q - z))))
+        boundary = ExactMatrix.diagonal((q + z, q - z)).tensor(ExactMatrix.identity(4))
         explicit = (
             lax_embed(z - theta + 1, 1, 2, conjugate=True)
             @ lax_embed(z - theta, 2, 2)
@@ -246,15 +246,15 @@ class TestDoubleRow:
         d_shifted = blocks[1][1] - blocks[0][0].scale(F(1) / (2 * z + 1))
         assert d_shifted == omega.scale(ev.delta_tilde_val)
         # dense route agrees
-        op = d_tilde(spec, z)
+        op = shifted_d_block(double_row(spec, z), z)
         applied = [
-            sum(op.matrix[i, j] * omega.amplitudes[j] for j in range(4)) for i in range(4)
+            sum(op[i, j] * omega.amplitudes[j] for j in range(4)) for i in range(4)
         ]
         assert tuple(applied) == omega.scale(ev.delta_tilde_val).amplitudes
 
     def test_d_tilde_pole(self):
         with pytest.raises(PoleError):
-            d_tilde(line_spec(), F(-1, 2))
+            shifted_d_block(double_row(line_spec(), F(-1, 2)), F(-1, 2))
 
     def test_reflection_algebra_on_two_sites(self):
         rng = random.Random(8)
@@ -262,6 +262,11 @@ class TestDoubleRow:
             spec = random_spec(rng, 1)
             x, y = F(rng.randint(1, 90), 193), F(rng.randint(91, 180), 193)
             assert check_reflection_algebra(spec, x, y)
+
+    def test_reflection_algebra_fails_with_shifted_crossing_weights(self, monkeypatch):
+        real = monodromy.r_matrix
+        monkeypatch.setattr(monodromy, "r_matrix", lambda theta: real(theta + F(1, 7)))
+        assert not check_reflection_algebra(line_spec(), F(1, 5), F(2, 7))
 
 
 class TestReferenceState:
