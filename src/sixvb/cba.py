@@ -2,12 +2,14 @@
 
 The wave function is a sum over all root permutations and root reflections
 (z -> -z - 1) of an amplitude factor times one wave factor per magnon
-position.  Evaluating it at the canonical roots and the positions read off
-an external configuration reproduces the partition function up to an
-explicit sign.  The translation identities between this picture and the
-creation-operator one (creation-block expansion over single-row blocks,
-reflection-sum expansion of the state) are verified here as exact operator
-and state identities.
+position.  The amplitude is a product of pair factors, so the 2^N * N! terms
+are summed by a subset DP over the 3^N partial states (roots placed, their
+reflections), taking the positions in increasing order.  Evaluating it at
+the canonical roots and the positions read off an external configuration
+reproduces the partition function up to an explicit sign.  The translation
+identities between this picture and the creation-operator one
+(creation-block expansion over single-row blocks, reflection-sum expansion
+of the state) are verified here as exact operator and state identities.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ from .lattice import (
     ExternalConfig,
     LatticeSpec,
     canonical_bethe_roots,
+    ice_rule_satisfied,
     inhomogeneities,
     magnon_positions,
+    reference_config,
     sweep,
 )
 from .monodromy import (
@@ -56,21 +60,26 @@ class WaveInput:
         object.__setattr__(self, "q", Fraction(self.q))
 
 
-def amplitude(ordered_roots: Sequence) -> Fraction:
-    """Scattering amplitude of an ordered root tuple.
+def pair_factor(a, b) -> Fraction:
+    """Amplitude factor of root a ordered before root b.
 
-    prod_{k<l} (z_k - z_l + 1)(z_k + z_l + 2) / ((z_k - z_l)(z_k + z_l + 1)).
+    (a - b + 1)(a + b + 2) / ((a - b)(a + b + 1)).
     """
-    zs = [Fraction(z) for z in ordered_roots]
+    a, b = Fraction(a), Fraction(b)
+    den = (a - b) * (a + b + 1)
+    if den == 0:
+        raise PoleError(f"amplitude pole for the root pair ({a}, {b})")
+    return (a - b + 1) * (a + b + 2) / den
+
+
+def amplitude(ordered_roots: Sequence) -> Fraction:
+    """Scattering amplitude of an ordered root tuple: prod_{k<l} f(z_k, z_l)
+    with f the ``pair_factor``."""
+    zs = list(ordered_roots)
     out = _F1
-    for k in range(len(zs)):
-        for l in range(k + 1, len(zs)):
-            den = (zs[k] - zs[l]) * (zs[k] + zs[l] + 1)
-            if den == 0:
-                raise PoleError(
-                    f"amplitude pole for roots z_{k + 1}={zs[k]}, z_{l + 1}={zs[l]}"
-                )
-            out *= (zs[k] - zs[l] + 1) * (zs[k] + zs[l] + 2) / den
+    for k, a in enumerate(zs):
+        for b in zs[k + 1:]:
+            out *= pair_factor(a, b)
     return out
 
 
@@ -93,11 +102,23 @@ def wave_part(x: int, z, w: WaveInput) -> Fraction:
 
 
 class WaveEngine:
-    """Memoized evaluator of the reflection-and-permutation wave sum.
+    """The reflection-and-permutation wave sum, evaluated as a subset DP.
 
-    Wave factors are cached per (root image, site) and amplitudes per
-    ordered image tuple, so sweeping many position sets shares almost all
-    of the arithmetic.
+    The sum runs over the 2^m reflections and m! orderings of the roots: a
+    term assigns the images w_1..w_m of an ordering to the positions
+    x_1 < ... < x_m and is (-1)^{reflections} amplitude(w) prod_i
+    phi(w_i, x_i).  Taking the positions in increasing order, a DP state is
+    the set of images placed so far, a bitmask over the 2m images
+    (z_j, -z_j - 1) with at most one image per root, so there are 3^m
+    states.  Placing image b at site x multiplies by phi(b, x) and by
+    (-1)^{b reflected} prod_{a placed} f(a, b); that second factor does not
+    depend on the positions and is cached per (state, b), phi per (image,
+    site).  Terms with a vanishing wave factor are skipped: at the
+    canonical roots many wave factors vanish, which prunes the states
+    reached.  The engine keeps the DP levels of the last position set
+    it evaluated, so a set resumes from the level of its common prefix with
+    that one: sets met in lexicographic order walk their prefix trie depth
+    first.
     """
 
     def __init__(self, v: Sequence, roots: Sequence, q, length: int):
@@ -106,39 +127,61 @@ class WaveEngine:
         self.q = Fraction(q)
         self.length = length
         self._winput = WaveInput(self.v, self.roots, self.q, self.length)
-        self._phi: Dict[Tuple[Fraction, int], Fraction] = {}
-        self._amp: Dict[Tuple[Fraction, ...], Fraction] = {}
+        # image 2j is z_j and image 2j + 1 its reflection -z_j - 1
+        self._images = tuple(w for z in self.roots for w in (z, -z - 1))
+        # Every pair of images of distinct roots meets in some term of the
+        # sum, so a pole anywhere in it raises here.
+        self._pair = [
+            [pair_factor(a, b) if i >> 1 != j >> 1 else None for j, b in enumerate(self._images)]
+            for i, a in enumerate(self._images)
+        ]
+        self._steps: Dict[int, Tuple[Tuple[int, Fraction], ...]] = {}
+        self._phi: Dict[int, Tuple[Fraction, ...]] = {}
         self._upsilon: Dict[Tuple[int, ...], Fraction] = {}
-        m = len(self.roots)
-        self._patterns = []
-        for bits in range(1 << m):
-            sign = _F1 if bin(bits).count("1") % 2 == 0 else -_F1
-            images = tuple(
-                -z - 1 if (bits >> i) & 1 else z for i, z in enumerate(self.roots)
-            )
-            self._patterns.append((sign, images, bits))
+        self._prefix: Tuple[int, ...] = ()
+        self._levels = [{0: _F1}]
 
-    def _phi_at(self, z: Fraction, x: int) -> Fraction:
-        key = (z, x)
-        val = self._phi.get(key)
-        if val is None:
-            val = wave_part(x, z, self._winput)
-            self._phi[key] = val
-        return val
+    def _steps_from(self, state: int) -> Tuple[Tuple[int, Fraction], ...]:
+        """(b, (-1)^{b reflected} prod_{a in state} f(a, b)) for every image b
+        of a root not yet placed."""
+        steps = self._steps.get(state)
+        if steps is None:
+            placed = [a for a in range(len(self._images)) if state >> a & 1]
+            steps = []
+            for b in range(len(self._images)):
+                if state >> (b & ~1) & 3:
+                    continue
+                factor = -_F1 if b & 1 else _F1
+                for a in placed:
+                    factor *= self._pair[a][b]
+                steps.append((b, factor))
+            steps = self._steps[state] = tuple(steps)
+        return steps
 
-    def _amp_at(self, images: Tuple[Fraction, ...], context: str) -> Fraction:
-        val = self._amp.get(images)
-        if val is None:
-            try:
-                val = amplitude(images)
-            except PoleError as exc:
-                raise PoleError(f"{exc} in term {context}") from exc
-            self._amp[images] = val
-        return val
+    def _phi_at(self, site: int) -> Tuple[Fraction, ...]:
+        row = self._phi.get(site)
+        if row is None:
+            row = self._phi[site] = tuple(wave_part(site, w, self._winput) for w in self._images)
+        return row
+
+    def _advance(self, level: Dict[int, Fraction], site: int) -> Dict[int, Fraction]:
+        """The DP level after placing one more image at ``site``."""
+        phi = self._phi_at(site)
+        out: Dict[int, Fraction] = {}
+        for state, value in level.items():
+            for b, factor in self._steps_from(state):
+                if not phi[b]:
+                    continue
+                term = value * factor * phi[b]
+                key = state | 1 << b
+                out[key] = out[key] + term if key in out else term
+        return out
 
     def upsilon(self, positions: Sequence[int]) -> Fraction:
-        """The full wave sum over 2^m * m! terms at the given positions."""
-        x = tuple(int(p) for p in positions)
+        """The wave sum at the given positions."""
+        x = tuple(positions)
+        if any(type(p) is not int for p in x):
+            raise ValueError(f"magnon positions must be integers, got {x}")
         if len(x) != len(self.roots):
             raise ValueError(
                 f"need {len(self.roots)} magnon positions, got {len(x)}"
@@ -150,13 +193,19 @@ class WaveEngine:
         cached = self._upsilon.get(x)
         if cached is not None:
             return cached
-        total = _F0
-        for sign, images, bits in self._patterns:
-            for perm in itertools.permutations(images):
-                term = self._amp_at(perm, f"(reflections {bits:b}, order {perm})")
-                for xi, zi in zip(x, perm):
-                    term *= self._phi_at(zi, xi)
-                total += sign * term
+        # Keep the levels shared with the last set; the full level is summed, not kept.
+        shared = 0
+        for a, b in zip(self._prefix, x[:-1]):
+            if a != b:
+                break
+            shared += 1
+        levels = self._levels
+        del levels[shared + 1:]
+        for site in x[shared:-1]:
+            levels.append(self._advance(levels[-1], site))
+        self._prefix = x[:-1]
+        last = self._advance(levels[-1], x[-1]) if x else levels[0]
+        total = sum(last.values(), _F0)
         self._upsilon[x] = total
         return total
 
@@ -179,19 +228,28 @@ def _beta_sign(config: ExternalConfig) -> Fraction:
     return _F1 if flips % 2 == 0 else -_F1
 
 
-def _wave_component(spec: LatticeSpec):
-    engine = spec_wave_engine(spec)
-    return lambda config: _beta_sign(config) * engine.upsilon(magnon_positions(spec, config))
-
-
 def z_cba(spec: LatticeSpec, config: ExternalConfig) -> Fraction:
     """Partition function from the coordinate wave function."""
     return z_cba_table(spec, [config])[0]
 
 
 def z_cba_table(spec: LatticeSpec, configs: Sequence[ExternalConfig]) -> list:
-    """Values for many configs from one shared engine."""
-    return sweep(spec, configs, _wave_component)
+    """Values for many configs from one shared engine.
+
+    The engine first meets the wanted position sets, the reference set
+    included, in lexicographic order, so its DP walks their prefix trie once.
+    """
+    configs = list(configs)
+
+    def wave_component(spec: LatticeSpec):
+        engine = spec_wave_engine(spec)
+        wanted = {magnon_positions(spec, c) for c in configs if ice_rule_satisfied(spec, c)}
+        wanted.add(magnon_positions(spec, reference_config(spec.n)))
+        for x in sorted(wanted):
+            engine.upsilon(x)
+        return lambda config: _beta_sign(config) * engine.upsilon(magnon_positions(spec, config))
+
+    return sweep(spec, configs, wave_component)
 
 
 def norm_prefactor(spec: LatticeSpec, roots: Sequence) -> Fraction:

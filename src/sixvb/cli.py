@@ -143,7 +143,7 @@ def cmd_bench(args) -> int:
         print(
             f"{n:>2} {2 * n:>3} {t['direct']:>10.4f} {t['aba']:>10.4f} {t['cba']:>10.4f}"
         )
-    print("# cba term count grows as 2^N * N!; direct and aba stay polynomial per amplitude")
+    print("# cba DP state count grows as 3^N; direct and aba stay polynomial per amplitude")
     return EXIT_OK
 
 

@@ -1,7 +1,8 @@
 """Cross-method computation reports.
 
 One report runs the requested methods over the requested configurations,
-compares them exactly, and carries per-method wall times.  Rationals
+compares them exactly, and carries per-method wall times; when the methods
+disagree, its JSON form names the first configs that differ.  Rationals
 serialize as "p/q" strings so a parsed report reproduces the exact values.
 """
 
@@ -21,6 +22,7 @@ from .exact import format_rational, parse_rational
 from .lattice import ExternalConfig, LatticeSpec, config_to_dict, spec_to_dict
 
 METHODS = ("direct", "aba", "cba")
+MAX_DISAGREEMENTS = 10
 
 _TABLES = {
     "direct": z_direct_table,
@@ -71,18 +73,25 @@ def compute_report(
 
 
 def report_to_dict(report: RunReport) -> dict:
+    """JSON form of a report; when the methods disagree it also lists the
+    first ``MAX_DISAGREEMENTS`` configs whose values differ."""
     rows = []
     for i, config in enumerate(report.configs):
         row = config_to_dict(config)
         row["z"] = {m: format_rational(report.values[m][i]) for m in report.methods}
         rows.append(row)
-    return {
+    out = {
         "spec_digest": report.spec_digest,
         "methods": list(report.methods),
         "configs": rows,
         "agreement": report.agreement,
         "timings_s": {m: report.timings[m] for m in report.methods},
     }
+    if not report.agreement:
+        out["disagreements"] = [row for row in rows if len(set(row["z"].values())) > 1][
+            :MAX_DISAGREEMENTS
+        ]
+    return out
 
 
 def values_from_report_dict(data: dict) -> Dict[str, List[Fraction]]:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -45,6 +46,39 @@ def line_spec(reflected=False, theta=F(1, 3), q=F(2)):
         rapidities=(theta,),
         boundary_q=q,
     )
+
+
+def brute_wave_sums(w: WaveInput) -> dict:
+    """The wave sum by its definition, all 2^m * m! terms, at every position set."""
+    m = len(w.roots)
+    terms = []
+    for bits in range(1 << m):
+        sign = -1 if bin(bits).count("1") % 2 else 1
+        images = tuple(-z - 1 if bits >> i & 1 else z for i, z in enumerate(w.roots))
+        for perm in itertools.permutations(images):
+            terms.append((sign * amplitude(perm), perm))
+    phi = {}
+
+    def phi_at(z, x):
+        if (z, x) not in phi:
+            phi[z, x] = wave_part(x, z, w)
+        return phi[z, x]
+
+    return {
+        x: sum(
+            (math.prod((phi_at(z, xi) for xi, z in zip(x, perm)), start=amp) for amp, perm in terms),
+            F(0),
+        )
+        for x in itertools.combinations(range(1, w.length + 1), m)
+    }
+
+
+def off_shell_roots(rng, m):
+    """m random_z roots off every pole of the amplitude."""
+    while True:
+        zs = tuple(random_z(rng) for _ in range(m))
+        if all(a != b and a + b + 1 != 0 for a, b in itertools.combinations(zs, 2)):
+            return zs
 
 
 def crossed_spec(reflected=frozenset({2}), t1=F(2, 7), t2=F(3, 11), q=F(4, 5)):
@@ -146,6 +180,32 @@ class TestWaveFunction:
         fig = figure_lattice()
         with pytest.raises(ValueError):
             wave_function(fig, canonical_bethe_roots(fig), x)
+
+    @pytest.mark.parametrize("x", [(1.9, 2.5, 3, 4), (F(3, 2), 2, 3, 4), (True, 2, 3, 4)])
+    def test_non_integer_positions_rejected(self, x):
+        fig = figure_lattice()
+        with pytest.raises(ValueError):
+            wave_function(fig, canonical_bethe_roots(fig), x)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_the_literal_sum_at_every_position_set(self, n):
+        rng = random.Random(200 + n)
+        for _ in range(2):
+            spec = random_spec(rng, n)
+            v = inhomogeneities(spec).values
+            for roots in (canonical_bethe_roots(spec).roots, off_shell_roots(rng, n)):
+                want = brute_wave_sums(WaveInput(v, roots, spec.boundary_q, spec.length))
+                in_order = WaveEngine(v, roots, spec.boundary_q, spec.length)
+                assert {x: in_order.upsilon(x) for x in want} == want
+                shuffled = list(want)
+                rng.shuffle(shuffled)
+                any_order = WaveEngine(v, roots, spec.boundary_q, spec.length)
+                assert {x: any_order.upsilon(x) for x in shuffled} == want
+
+    @pytest.mark.parametrize("pair", [lambda z: (z, z), lambda z: (z, -z - 1)])
+    def test_amplitude_poles_raise(self, pair):
+        with pytest.raises(PoleError):
+            wave_function(crossed_spec(), pair(F(5, 193)), (1, 2))
 
 
 class TestClosedWave:
@@ -249,6 +309,11 @@ class TestZCba:
     def test_state_assembly_matches_creation_route(self):
         for spec in (line_spec(), crossed_spec(), crossed_spec(frozenset({1, 2}))):
             assert cba_state(spec) == solve_aba(spec).bethe_state
+
+    def test_cross_method_six_lines(self):
+        spec = random_spec(random.Random(101), 6)
+        configs = list(all_configs(6))
+        assert z_cba_table(spec, configs) == z_direct_table(spec, configs)
 
     def test_cross_method_small_lattices(self):
         rng = random.Random(37)

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from sixvb import pipeline
 from sixvb.cli import main
 from sixvb.fixtures import fixture_text
 from sixvb.pipeline import values_from_report_dict
@@ -94,6 +95,37 @@ class TestCompute:
         data = json.loads(capsys.readouterr().out)
         assert data["agreement"] is True
         assert len(data["configs"]) == 256
+
+    def test_agreement_lists_no_disagreements(self, line_path, capsys):
+        assert main(["compute", line_path, "--all-configs", "--json"]) == 0
+        assert "disagreements" not in json.loads(capsys.readouterr().out)
+
+    @staticmethod
+    def perturb_aba(monkeypatch, indices):
+        real = pipeline._TABLES["aba"]
+
+        def perturbed(spec, configs):
+            values = real(spec, configs)
+            for i in indices:
+                values[i] += 1
+            return values
+
+        monkeypatch.setitem(pipeline._TABLES, "aba", perturbed)
+
+    def test_disagreement_lists_every_route_value(self, line_path, monkeypatch, capsys):
+        self.perturb_aba(monkeypatch, [3])
+        assert main(["compute", line_path, "--all-configs", "--json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["agreement"] is False
+        assert data["disagreements"] == [
+            {"alpha": [2], "beta": [2], "z": {"direct": "5/7", "aba": "12/7", "cba": "5/7"}}
+        ]
+
+    def test_disagreements_keep_the_first_ten(self, figure_path, monkeypatch, capsys):
+        self.perturb_aba(monkeypatch, range(256))
+        assert main(["compute", figure_path, "--all-configs", "--json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["disagreements"] == data["configs"][:10]
 
     def test_bad_labels_exit_two(self, line_path):
         assert main(["compute", line_path, "--alpha", "3", "--beta", "1"]) == 2
