@@ -2,10 +2,14 @@
 
 The nested pairing admits an explicit invariant: a tensor product of
 two-site line and reflected-line solutions.  Any other pairing is reached
-by a planned sequence of adjacent endpoint swaps; each swap multiplies the
-running state with a crossing factor conjugated at end sites and then
-relabels the two sites.  The overall scalar picked up along the way is
-irrelevant because the partition function is a ratio of components.
+by a planned sequence of adjacent endpoint swaps.  A swap at sites
+(p, p+1) with argument theta = v_{p+1} - v_p applies
+``swap . C R(theta) C^{-1}`` with R = (theta + P)/(theta + 1) and C the
+rotation S at whichever sites hold an end point; in closed form that is
+``(theta P + X)/(theta + 1)``, X = I when neither or both sites hold an
+end point and X = S^{-1} (x) S otherwise.  The overall scalar picked up
+along the way is irrelevant because the partition function is a ratio of
+components.
 """
 
 from __future__ import annotations
@@ -146,58 +150,40 @@ def plan_moves(spec: LatticeSpec, lowest_first: bool = False) -> MoveSequence:
     return MoveSequence(moves=tuple(moves), source=source, target=spec)
 
 
-def _apply_s(amps, length, site, inverse=False):
-    """Similarity rotation at one site: |1> -> -|2>, |2> -> |1> (inverse flips signs)."""
-    mask = 1 << (length - site)
-    out = list(amps)
-    for i0 in range(len(amps)):
-        if i0 & mask:
-            continue
-        i1 = i0 | mask
-        if inverse:
-            out[i0], out[i1] = -amps[i1], amps[i0]
-        else:
-            out[i0], out[i1] = amps[i1], -amps[i0]
-    return out
+def _apply_move(amps, length, p, theta, one_end):
+    """One endpoint swap ``(theta P + X)/(theta + 1)`` on sites (p, p+1), in place.
 
-
-def _apply_r_pair(amps, length, p, theta):
-    """Unit-normalized crossing factor on adjacent sites (p, p+1)."""
+    X is the identity unless exactly one of the two sites holds an end point;
+    then X = S^{-1} (x) S sends |11> -> -|22>, |22> -> -|11> and swaps |12>, |21>.
+    """
     if theta == -1:
         raise PoleError("crossing factor evaluated at its pole theta = -1")
-    hi = 1 << (length - p)
-    lo = 1 << (length - p - 1)
     d = theta + 1
-    out = list(amps)
-    for idx in range(len(amps)):
-        a = (idx & hi) != 0
-        b = (idx & lo) != 0
-        if a != b:
-            swapped = idx ^ hi ^ lo
-            out[idx] = (theta * amps[idx] + amps[swapped]) / d
-    return out
-
-
-def _apply_swap(amps, length, p):
-    hi = 1 << (length - p)
     lo = 1 << (length - p - 1)
-    out = list(amps)
-    for idx in range(len(amps)):
-        a = (idx & hi) != 0
-        b = (idx & lo) != 0
-        if a != b:
-            out[idx] = amps[idx ^ hi ^ lo]
-    return out
+    hi = lo << 1
+    for base in range(0, 1 << length, hi << 1):
+        for i11 in range(base, base + lo):
+            i12, i21, i22 = i11 | lo, i11 | hi, i11 | hi | lo
+            a12, a21 = amps[i12], amps[i21]
+            if one_end:
+                a11, a22 = amps[i11], amps[i22]
+                amps[i11] = (theta * a11 - a22) / d
+                amps[i22] = (theta * a22 - a11) / d
+                amps[i12], amps[i21] = a21, a12
+            else:
+                amps[i12] = (theta * a21 + a12) / d
+                amps[i21] = (theta * a12 + a21) / d
 
 
 def build_invariant(spec: LatticeSpec, plan: Optional[MoveSequence] = None) -> QuantumState:
     """Weave the nested-pairing invariant into the invariant of the target.
 
-    Each move applies, at its position p, the operator
-    ``swap . C R(v_{p+1} - v_p) C^{-1}`` where C rotates whichever of the
-    two sites currently holds an end point; the inhomogeneity bookkeeping
-    then travels with the endpoints.  The state is exact throughout; its
-    overall normalization is arbitrary.
+    Each move makes one pass over the state, applying at its position p
+    ``(theta P + X)/(theta + 1)`` with theta = v_{p+1} - v_p, which equals
+    ``swap . C R(theta) C^{-1}`` (X = S^{-1} (x) S when exactly one of the
+    two sites holds an end point, else X = I); the inhomogeneity
+    bookkeeping then travels with the endpoints.  The state is exact
+    throughout; its overall normalization is arbitrary.
     """
     if plan is None:
         plan = plan_moves(spec)
@@ -212,13 +198,7 @@ def build_invariant(spec: LatticeSpec, plan: Optional[MoveSequence] = None) -> Q
         theta = v[p] - v[p - 1]
         if theta != move.argument:
             raise ValueError("move plan inconsistent with inhomogeneity bookkeeping")
-        ends = [s for s in (p, p + 1) if owner[s - 1][1]]
-        for s in ends:
-            amps = _apply_s(amps, length, s, inverse=True)
-        amps = _apply_r_pair(amps, length, p, theta)
-        for s in reversed(ends):
-            amps = _apply_s(amps, length, s)
-        amps = _apply_swap(amps, length, p)
+        _apply_move(amps, length, p, theta, owner[p - 1][1] != owner[p][1])
         owner[p - 1], owner[p] = owner[p], owner[p - 1]
         v[p - 1], v[p] = v[p], v[p - 1]
 

@@ -19,6 +19,14 @@ from .errors import DegenerateSpecError, InvalidSpecError
 from .exact import format_rational, parse_rational
 
 _HALF = Fraction(1, 2)
+_RATIONAL = (int, Fraction)
+
+
+def _strict(value, kinds: tuple, what: str):
+    """``value`` unchanged if its type is one of ``kinds``; a bool is not an int."""
+    if type(value) not in kinds:
+        raise ValueError(f"{what} must be {' or '.join(k.__name__ for k in kinds)}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -27,6 +35,10 @@ class Chord:
 
     start: int
     end: int
+
+    def __post_init__(self):
+        _strict(self.start, (int,), "chord start")
+        _strict(self.end, (int,), "chord end")
 
 
 @dataclass(frozen=True)
@@ -37,11 +49,11 @@ class ExternalConfig:
     beta: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(int(a) for a in self.alpha))
-        object.__setattr__(self, "beta", tuple(int(b) for b in self.beta))
+        object.__setattr__(self, "alpha", tuple(self.alpha))
+        object.__setattr__(self, "beta", tuple(self.beta))
         for s in self.alpha + self.beta:
-            if s not in (1, 2):
-                raise ValueError(f"state labels must be 1 or 2, got {s}")
+            if type(s) is not int or s not in (1, 2):
+                raise ValueError(f"state labels must be the int 1 or 2, got {s!r}")
 
 
 @dataclass(frozen=True)
@@ -55,9 +67,11 @@ class LatticeSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "chords", tuple(self.chords))
-        object.__setattr__(self, "reflected", frozenset(int(k) for k in self.reflected))
-        object.__setattr__(self, "rapidities", tuple(Fraction(t) for t in self.rapidities))
-        object.__setattr__(self, "boundary_q", Fraction(self.boundary_q))
+        reflected = frozenset(_strict(k, (int,), "reflected line") for k in self.reflected)
+        object.__setattr__(self, "reflected", reflected)
+        rapidities = tuple(Fraction(_strict(t, _RATIONAL, "rapidity")) for t in self.rapidities)
+        object.__setattr__(self, "rapidities", rapidities)
+        object.__setattr__(self, "boundary_q", Fraction(_strict(self.boundary_q, _RATIONAL, "q")))
 
     @property
     def n(self) -> int:
@@ -292,22 +306,13 @@ def spec_to_dict(spec: LatticeSpec) -> dict:
     }
 
 
-def _strict(value, kind: type, what: str):
-    """``value`` unchanged if its JSON type is ``kind``; a bool is not an int."""
-    if type(value) is not kind:
-        raise ValueError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
-    return value
-
-
 def spec_from_dict(data: dict) -> LatticeSpec:
     try:
-        n = _strict(data["n"], int, "n")
+        n = _strict(data["n"], (int,), "n")
         lines = data["lines"]
-        chords = tuple(
-            Chord(_strict(l["start"], int, "start"), _strict(l["end"], int, "end")) for l in lines
-        )
+        chords = tuple(Chord(l["start"], l["end"]) for l in lines)
         reflected = frozenset(
-            k for k, l in enumerate(lines, start=1) if _strict(l["reflected"], bool, "reflected")
+            k for k, l in enumerate(lines, start=1) if _strict(l["reflected"], (bool,), "reflected")
         )
         rapidities = tuple(parse_rational(l["rapidity"]) for l in lines)
         q = parse_rational(data["q"])

@@ -8,11 +8,13 @@ most significant as everywhere in the package; ``aux_block(op, r, c)``
 slices out its chain block, (0,0) the A block, (0,1) the creation block B,
 (1,0) the annihilation block C and (1,1) the D block.
 
-Every local factor of a monodromy touches one site only, so one site-local
-kernel applies a whole monodromy to chain vectors while tracking the 2x2
-auxiliary structure.  It drives every state-level computation, and the
-dense ``single_row``/``double_row`` operators are assembled from its action
-on each basis vector.  ``lax_embed`` embeds the 4x4 local block of
+Every local factor of a monodromy touches one site only, so one primitive,
+a row product on one auxiliary column (a, b) of chain vectors (``_row``,
+and ``_double_row`` for M K Mhat), carries every monodromy action: a
+creation operator is the top slot of the column (0, v), the four blocks on
+a state come from the columns (v, 0) and (0, v), and the dense
+``single_row``/``double_row`` operators are assembled from one column per
+basis vector.  ``lax_embed`` embeds the 4x4 local block of
 :func:`sixvb.weights.lax_matrix` into the full space; it is kept only as an
 independent reference for tests.
 """
@@ -26,8 +28,14 @@ from typing import Sequence
 
 from .errors import PoleError
 from .exact import ExactMatrix, format_rational, parse_rational
-from .lattice import LatticeSpec, ExternalConfig, inhomogeneities, require_valid
-from .weights import PERMUTATION, S_MATRIX, embed_pair, lax_matrix, r_matrix
+from .lattice import (
+    ExternalConfig,
+    LatticeSpec,
+    canonical_bethe_roots,
+    inhomogeneities,
+    require_valid,
+)
+from .weights import PERMUTATION, embed_pair, lax_matrix, r_matrix
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -159,16 +167,10 @@ def g_factor(z, theta) -> Fraction:
     return (z - theta) * (z - theta + 1) * (z + theta + 1) * (z + theta + 2)
 
 
-def _signed_thetas(spec: LatticeSpec):
-    return [
-        t if spec.is_reflected(k) else -t for k, t in enumerate(spec.rapidities, start=1)
-    ]
-
-
 def xi_value(spec: LatticeSpec, z) -> Fraction:
     z = Fraction(z)
     out = _F1
-    for t in _signed_thetas(spec):
+    for t in canonical_bethe_roots(spec).roots:
         out *= g_factor(z, t)
     return out
 
@@ -176,7 +178,7 @@ def xi_value(spec: LatticeSpec, z) -> Fraction:
 def lambda_value(spec: LatticeSpec, z) -> Fraction:
     z = Fraction(z)
     out = _F1
-    for t in _signed_thetas(spec):
+    for t in canonical_bethe_roots(spec).roots:
         out *= f_factor(z, t)
     return out
 
@@ -248,37 +250,33 @@ def _lax_column(a, b, length, site, w, conjugate):
     return a2, b2
 
 
-def _apply_single_row_column(col_a, col_b, chain: ChainData, z, hat: bool):
+def _row(a, b, chain: ChainData, z, hat: bool):
     """Left-multiply one auxiliary column (a, b) by a conjugated row product."""
     length = chain.length
     sites = range(1, length + 1) if hat else range(length, 0, -1)
     for site in sites:
         w = z + chain.v[site - 1] if hat else z - chain.v[site - 1]
-        conj = chain.conjugate[site - 1]
-        col_a, col_b = _lax_column(col_a, col_b, length, site, w, conj)
-    return col_a, col_b
+        a, b = _lax_column(a, b, length, site, w, chain.conjugate[site - 1])
+    return a, b
 
 
-def _apply_single_row(phi, chain: ChainData, z, hat: bool):
-    """Left-multiply a 2x2 array of chain vectors by one conjugated row product."""
-    for c in (0, 1):
-        phi[0][c], phi[1][c] = _apply_single_row_column(phi[0][c], phi[1][c], chain, z, hat)
-    return phi
-
-
-def _apply_double_row(phi, chain: ChainData, z):
-    """Left-multiply a 2x2 array of chain vectors by the double row M K Mhat."""
-    _apply_single_row(phi, chain, z, hat=True)
+def _double_row(a, b, chain: ChainData, z):
+    """Left-multiply one auxiliary column (a, b) by the double row M K Mhat."""
+    a, b = _row(a, b, chain, z, hat=True)
     q = chain.q
-    for c in (0, 1):
-        phi[0][c] = [(q + z) * x for x in phi[0][c]]
-        phi[1][c] = [(q - z) * x for x in phi[1][c]]
-    return _apply_single_row(phi, chain, z, hat=False)
+    a = [(q + z) * x for x in a]
+    b = [(q - z) * x for x in b]
+    return _row(a, b, chain, z, hat=False)
 
 
-def _aux_columns(vec):
+def _blocks_on_state(length: int, apply, vec):
+    """``[[A v, B v], [C v, D v]]`` from the two auxiliary columns (v, 0), (0, v)."""
     zero = [_F0] * len(vec)
-    return [[list(vec), list(zero)], [list(zero), list(vec)]]
+    (av, cv), (bv, dv) = apply(vec, zero), apply(zero, vec)
+    return [
+        [QuantumState(length, tuple(av)), QuantumState(length, tuple(bv))],
+        [QuantumState(length, tuple(cv)), QuantumState(length, tuple(dv))],
+    ]
 
 
 def single_row_on_state(spec: LatticeSpec, z, hat: bool, state: QuantumState):
@@ -287,49 +285,34 @@ def single_row_on_state(spec: LatticeSpec, z, hat: bool, state: QuantumState):
     Returns a 2x2 nested list ``phi`` with ``phi[r][c]`` the chain vector
     block(r+1, c+1) |state>.
     """
-    chain = chain_data(spec)
-    phi = _aux_columns(state.amplitudes)
-    _apply_single_row(phi, chain, Fraction(z), hat)
-    return [[QuantumState(chain.length, tuple(col)) for col in row] for row in phi]
+    chain, z = chain_data(spec), Fraction(z)
+    return _blocks_on_state(chain.length, lambda a, b: _row(a, b, chain, z, hat), state.amplitudes)
 
 
 def double_row_on_state(spec: LatticeSpec, z, state: QuantumState):
     """Blocks of the double-row monodromy applied to a state (2x2 nested list)."""
-    chain = chain_data(spec)
-    phi = _apply_double_row(_aux_columns(state.amplitudes), chain, Fraction(z))
-    return [[QuantumState(chain.length, tuple(col)) for col in row] for row in phi]
-
-
-def _open_b_amplitudes(chain: ChainData, z, vec):
-    """Creation block of the double-row monodromy applied to raw amplitudes.
-
-    Only the second auxiliary column of the identity-dressed state feeds
-    block (1, 2), so a single column pair is tracked.
-    """
-    z = Fraction(z)
-    q = chain.q
-    col_a = [_F0] * len(vec)
-    col_b = list(vec)
-    col_a, col_b = _apply_single_row_column(col_a, col_b, chain, z, hat=True)
-    col_a = [(q + z) * x for x in col_a]
-    col_b = [(q - z) * x for x in col_b]
-    col_a, _ = _apply_single_row_column(col_a, col_b, chain, z, hat=False)
-    return col_a
+    chain, z = chain_data(spec), Fraction(z)
+    return _blocks_on_state(chain.length, lambda a, b: _double_row(a, b, chain, z), state.amplitudes)
 
 
 def apply_open_b(spec: LatticeSpec, z, state: QuantumState) -> QuantumState:
-    """Apply the open-chain creation operator at parameter z to a state."""
+    """Apply the open-chain creation operator at parameter z to a state.
+
+    Only the second auxiliary column feeds block (1, 2), so one column is
+    tracked.
+    """
     chain = chain_data(spec)
-    return QuantumState(chain.length, tuple(_open_b_amplitudes(chain, z, state.amplitudes)))
+    zero = [_F0] * len(state.amplitudes)
+    bv, _ = _double_row(zero, state.amplitudes, chain, Fraction(z))
+    return QuantumState(chain.length, tuple(bv))
 
 
 def apply_closed_b(spec: LatticeSpec, z, state: QuantumState) -> QuantumState:
     """Apply the closed-chain (single-row) creation block to a state."""
     chain = chain_data(spec)
-    col_a = [_F0] * len(state.amplitudes)
-    col_b = list(state.amplitudes)
-    col_a, _ = _apply_single_row_column(col_a, col_b, chain, Fraction(z), hat=False)
-    return QuantumState(chain.length, tuple(col_a))
+    zero = [_F0] * len(state.amplitudes)
+    bv, _ = _row(zero, state.amplitudes, chain, Fraction(z), hat=False)
+    return QuantumState(chain.length, tuple(bv))
 
 
 # -- dense operators ----------------------------------------------------------
@@ -349,46 +332,31 @@ def aux_block(op: ExactMatrix, r: int, c: int) -> ExactMatrix:
     )
 
 
-def aux_transpose(op: ExactMatrix) -> ExactMatrix:
-    """Transpose in the auxiliary leg only: blocks (0,1) and (1,0) swap."""
-    size = op.rows // 2
-    top, bottom = op.entries[:size], op.entries[size:]
-    return ExactMatrix(
-        tuple(a[:size] + b[:size] for a, b in zip(top, bottom))
-        + tuple(a[size:] + b[size:] for a, b in zip(top, bottom))
-    )
-
-
 def _assemble(length: int, apply) -> ExactMatrix:
-    """Dense operator on (auxiliary leg, chain) that ``apply`` multiplies onto
-    a 2x2 array of chain vectors.
-
-    Fed the identity-dressed basis vector e_j, ``apply`` returns in
-    ``phi[0][c] + phi[1][c]`` the column (c, j) of the operator.
-    """
+    """Dense operator on (auxiliary leg, chain) whose column (c, j) is
+    ``apply`` on the auxiliary column holding e_j in slot c (0 top, 1 bottom)."""
     size = 1 << length
-    cols = ([], [])
-    for j in range(size):
-        e = [_F0] * size
-        e[j] = _F1
-        phi = apply(_aux_columns(e))
-        for c in (0, 1):
-            cols[c].append(phi[0][c] + phi[1][c])
-    return ExactMatrix(tuple(zip(*cols[0], *cols[1])))
+    zero = [_F0] * size
+    cols = []
+    for c in (0, 1):
+        for j in range(size):
+            e = [_F0] * size
+            e[j] = _F1
+            top, bottom = apply(e, zero) if c == 0 else apply(zero, e)
+            cols.append(top + bottom)
+    return ExactMatrix(tuple(zip(*cols)))
 
 
 def single_row(spec: LatticeSpec, z, hat: bool = False) -> ExactMatrix:
     """Dense conjugated single-row monodromy (end sites carry conjugate blocks)."""
-    chain = chain_data(spec)
-    z = Fraction(z)
-    return _assemble(chain.length, lambda phi: _apply_single_row(phi, chain, z, hat))
+    chain, z = chain_data(spec), Fraction(z)
+    return _assemble(chain.length, lambda a, b: _row(a, b, chain, z, hat))
 
 
 def double_row(spec: LatticeSpec, z) -> ExactMatrix:
     """Dense double-row monodromy M K Mhat with the dressed boundary matrix."""
-    chain = chain_data(spec)
-    z = Fraction(z)
-    return _assemble(chain.length, lambda phi: _apply_double_row(phi, chain, z))
+    chain, z = chain_data(spec), Fraction(z)
+    return _assemble(chain.length, lambda a, b: _double_row(a, b, chain, z))
 
 
 def shifted_d_block(u: ExactMatrix, z) -> ExactMatrix:
@@ -403,13 +371,17 @@ def check_crossing(spec: LatticeSpec, z) -> bool:
     """The two single-row products are auxiliary transposes of each other.
 
     Mhat(z)^{t_a} = (-1)^L S M(-z-1) S^{-1} with the transpose and the
-    similarity both taken in the auxiliary space; S^{-1} = -S.
+    similarity both taken in the auxiliary space; S^{-1} = -S.  Block by
+    block: Mhat_{rc} = +-(-1)^L M_{1-c,1-r}, + on the diagonal, - off it.
     """
     z = Fraction(z)
-    lhs = aux_transpose(single_row(spec, z, hat=True))
+    hat, m = single_row(spec, z, hat=True), single_row(spec, -z - 1, hat=False)
     sign = 1 if spec.length % 2 == 0 else -1
-    s = S_MATRIX.tensor(ExactMatrix.identity(1 << spec.length))
-    return lhs == (s @ single_row(spec, -z - 1, hat=False) @ s).scale(-sign)
+    return all(
+        aux_block(hat, r, c) == aux_block(m, 1 - c, 1 - r).scale(sign if r == c else -sign)
+        for r in (0, 1)
+        for c in (0, 1)
+    )
 
 
 def check_reflection_algebra(spec: LatticeSpec, x, y) -> bool:

@@ -5,6 +5,7 @@ import pytest
 
 from sixvb.aba import check_invariance, solve_aba, z_aba_table
 from sixvb.cba import z_cba_table
+from sixvb import contraction
 from sixvb.contraction import (
     Move,
     boundary_line_invariant,
@@ -18,18 +19,19 @@ from sixvb.contraction import (
     z_direct_table,
 )
 from sixvb.errors import PoleError
-from sixvb.exact import ExactMatrix
+from sixvb.exact import ExactMatrix, ExactVector
 from sixvb.fixtures import figure_lattice, initial_condition
 from sixvb.lattice import (
     Chord,
     ExternalConfig,
     LatticeSpec,
     all_configs,
+    inhomogeneities,
     reference_config,
 )
 from sixvb.monodromy import aux_block, lax_embed, states_proportional
 from sixvb.sampling import random_spec
-from sixvb.weights import k_matrix
+from sixvb.weights import PERMUTATION, S_MATRIX, embed_pair, k_matrix, r_matrix
 
 
 def line_spec(reflected=False, theta=F(1, 3), q=F(2)):
@@ -235,6 +237,51 @@ class TestBuildInvariant:
         )
         with pytest.raises(ValueError):
             build_invariant(spec, bad)
+
+
+def _literal_move(theta, ends) -> ExactMatrix:
+    """swap . C R(theta) C^{-1} on two sites, C = S at each end site (S^{-1} = -S)."""
+    eye = ExactMatrix.identity(2)
+    c = [S_MATRIX if e else eye for e in ends]
+    c_inv = [S_MATRIX.scale(-1) if e else eye for e in ends]
+    return PERMUTATION @ c[0].tensor(c[1]) @ r_matrix(theta).matrix @ c_inv[0].tensor(c_inv[1])
+
+
+class TestMoveAgainstLiteralProduct:
+    """Each weave move equals the literal operator product built from
+    ``weights``, for every pattern of end points on the two sites."""
+
+    @pytest.mark.parametrize("ends", [(False, False), (False, True), (True, False), (True, True)])
+    def test_one_move(self, ends):
+        rng = random.Random(31)
+        length, p, theta = 4, 2, F(5, 17)
+        amps = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(1 << length)]
+        want = embed_pair(_literal_move(theta, ends), length, (p - 1, p)) @ ExactVector(amps)
+        contraction._apply_move(amps, length, p, theta, ends[0] != ends[1])
+        assert tuple(amps) == want.entries
+
+    def test_pole(self):
+        with pytest.raises(PoleError, match="theta = -1"):
+            contraction._apply_move([F(0)] * 16, 4, 2, F(-1), True)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("lowest_first", [False, True])
+    def test_whole_weave(self, n, lowest_first):
+        for seed in range(4):
+            spec = random_spec(random.Random(700 + 10 * n + seed), n)
+            plan = plan_moves(spec, lowest_first=lowest_first)
+            v = list(inhomogeneities(plan.source).values)
+            ends = [False] * spec.length
+            for chord in plan.source.chords:
+                ends[chord.end - 1] = True
+            state = ExactVector(initial_invariant(plan.source).amplitudes)
+            for move in plan.moves:
+                p = move.position
+                op = _literal_move(v[p] - v[p - 1], (ends[p - 1], ends[p]))
+                state = embed_pair(op, spec.length, (p - 1, p)) @ state
+                ends[p - 1], ends[p] = ends[p], ends[p - 1]
+                v[p - 1], v[p] = v[p], v[p - 1]
+            assert build_invariant(spec, plan).amplitudes == state.entries
 
 
 class TestZDirect:

@@ -37,6 +37,45 @@ def line_spec(reflected=False, theta=F(1, 3), q=F(2)):
     )
 
 
+def _spec_with(chords=(Chord(2, 1),), reflected=frozenset(), rapidities=(F(1, 3),), q=F(2)):
+    return LatticeSpec(chords=chords, reflected=reflected, rapidities=rapidities, boundary_q=q)
+
+
+class TestStrictConstructors:
+    """Malformed fields raise instead of being coerced."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: ExternalConfig((1.9,), (2,)), id="label-float"),
+            pytest.param(lambda: ExternalConfig((1,), ("2",)), id="label-str"),
+            pytest.param(lambda: ExternalConfig((True,), (2,)), id="label-bool"),
+            pytest.param(lambda: ExternalConfig((1,), (F(2),)), id="label-fraction"),
+            pytest.param(lambda: config_from_dict({"alpha": [1.9], "beta": ["2"]}), id="config-dict"),
+            pytest.param(lambda: Chord(2.0, 1.0), id="chord-floats"),
+            pytest.param(lambda: Chord(2, "1"), id="chord-str"),
+            pytest.param(lambda: Chord(True, 1), id="chord-bool"),
+            pytest.param(lambda: _spec_with(rapidities=(0.1,)), id="rapidity-float"),
+            pytest.param(lambda: _spec_with(rapidities=("1/3",)), id="rapidity-str"),
+            pytest.param(lambda: _spec_with(rapidities=(True,)), id="rapidity-bool"),
+            pytest.param(lambda: _spec_with(q=0.5), id="q-float"),
+            pytest.param(lambda: _spec_with(q="2"), id="q-str"),
+            pytest.param(lambda: _spec_with(reflected={1.0}), id="reflected-float"),
+            pytest.param(lambda: _spec_with(reflected={True}), id="reflected-bool"),
+            pytest.param(lambda: _spec_with(reflected={"1"}), id="reflected-str"),
+        ],
+    )
+    def test_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_int_and_fraction_parameters_accepted(self):
+        spec = _spec_with(reflected={1}, rapidities=(3,), q=F(2, 5))
+        assert spec.rapidities == (F(3),) and spec.boundary_q == F(2, 5)
+        assert spec.reflected == frozenset({1})
+        assert ExternalConfig([1, 2], (2, 1)).alpha == (1, 2)
+
+
 class TestValidation:
     def test_figure_fixture_is_valid(self):
         assert validate_spec(figure_lattice()).ok

@@ -10,8 +10,9 @@ from sixvb.lattice import Chord, ExternalConfig, LatticeSpec, reference_config
 from sixvb import monodromy
 from sixvb.monodromy import (
     QuantumState,
+    apply_closed_b,
+    apply_open_b,
     aux_block,
-    aux_transpose,
     basis_index,
     check_crossing,
     check_reflection_algebra,
@@ -204,11 +205,31 @@ class TestCrossing:
     def test_sign_matters(self):
         spec = line_spec()
         z = F(3, 11)
-        lhs = aux_transpose(single_row(spec, z, hat=True))
-        # S M S^{-1} with the sign flipped; S^{-1} = -S
-        s = S_MATRIX.tensor(ExactMatrix.identity(4))
-        wrong = s @ single_row(spec, -z - 1, hat=False) @ s
-        assert lhs != wrong
+        hat, m = single_row(spec, z, hat=True), single_row(spec, -z - 1, hat=False)
+        # the blockwise crossing identity with every sign flipped (L = 2)
+        assert not all(
+            aux_block(hat, r, c) == aux_block(m, 1 - c, 1 - r).scale(-1 if r == c else 1)
+            for r in (0, 1)
+            for c in (0, 1)
+        )
+
+
+class TestCreationKernelConsistency:
+    """The one-column creation operators equal the (1, 2) block of the full
+    block action, on states that are not the reference state."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_b_equals_block_of_full_action(self, n):
+        rng = random.Random(500 + n)
+        spec = random_spec(rng, n)
+        state = QuantumState(
+            2 * n, tuple(F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(4**n))
+        )
+        assert state != reference_state(spec) and not state.is_zero()
+        for _ in range(2):
+            z = random_z(rng)
+            assert apply_open_b(spec, z, state) == double_row_on_state(spec, z, state)[0][1]
+            assert apply_closed_b(spec, z, state) == single_row_on_state(spec, z, False, state)[0][1]
 
 
 class TestDoubleRow:
