@@ -4,7 +4,7 @@ invariant state out of crossing weights, from creation operators on a
 reference state, and from a coordinate wave sum over permutations and
 reflections.  All arithmetic is exact rational."""
 
-from .exact import ExactMatrix, ExactVector, Rational, format_rational, parse_rational
+from .exact import ExactMatrix, format_rational, parse_rational
 from .errors import DegenerateSpecError, InvalidSpecError, PoleError
 from .lattice import (
     BetheRootSet,
@@ -32,13 +32,11 @@ __all__ = [
     "Chord",
     "DegenerateSpecError",
     "ExactMatrix",
-    "ExactVector",
     "ExternalConfig",
     "InvalidSpecError",
     "LatticeSpec",
     "PoleError",
     "QuantumState",
-    "Rational",
     "all_configs",
     "bethe_state",
     "build_invariant",

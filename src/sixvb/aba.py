@@ -26,7 +26,6 @@ from .lattice import (
     canonical_bethe_roots,
     inhomogeneities,
     q_function,
-    reference_config,
     require_valid,
     sweep,
 )
@@ -50,11 +49,10 @@ _F1 = Fraction(1)
 
 @dataclass(frozen=True)
 class AbaResult:
-    """A Bethe state together with its roots and reference-contraction value."""
+    """A Bethe state together with its roots."""
 
     bethe_state: QuantumState
     roots: BetheRootSet
-    normalization_component: Fraction
 
 
 def _root_tuple(roots) -> tuple:
@@ -78,13 +76,9 @@ def bethe_state(spec: LatticeSpec, roots) -> QuantumState:
 
 
 def solve_aba(spec: LatticeSpec) -> AbaResult:
-    """Half-filled Bethe state at the canonical roots, with its normalization."""
+    """Half-filled Bethe state at the canonical roots."""
     roots = canonical_bethe_roots(spec)
-    state = bethe_state(spec, roots)
-    norm = external_component(state, spec, reference_config(spec.n))
-    if norm == 0:
-        raise DegenerateSpecError("reference component of the Bethe state vanished")
-    return AbaResult(bethe_state=state, roots=roots, normalization_component=norm)
+    return AbaResult(bethe_state=bethe_state(spec, roots), roots=roots)
 
 
 def z_aba(spec: LatticeSpec, config: ExternalConfig) -> Fraction:
@@ -289,7 +283,7 @@ def reduction_factor(spec: LatticeSpec, t, extra_roots: Sequence) -> Fraction:
     for zi in extra_roots:
         zi = Fraction(zi)
         out *= (t + zi + 2) * (t - zi - 1) * (t + zi) * (t - zi + 1)
-    v = inhomogeneities(spec).values
+    v = inhomogeneities(spec)
     for vk in v[: spec.length - 2]:
         out *= (t + vk) * (t - vk + 1)
     return out

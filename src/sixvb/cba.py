@@ -15,7 +15,6 @@ of the state) are verified here as exact operator and state identities.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
@@ -45,21 +44,6 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-@dataclass(frozen=True)
-class WaveInput:
-    """Everything a wave evaluation depends on besides the magnon positions."""
-
-    v: tuple
-    roots: tuple
-    q: Fraction
-    length: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "v", tuple(Fraction(x) for x in self.v))
-        object.__setattr__(self, "roots", tuple(Fraction(z) for z in self.roots))
-        object.__setattr__(self, "q", Fraction(self.q))
-
-
 def pair_factor(a, b) -> Fraction:
     """Amplitude factor of root a ordered before root b.
 
@@ -83,21 +67,22 @@ def amplitude(ordered_roots: Sequence) -> Fraction:
     return out
 
 
-def wave_part(x: int, z, w: WaveInput) -> Fraction:
-    """One-magnon wave factor at site x for root value z.
+def wave_part(x: int, z, v: Sequence, q) -> Fraction:
+    """One-magnon wave factor at site x for root value z on the L = len(v) sites.
 
     (-1)^L (q - z - 1) prod_j (z + v_j) prod_{j<x} (z - v_j + 1)
     prod_{j>x} (z - v_j).
     """
     z = Fraction(z)
-    sign = _F1 if w.length % 2 == 0 else -_F1
-    out = sign * (w.q - z - 1)
-    for vj in w.v:
+    length = len(v)
+    sign = _F1 if length % 2 == 0 else -_F1
+    out = sign * (q - z - 1)
+    for vj in v:
         out *= z + vj
     for j in range(1, x):
-        out *= z - w.v[j - 1] + 1
-    for j in range(x + 1, w.length + 1):
-        out *= z - w.v[j - 1]
+        out *= z - v[j - 1] + 1
+    for j in range(x + 1, length + 1):
+        out *= z - v[j - 1]
     return out
 
 
@@ -126,7 +111,6 @@ class WaveEngine:
         self.roots = tuple(Fraction(z) for z in roots)
         self.q = Fraction(q)
         self.length = length
-        self._winput = WaveInput(self.v, self.roots, self.q, self.length)
         # image 2j is z_j and image 2j + 1 its reflection -z_j - 1
         self._images = tuple(w for z in self.roots for w in (z, -z - 1))
         # Every pair of images of distinct roots meets in some term of the
@@ -161,7 +145,7 @@ class WaveEngine:
     def _phi_at(self, site: int) -> Tuple[Fraction, ...]:
         row = self._phi.get(site)
         if row is None:
-            row = self._phi[site] = tuple(wave_part(site, w, self._winput) for w in self._images)
+            row = self._phi[site] = tuple(wave_part(site, w, self.v, self.q) for w in self._images)
         return row
 
     def _advance(self, level: Dict[int, Fraction], site: int) -> Dict[int, Fraction]:
@@ -213,14 +197,14 @@ class WaveEngine:
 def wave_function(spec: LatticeSpec, roots, x: Sequence[int]) -> Fraction:
     """Wave sum for a lattice instance at explicit roots and positions."""
     zs = roots.roots if isinstance(roots, BetheRootSet) else tuple(Fraction(z) for z in roots)
-    engine = WaveEngine(inhomogeneities(spec).values, zs, spec.boundary_q, spec.length)
+    engine = WaveEngine(inhomogeneities(spec), zs, spec.boundary_q, spec.length)
     return engine.upsilon(tuple(x))
 
 
 def spec_wave_engine(spec: LatticeSpec) -> WaveEngine:
     """Engine at the canonical roots of an instance."""
     zs = canonical_bethe_roots(spec).roots
-    return WaveEngine(inhomogeneities(spec).values, zs, spec.boundary_q, spec.length)
+    return WaveEngine(inhomogeneities(spec), zs, spec.boundary_q, spec.length)
 
 
 def _beta_sign(config: ExternalConfig) -> Fraction:
@@ -384,7 +368,7 @@ def kappa(spec: LatticeSpec, z) -> Fraction:
     """prod_i (z - v_i + 1) over the chain sites."""
     z = Fraction(z)
     out = _F1
-    for vi in inhomogeneities(spec).values:
+    for vi in inhomogeneities(spec):
         out *= z - vi + 1
     return out
 

@@ -20,7 +20,6 @@ from functools import partial
 from typing import Optional, Sequence
 
 from .errors import PoleError
-from .exact import format_rational
 from .lattice import (
     ExternalConfig,
     LatticeSpec,
@@ -86,14 +85,6 @@ class MoveSequence:
     target: LatticeSpec
 
 
-def moves_to_dict(seq: MoveSequence) -> dict:
-    return {
-        "moves": [
-            {"p": m.position, "arg": format_rational(m.argument)} for m in seq.moves
-        ]
-    }
-
-
 def _endpoint_layout(spec: LatticeSpec):
     """Per-position endpoint descriptors: (line, is_end), inhomogeneity value."""
     length = spec.length
@@ -101,19 +92,8 @@ def _endpoint_layout(spec: LatticeSpec):
     for k, chord in enumerate(spec.chords, start=1):
         owner[chord.start - 1] = (k, False)
         owner[chord.end - 1] = (k, True)
-    v = inhomogeneities(spec).values
+    v = inhomogeneities(spec)
     return owner, list(v)
-
-
-def replay_moves(seq: MoveSequence) -> tuple:
-    """Apply the endpoint swaps of a plan to the source layout; returns the
-    resulting per-position endpoint descriptors."""
-    owner, _ = _endpoint_layout(seq.source)
-    owner = list(owner)
-    for move in seq.moves:
-        p = move.position - 1
-        owner[p], owner[p + 1] = owner[p + 1], owner[p]
-    return tuple(owner)
 
 
 def plan_moves(spec: LatticeSpec, lowest_first: bool = False) -> MoveSequence:

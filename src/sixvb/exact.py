@@ -1,10 +1,12 @@
-"""Exact rational arithmetic: scalars, vectors and dense matrices over Q.
+"""Exact rational arithmetic: scalars and dense matrices over Q.
 
 Scalars are ``fractions.Fraction``, which already guarantees the canonical
 form the rest of the package relies on (positive denominator, gcd-reduced
 after every operation).  This module adds the ``"p/q"`` text form used by
-every file format and report, plus small immutable dense containers for
-exact linear algebra.  No floating point appears anywhere.
+every file format and report, plus one small immutable dense matrix for
+exact linear algebra; a vector is a one-column matrix, and chain states
+are :class:`sixvb.monodromy.QuantumState`.  No floating point appears
+anywhere.
 """
 
 from __future__ import annotations
@@ -12,9 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
-
-Rational = Fraction
+from typing import Iterable, Sequence
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -44,27 +44,6 @@ def format_rational(x: Fraction) -> str:
 
 def _as_fraction_row(row: Iterable) -> tuple:
     return tuple(x if type(x) is Fraction else Fraction(x) for x in row)
-
-
-@dataclass(frozen=True)
-class ExactVector:
-    """Immutable dense vector of rationals."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _as_fraction_row(self.entries))
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.entries[i]
-
-    def scale(self, c) -> "ExactVector":
-        c = Fraction(c)
-        return ExactVector(tuple(c * a for a in self.entries))
 
 
 @dataclass(frozen=True)
@@ -122,9 +101,7 @@ class ExactMatrix:
         c = Fraction(c)
         return ExactMatrix(tuple(tuple(c * a for a in row) for row in self.entries))
 
-    def __matmul__(self, other: Union["ExactMatrix", ExactVector]):
-        if isinstance(other, ExactVector):
-            return self.apply(other)
+    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(
                 f"dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
@@ -143,19 +120,6 @@ class ExactMatrix:
             out.append(tuple(acc))
         return ExactMatrix(tuple(out))
 
-    def apply(self, v: ExactVector) -> ExactVector:
-        if self.cols != v.dim:
-            raise ValueError(f"dimension mismatch: {self.rows}x{self.cols} @ vector of dim {v.dim}")
-        ve = v.entries
-        out = []
-        for row in self.entries:
-            acc = _ZERO
-            for a, b in zip(row, ve):
-                if a and b:
-                    acc += a * b
-            out.append(acc)
-        return ExactVector(tuple(out))
-
     def tensor(self, other: "ExactMatrix") -> "ExactMatrix":
         """Kronecker product; the left factor owns the most significant index.
 
@@ -172,6 +136,3 @@ class ExactMatrix:
                     )
                 )
         return ExactMatrix(tuple(rows))
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(tuple(zip(*self.entries))) if self.entries else self

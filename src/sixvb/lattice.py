@@ -88,25 +88,11 @@ class LatticeSpec:
 
 
 @dataclass(frozen=True)
-class InhomogeneityAssignment:
-    """Site-indexed inhomogeneities; ``values[s-1]`` belongs to site s."""
-
-    values: tuple
-
-    def at(self, site: int) -> Fraction:
-        return self.values[site - 1]
-
-
-@dataclass(frozen=True)
 class BetheRootSet:
     roots: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "roots", tuple(Fraction(z) for z in self.roots))
-
-    @property
-    def m(self) -> int:
-        return len(self.roots)
 
 
 @dataclass(frozen=True)
@@ -170,8 +156,8 @@ def require_valid(spec: LatticeSpec) -> None:
         raise InvalidSpecError(report.violations)
 
 
-def inhomogeneities(spec: LatticeSpec) -> InhomogeneityAssignment:
-    """Identify chain inhomogeneities with the rapidities.
+def inhomogeneities(spec: LatticeSpec) -> tuple:
+    """Chain inhomogeneities from the rapidities; entry s - 1 belongs to site s.
 
     Start site of line k gets theta_k; the end site gets -theta_k - 1 when
     the line is reflected and theta_k - 1 otherwise.
@@ -182,7 +168,7 @@ def inhomogeneities(spec: LatticeSpec) -> InhomogeneityAssignment:
         t = spec.rapidities[k - 1]
         values[chord.start - 1] = t
         values[chord.end - 1] = -t - 1 if spec.is_reflected(k) else t - 1
-    return InhomogeneityAssignment(tuple(values))
+    return tuple(values)
 
 
 def canonical_bethe_roots(spec: LatticeSpec) -> BetheRootSet:
@@ -325,10 +311,3 @@ def spec_from_dict(data: dict) -> LatticeSpec:
 
 def config_to_dict(config: ExternalConfig) -> dict:
     return {"alpha": list(config.alpha), "beta": list(config.beta)}
-
-
-def config_from_dict(data: dict) -> ExternalConfig:
-    try:
-        return ExternalConfig(tuple(data["alpha"]), tuple(data["beta"]))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed config: {exc}") from exc

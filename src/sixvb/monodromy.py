@@ -27,10 +27,12 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import PoleError
-from .exact import ExactMatrix, format_rational, parse_rational
+from .exact import ExactMatrix
 from .lattice import (
+    _RATIONAL,
     ExternalConfig,
     LatticeSpec,
+    _strict,
     canonical_bethe_roots,
     inhomogeneities,
     require_valid,
@@ -49,19 +51,18 @@ def basis_index(states: Sequence[int]) -> int:
     return idx
 
 
-def index_to_states(idx: int, length: int) -> tuple:
-    return tuple(((idx >> (length - i)) & 1) + 1 for i in range(1, length + 1))
-
-
 @dataclass(frozen=True)
 class QuantumState:
-    """Exact vector over the 2^L chain space."""
+    """Exact vector over the 2^L chain space; amplitudes must be int or Fraction."""
 
     length: int
     amplitudes: tuple
 
     def __post_init__(self):
-        amps = tuple(Fraction(a) for a in self.amplitudes)
+        amps = tuple(
+            a if type(a) is Fraction else Fraction(_strict(a, _RATIONAL, "amplitude"))
+            for a in self.amplitudes
+        )
         if len(amps) != 1 << self.length:
             raise ValueError(f"state needs {1 << self.length} amplitudes, got {len(amps)}")
         object.__setattr__(self, "amplitudes", amps)
@@ -85,33 +86,6 @@ class QuantumState:
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.amplitudes)
-
-    def norm_square(self) -> Fraction:
-        return sum((a * a for a in self.amplitudes), _F0)
-
-    def to_dict(self) -> dict:
-        return {
-            "L": self.length,
-            "components": [
-                {
-                    "basis": "".join(str(s) for s in index_to_states(i, self.length)),
-                    "value": format_rational(a),
-                }
-                for i, a in enumerate(self.amplitudes)
-                if a != 0
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "QuantumState":
-        length = int(data["L"])
-        amps = [_F0] * (1 << length)
-        for comp in data["components"]:
-            states = tuple(int(ch) for ch in comp["basis"])
-            if len(states) != length:
-                raise ValueError(f"basis string {comp['basis']!r} has wrong length")
-            amps[basis_index(states)] = parse_rational(comp["value"])
-        return cls(length, tuple(amps))
 
 
 def states_proportional(u: QuantumState, v: QuantumState) -> bool:
@@ -148,7 +122,7 @@ class ChainData:
 
 @lru_cache(maxsize=256)
 def chain_data(spec: LatticeSpec) -> ChainData:
-    v = inhomogeneities(spec).values
+    v = inhomogeneities(spec)
     conj = [False] * spec.length
     for chord in spec.chords:
         conj[chord.end - 1] = True
@@ -394,8 +368,8 @@ def check_reflection_algebra(spec: LatticeSpec, x, y) -> bool:
     eye = ExactMatrix.identity(1 << spec.length)
     i2 = ExactMatrix.identity(2)
     swap = PERMUTATION.tensor(eye)
-    rm = r_matrix(x - y).matrix.tensor(eye)
-    rp = r_matrix(x + y).matrix.tensor(eye)
+    rm = r_matrix(x - y).tensor(eye)
+    rp = r_matrix(x + y).tensor(eye)
     u1 = swap @ i2.tensor(double_row(spec, x)) @ swap
     u2 = i2.tensor(double_row(spec, y))
     return rm @ u1 @ rp @ u2 == u2 @ rp @ u1 @ rm

@@ -18,7 +18,7 @@ from typing import Dict, List, Sequence
 from .aba import z_aba_table
 from .cba import z_cba_table
 from .contraction import z_direct_table
-from .exact import format_rational, parse_rational
+from .exact import format_rational
 from .lattice import ExternalConfig, LatticeSpec, config_to_dict, spec_to_dict
 
 METHODS = ("direct", "aba", "cba")
@@ -91,13 +91,4 @@ def report_to_dict(report: RunReport) -> dict:
         out["disagreements"] = [row for row in rows if len(set(row["z"].values())) > 1][
             :MAX_DISAGREEMENTS
         ]
-    return out
-
-
-def values_from_report_dict(data: dict) -> Dict[str, List[Fraction]]:
-    """Exact values parsed back out of a serialized report."""
-    out: Dict[str, List[Fraction]] = {m: [] for m in data["methods"]}
-    for row in data["configs"]:
-        for m in data["methods"]:
-            out[m].append(parse_rational(row["z"][m]))
     return out

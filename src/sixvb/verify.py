@@ -84,25 +84,17 @@ def weights_suite(seed: int, draws: int) -> List[CheckResult]:
     results = [
         _seeded("ybe", seed, draws, _ybe_draw),
         _seeded("bybe", seed, draws, _bybe_draw),
-        _seeded(
-            "unitarity",
-            seed,
-            draws,
-            lambda rng, i: ((lambda z: (weights.check_unitarity(z), f"z={z}"))(random_z(rng))),
-        ),
-        _seeded(
-            "transpose",
-            seed,
-            draws,
-            lambda rng, i: ((lambda z: (weights.check_transpose(z), f"z={z}"))(random_z(rng))),
-        ),
-        _seeded(
-            "bootstrap",
-            seed,
-            draws,
-            lambda rng, i: ((lambda z: (weights.check_bootstrap(z), f"z={z}"))(random_z(rng))),
-        ),
     ]
+    for name, checker in (
+        ("unitarity", weights.check_unitarity),
+        ("transpose", weights.check_transpose),
+        ("bootstrap", weights.check_bootstrap),
+    ):
+        def z_draw(rng, _i):
+            z = random_z(rng)
+            return checker(z), f"z={z}"
+
+        results.append(_seeded(name, seed, draws, z_draw))
     special = CheckResult(name="special_points", total=1)
     special.record(weights.check_special_points(), "fixed evaluation")
     results.append(special)

@@ -8,21 +8,22 @@ Conventions (project-wide):
     leg); for the local building blocks of monodromies the first leg is the
     auxiliary space and the second the chain site.
 
-The crossing weights R and reflection weights K used for partition-function
-normalization are the unit-normalized forms.  ``lax_matrix`` is the
-unnormalized local block of a monodromy (poles differ between the two, so
-both are kept explicitly); the site-local kernel in :mod:`sixvb.monodromy`
-applies the same block site by site, and its dense operators are tested
-against ``embed_pair(lax_matrix(...))``.
+Every weight is a plain :class:`sixvb.exact.ExactMatrix`: ``r_matrix`` and
+``k_matrix`` give the unit-normalized crossing and reflection weights used
+for partition-function normalization, and ``lax_matrix`` the unnormalized
+local block of a monodromy (poles differ between the two, so both are kept
+explicitly).  The site-local kernel in :mod:`sixvb.monodromy` applies the
+same block site by site, and its dense operators are tested against
+``embed_pair(lax_matrix(...))``.  The identity checkers compare matrices;
+vectors enter them as columns of a matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PoleError
-from .exact import ExactMatrix, ExactVector
+from .exact import ExactMatrix
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -36,7 +37,7 @@ PERMUTATION = ExactMatrix(
 S_MATRIX = ExactMatrix(((0, 1), (-1, 0)))
 
 #: Two-leg singlet direction, Y^t = (0, +1, -1, 0).
-SINGLET_Y = ExactVector((0, 1, -1, 0))
+SINGLET_Y = (0, 1, -1, 0)
 
 #: Antisymmetric projector onto the singlet, (1/2)(I - P) = (1/2) Y Y^t.
 ANTISYMMETRIZER = ExactMatrix(
@@ -47,31 +48,14 @@ ANTISYMMETRIZER = ExactMatrix(
 )
 
 
-@dataclass(frozen=True)
-class RMatrix:
-    """Unit-normalized crossing weights for rapidity difference theta."""
-
-    theta: Fraction
-    matrix: ExactMatrix
-
-
-@dataclass(frozen=True)
-class KMatrix:
-    """Unit-normalized reflection weights, diag(1, (q-theta)/(q+theta))."""
-
-    theta: Fraction
-    q: Fraction
-    matrix: ExactMatrix
-
-
-def r_matrix(theta) -> RMatrix:
+def r_matrix(theta) -> ExactMatrix:
     """Crossing weights (theta + P) / (theta + 1); pole at theta = -1."""
     theta = Fraction(theta)
     if theta == -1:
         raise PoleError("crossing weights have a pole at theta = -1")
     d = theta + 1
     t = theta
-    matrix = ExactMatrix(
+    return ExactMatrix(
         (
             (_F1, _F0, _F0, _F0),
             (_F0, t / d, _F1 / d, _F0),
@@ -79,17 +63,15 @@ def r_matrix(theta) -> RMatrix:
             (_F0, _F0, _F0, _F1),
         )
     )
-    return RMatrix(theta=theta, matrix=matrix)
 
 
-def k_matrix(theta, q) -> KMatrix:
+def k_matrix(theta, q) -> ExactMatrix:
     """Reflection weights for a line of rapidity theta; pole at q + theta = 0."""
     theta = Fraction(theta)
     q = Fraction(q)
     if q + theta == 0:
         raise PoleError("reflection weights have a pole at q + theta = 0")
-    matrix = ExactMatrix(((_F1, _F0), (_F0, (q - theta) / (q + theta))))
-    return KMatrix(theta=theta, q=q, matrix=matrix)
+    return ExactMatrix(((_F1, _F0), (_F0, (q - theta) / (q + theta))))
 
 
 def lax_matrix(z, conjugate: bool = False) -> ExactMatrix:
@@ -145,9 +127,9 @@ def check_ybe(theta1, theta2, theta3) -> bool:
     checked as 8x8 matrices.  Raises PoleError when any difference is -1.
     """
     t1, t2, t3 = Fraction(theta1), Fraction(theta2), Fraction(theta3)
-    r12 = embed_pair(r_matrix(t1 - t2).matrix, 3, (0, 1))
-    r13 = embed_pair(r_matrix(t1 - t3).matrix, 3, (0, 2))
-    r23 = embed_pair(r_matrix(t2 - t3).matrix, 3, (1, 2))
+    r12 = embed_pair(r_matrix(t1 - t2), 3, (0, 1))
+    r13 = embed_pair(r_matrix(t1 - t3), 3, (0, 2))
+    r23 = embed_pair(r_matrix(t2 - t3), 3, (1, 2))
     return r12 @ r13 @ r23 == r23 @ r13 @ r12
 
 
@@ -157,11 +139,11 @@ def check_bybe(theta1, theta2, q) -> bool:
     R(t1-t2) K1(t1) R(t1+t2) K2(t2) = K2(t2) R(t1+t2) K1(t1) R(t1-t2).
     """
     t1, t2, q = Fraction(theta1), Fraction(theta2), Fraction(q)
-    rm = r_matrix(t1 - t2).matrix
-    rp = r_matrix(t1 + t2).matrix
+    rm = r_matrix(t1 - t2)
+    rp = r_matrix(t1 + t2)
     i2 = ExactMatrix.identity(2)
-    k1 = k_matrix(t1, q).matrix.tensor(i2)
-    k2 = i2.tensor(k_matrix(t2, q).matrix)
+    k1 = k_matrix(t1, q).tensor(i2)
+    k2 = i2.tensor(k_matrix(t2, q))
     return rm @ k1 @ rp @ k2 == k2 @ rp @ k1 @ rm
 
 
@@ -184,7 +166,8 @@ def check_bootstrap(z) -> bool:
     """Two fused local blocks project onto the singlet with scalar (z+1)(z-1).
 
     Both orderings are checked on the three-leg space (two auxiliary legs
-    carrying the singlet, one site leg).
+    carrying the singlet, one site leg), on the 8x2 matrix whose column c
+    is the singlet with the site leg in state c + 1.
     """
     z = Fraction(z)
     scalar = (z + 1) * (z - 1)
@@ -192,21 +175,16 @@ def check_bootstrap(z) -> bool:
     lb = embed_pair(lax_matrix(z - 1), 3, (1, 2))
     la2 = embed_pair(lax_matrix(z - 1), 3, (0, 2))
     lb2 = embed_pair(lax_matrix(z), 3, (1, 2))
-    for site_state in range(2):
-        vec = ExactVector(
-            tuple(
-                SINGLET_Y[2 * a + b] if s == site_state else _F0
-                for a in range(2)
-                for b in range(2)
-                for s in range(2)
-            )
+    singlets = ExactMatrix(
+        tuple(
+            tuple(SINGLET_Y[2 * a + b] if s == c else _F0 for c in range(2))
+            for a in range(2)
+            for b in range(2)
+            for s in range(2)
         )
-        want = vec.scale(scalar)
-        if (la @ (lb @ vec)) != want:
-            return False
-        if (lb2 @ (la2 @ vec)) != want:
-            return False
-    return True
+    )
+    want = singlets.scale(scalar)
+    return la @ (lb @ singlets) == want and lb2 @ (la2 @ singlets) == want
 
 
 def check_special_points() -> bool:

@@ -8,7 +8,6 @@ import pytest
 from sixvb.aba import solve_aba, z_aba_table
 from sixvb.cba import (
     WaveEngine,
-    WaveInput,
     amplitude,
     cba_state,
     check_b_expansion,
@@ -48,20 +47,20 @@ def line_spec(reflected=False, theta=F(1, 3), q=F(2)):
     )
 
 
-def brute_wave_sums(w: WaveInput) -> dict:
+def brute_wave_sums(v, roots, q) -> dict:
     """The wave sum by its definition, all 2^m * m! terms, at every position set."""
-    m = len(w.roots)
+    m = len(roots)
     terms = []
     for bits in range(1 << m):
         sign = -1 if bin(bits).count("1") % 2 else 1
-        images = tuple(-z - 1 if bits >> i & 1 else z for i, z in enumerate(w.roots))
+        images = tuple(-z - 1 if bits >> i & 1 else z for i, z in enumerate(roots))
         for perm in itertools.permutations(images):
             terms.append((sign * amplitude(perm), perm))
     phi = {}
 
     def phi_at(z, x):
         if (z, x) not in phi:
-            phi[z, x] = wave_part(x, z, w)
+            phi[z, x] = wave_part(x, z, v, q)
         return phi[z, x]
 
     return {
@@ -69,7 +68,7 @@ def brute_wave_sums(w: WaveInput) -> dict:
             (math.prod((phi_at(z, xi) for xi, z in zip(x, perm)), start=amp) for amp, perm in terms),
             F(0),
         )
-        for x in itertools.combinations(range(1, w.length + 1), m)
+        for x in itertools.combinations(range(1, len(v) + 1), m)
     }
 
 
@@ -108,47 +107,38 @@ class TestAmplitude:
 
 
 class TestWavePart:
-    def _winput(self, spec):
-        return WaveInput(
-            inhomogeneities(spec).values,
-            canonical_bethe_roots(spec).roots,
-            spec.boundary_q,
-            spec.length,
-        )
-
     def test_zero_from_later_site_factor(self):
         spec = line_spec()
-        w = self._winput(spec)
-        v2 = w.v[1]
-        assert wave_part(1, v2, w) == 0  # factor (z - v_2) with x=1 < 2
+        v = inhomogeneities(spec)
+        assert wave_part(1, v[1], v, spec.boundary_q) == 0  # factor (z - v_2) with x=1 < 2
 
     def test_zero_from_boundary_factor(self):
         spec = line_spec()
-        w = self._winput(spec)
-        assert wave_part(1, w.q - 1, w) == 0
+        q = spec.boundary_q
+        assert wave_part(1, q - 1, inhomogeneities(spec), q) == 0
 
     def test_structural_product(self):
         spec = line_spec()
-        w = self._winput(spec)
+        v, q = inhomogeneities(spec), spec.boundary_q
         z = F(5, 9)
-        v1, v2 = w.v
-        want = (w.q - z - 1) * (z + v1) * (z + v2) * (z - v2)
-        assert wave_part(1, z, w) == want  # L even: leading sign +1
+        v1, v2 = v
+        want = (q - z - 1) * (z + v1) * (z + v2) * (z - v2)
+        assert wave_part(1, z, v, q) == want  # L even: leading sign +1
 
 
 class TestWaveFunction:
     def test_empty_magnon_set(self):
         spec = line_spec()
-        engine = WaveEngine(inhomogeneities(spec).values, (), spec.boundary_q, 2)
+        engine = WaveEngine(inhomogeneities(spec), (), spec.boundary_q, 2)
         assert engine.upsilon(()) == 1
 
     def test_single_magnon_expansion(self):
         spec = line_spec(reflected=True)
         z1 = canonical_bethe_roots(spec).roots[0]
-        w = WaveInput(inhomogeneities(spec).values, (z1,), spec.boundary_q, 2)
+        v, q = inhomogeneities(spec), spec.boundary_q
         for x in (1, 2):
-            assert wave_function(spec, (z1,), (x,)) == wave_part(x, z1, w) - wave_part(
-                x, -z1 - 1, w
+            assert wave_function(spec, (z1,), (x,)) == wave_part(x, z1, v, q) - wave_part(
+                x, -z1 - 1, v, q
             )
 
     def test_symmetric_under_root_shuffle(self):
@@ -192,9 +182,9 @@ class TestWaveFunction:
         rng = random.Random(200 + n)
         for _ in range(2):
             spec = random_spec(rng, n)
-            v = inhomogeneities(spec).values
+            v = inhomogeneities(spec)
             for roots in (canonical_bethe_roots(spec).roots, off_shell_roots(rng, n)):
-                want = brute_wave_sums(WaveInput(v, roots, spec.boundary_q, spec.length))
+                want = brute_wave_sums(v, roots, spec.boundary_q)
                 in_order = WaveEngine(v, roots, spec.boundary_q, spec.length)
                 assert {x: in_order.upsilon(x) for x in want} == want
                 shuffled = list(want)
@@ -231,7 +221,7 @@ class TestClosedWave:
 
     def test_matches_single_row_creation_products(self):
         spec = crossed_spec()
-        v = inhomogeneities(spec).values
+        v = inhomogeneities(spec)
         roots = (F(5, 193), F(31, 193))
         state = reference_state(spec)
         for z in reversed(roots):

@@ -6,7 +6,7 @@ import pytest
 from sixvb import pipeline
 from sixvb.cli import main
 from sixvb.fixtures import fixture_text
-from sixvb.pipeline import values_from_report_dict
+from sixvb.exact import parse_rational
 
 
 @pytest.fixture
@@ -85,7 +85,7 @@ class TestCompute:
         assert main(["compute", line_path, "--all-configs", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["agreement"] is True
-        values = values_from_report_dict(data)
+        values = {m: [parse_rational(row["z"][m]) for row in data["configs"]] for m in data["methods"]}
         assert set(values) == {"direct", "aba", "cba"}
         assert F(5, 7) in values["direct"]
         assert values["direct"] == values["aba"] == values["cba"]

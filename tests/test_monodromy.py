@@ -59,12 +59,21 @@ class TestBasis:
         assert basis_index((2, 1, 1)) == 4
         assert basis_index((1, 1, 2)) == 1
 
-    def test_state_json_round_trip(self):
-        state = QuantumState(2, (F(1), F(0), F(-3, 7), F(0)))
-        data = state.to_dict()
-        assert data["L"] == 2
-        assert {c["basis"] for c in data["components"]} == {"11", "21"}
-        assert QuantumState.from_dict(data) == state
+
+class TestQuantumState:
+    """Amplitudes are kept exact: int becomes Fraction, anything else raises."""
+
+    @pytest.mark.parametrize(
+        "amplitudes", [(0.5, "1/3"), ("1", 0), (True, 0)], ids=["float-str", "str", "bool"]
+    )
+    def test_rejects_non_rational_amplitudes(self, amplitudes):
+        with pytest.raises(ValueError):
+            QuantumState(1, amplitudes)
+
+    def test_int_amplitudes_become_fractions(self):
+        state = QuantumState(1, (1, 0))
+        assert state == QuantumState(1, (F(1), F(0)))
+        assert all(type(a) is F for a in state.amplitudes)
 
 
 class TestLaxEmbed:
@@ -294,13 +303,13 @@ class TestReferenceState:
     def test_line_reference(self):
         omega = reference_state(line_spec())
         assert omega.component((2, 1)) == -1
-        assert omega.norm_square() == 1
+        assert sum(a * a for a in omega.amplitudes) == 1
 
     def test_two_line_sign(self):
         omega = reference_state(crossed_spec())
         # ends at sites 2 and 1: component (2,2,1,1) with sign (-1)^2
         assert omega.component((2, 2, 1, 1)) == 1
-        assert omega.norm_square() == 1
+        assert sum(a * a for a in omega.amplitudes) == 1
 
     def test_external_component_contraction(self):
         spec = crossed_spec()

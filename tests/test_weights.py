@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from sixvb import weights
 from sixvb.errors import PoleError
 from sixvb.exact import ExactMatrix
 from sixvb.weights import (
@@ -26,14 +27,14 @@ from sixvb.weights import (
 
 class TestRMatrix:
     def test_zero_argument_is_permutation(self):
-        assert r_matrix(F(0)).matrix == PERMUTATION
+        assert r_matrix(F(0)) == PERMUTATION
 
     def test_unit_argument(self):
         half = F(1, 2)
         want = ExactMatrix(
             ((1, 0, 0, 0), (0, half, half, 0), (0, half, half, 0), (0, 0, 0, 1))
         )
-        assert r_matrix(F(1)).matrix == want
+        assert r_matrix(F(1)) == want
 
     def test_pole(self):
         with pytest.raises(PoleError):
@@ -43,20 +44,20 @@ class TestRMatrix:
         rng = random.Random(1)
         for _ in range(10):
             theta = F(rng.randint(1, 100), 193)
-            m = r_matrix(theta).matrix
+            m = r_matrix(theta)
             assert m[1, 1] + m[1, 2] == 1
             assert m[2, 1] + m[2, 2] == 1
 
 
 class TestKMatrix:
     def test_zero_argument_is_identity(self):
-        assert k_matrix(F(0), F(2)).matrix == ExactMatrix.identity(2)
+        assert k_matrix(F(0), F(2)) == ExactMatrix.identity(2)
 
     def test_equal_parameters(self):
-        assert k_matrix(F(2), F(2)).matrix == ExactMatrix.diagonal((1, 0))
+        assert k_matrix(F(2), F(2)) == ExactMatrix.diagonal((1, 0))
 
     def test_example_value(self):
-        assert k_matrix(F(1), F(2)).matrix == ExactMatrix.diagonal((1, F(1, 3)))
+        assert k_matrix(F(1), F(2)) == ExactMatrix.diagonal((1, F(1, 3)))
 
     def test_pole(self):
         with pytest.raises(PoleError):
@@ -131,6 +132,11 @@ class TestLocalBlocks:
             assert (z + 1) * (z - 1) == scalar
             assert check_bootstrap(z)
 
+    def test_bootstrap_fails_with_shifted_local_blocks(self, monkeypatch):
+        real = weights.lax_matrix
+        monkeypatch.setattr(weights, "lax_matrix", lambda z, conjugate=False: real(z + F(1, 7), conjugate))
+        assert not check_bootstrap(F(2, 7))
+
     def test_special_points(self):
         assert check_special_points()
         assert lax_matrix(F(0)) == PERMUTATION
@@ -162,6 +168,6 @@ class TestLocalBlocks:
 
 class TestEmbedding:
     def test_pair_embedding_matches_tensor(self):
-        m = r_matrix(F(2, 7)).matrix
+        m = r_matrix(F(2, 7))
         assert embed_pair(m, 3, (0, 1)) == m.tensor(ExactMatrix.identity(2))
         assert embed_pair(m, 3, (1, 2)) == ExactMatrix.identity(2).tensor(m)
