@@ -26,7 +26,6 @@ from .lattice import (
     canonical_bethe_roots,
     inhomogeneities,
     q_function,
-    require_valid,
     sweep,
 )
 from .monodromy import (
@@ -113,7 +112,6 @@ def check_baxter(spec: LatticeSpec, z) -> bool:
 
     Xi(z) Q(z-1) = Lambda(z) Q(z)  and  Xi(z-1) Q(z+1) = Lambda(z) Q(z).
     """
-    require_valid(spec)
     z = Fraction(z)
     qz = q_function(spec, z)
     if qz == 0:
@@ -178,7 +176,6 @@ def unwanted_terms(spec: LatticeSpec, z, k: int, roots: Optional[Sequence] = Non
     Both vanish exactly at the canonical roots; with any off-shell root set
     they are generically nonzero.  ``k`` is 1-based.
     """
-    require_valid(spec)
     z = Fraction(z)
     zs = _root_tuple(roots) if roots is not None else canonical_bethe_roots(spec).roots
     if not (1 <= k <= len(zs)):
@@ -206,7 +203,6 @@ def unwanted_terms_from_fcr(
     spec: LatticeSpec, z, k: int, roots: Optional[Sequence] = None
 ) -> tuple:
     """The same remainder coefficients assembled from the exchange coefficients."""
-    require_valid(spec)
     z = Fraction(z)
     zs = _root_tuple(roots) if roots is not None else canonical_bethe_roots(spec).roots
     if not (1 <= k <= len(zs)):

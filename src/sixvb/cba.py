@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
 from .errors import PoleError
+from .exact import _RATIONAL, _strict
 from .lattice import (
     BetheRootSet,
     ExternalConfig,
@@ -107,9 +108,9 @@ class WaveEngine:
     """
 
     def __init__(self, v: Sequence, roots: Sequence, q, length: int):
-        self.v = tuple(Fraction(x) for x in v)
-        self.roots = tuple(Fraction(z) for z in roots)
-        self.q = Fraction(q)
+        self.v = tuple(Fraction(_strict(x, _RATIONAL, "inhomogeneity")) for x in v)
+        self.roots = tuple(Fraction(_strict(z, _RATIONAL, "root")) for z in roots)
+        self.q = Fraction(_strict(q, _RATIONAL, "q"))
         self.length = length
         # image 2j is z_j and image 2j + 1 its reflection -z_j - 1
         self._images = tuple(w for z in self.roots for w in (z, -z - 1))
@@ -196,7 +197,7 @@ class WaveEngine:
 
 def wave_function(spec: LatticeSpec, roots, x: Sequence[int]) -> Fraction:
     """Wave sum for a lattice instance at explicit roots and positions."""
-    zs = roots.roots if isinstance(roots, BetheRootSet) else tuple(Fraction(z) for z in roots)
+    zs = roots.roots if isinstance(roots, BetheRootSet) else roots
     engine = WaveEngine(inhomogeneities(spec), zs, spec.boundary_q, spec.length)
     return engine.upsilon(tuple(x))
 
@@ -293,7 +294,9 @@ def closed_wave(v: Sequence, z: Sequence, x: Sequence[int]) -> Fraction:
     """
     vs = tuple(Fraction(t) for t in v)
     zs = tuple(Fraction(t) for t in z)
-    xs = tuple(int(p) for p in x)
+    xs = tuple(x)
+    if any(type(p) is not int for p in xs):
+        raise ValueError(f"magnon positions must be integers, got {xs}")
     if len(xs) != len(zs):
         raise ValueError("one position per root required")
     length = len(vs)

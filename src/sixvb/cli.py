@@ -12,7 +12,7 @@ import json
 import random
 import sys
 
-from .errors import DegenerateSpecError, PoleError
+from .errors import DegenerateSpecError, InvalidSpecError, PoleError
 from .exact import format_rational
 from .lattice import (
     ExternalConfig,
@@ -20,7 +20,6 @@ from .lattice import (
     all_configs,
     reference_config,
     spec_from_dict,
-    validate_spec,
 )
 from .pipeline import METHODS, compute_report, report_to_dict
 from .sampling import random_ice_config, random_spec
@@ -38,6 +37,8 @@ def _load_spec(path: str) -> LatticeSpec:
         return spec_from_dict(data)
     except OSError as exc:
         raise SystemExit(_input_error(f"cannot read {path}: {exc}"))
+    except InvalidSpecError:
+        raise
     except (ValueError, ZeroDivisionError) as exc:
         raise SystemExit(_input_error(f"malformed lattice file {path}: {exc}"))
 
@@ -58,25 +59,27 @@ def _parse_labels(text: str, n: int, what: str) -> tuple:
 
 
 def cmd_validate(args) -> int:
-    spec = _load_spec(args.spec)
-    report = validate_spec(spec)
+    try:
+        spec = _load_spec(args.spec)
+        violations = ()
+    except InvalidSpecError as exc:
+        violations = exc.violations
     if args.json:
-        print(json.dumps({"ok": report.ok, "violations": list(report.violations)}, indent=2))
+        print(json.dumps({"ok": not violations, "violations": list(violations)}, indent=2))
+    elif violations:
+        print("invalid:")
+        for v in violations:
+            print(f"  - {v}")
     else:
-        if report.ok:
-            print(f"ok: {spec.n} lines, {len(spec.reflected)} reflected")
-        else:
-            print("invalid:")
-            for v in report.violations:
-                print(f"  - {v}")
-    return EXIT_OK if report.ok else EXIT_FAILED
+        print(f"ok: {spec.n} lines, {len(spec.reflected)} reflected")
+    return EXIT_FAILED if violations else EXIT_OK
 
 
 def cmd_compute(args) -> int:
-    spec = _load_spec(args.spec)
-    report = validate_spec(spec)
-    if not report.ok:
-        return _input_error("invalid lattice: " + "; ".join(report.violations))
+    try:
+        spec = _load_spec(args.spec)
+    except InvalidSpecError as exc:
+        return _input_error(str(exc))
 
     if args.all_configs:
         configs = list(all_configs(spec.n))

@@ -26,7 +26,6 @@ from .lattice import (
     inhomogeneities,
     initial_spec,
     is_initial,
-    require_valid,
     sweep,
 )
 from .monodromy import QuantumState, external_component
@@ -55,7 +54,6 @@ def initial_invariant(spec: LatticeSpec) -> QuantumState:
     Line k occupies sites (2(N-k)+1, 2(N-k)+2), so line N fills the most
     significant pair and line 1 the least significant one.
     """
-    require_valid(spec)
     if not is_initial(spec):
         raise ValueError("initial invariant requires the nested pairing")
     amps = [_F1]

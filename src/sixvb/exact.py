@@ -19,7 +19,15 @@ from typing import Iterable, Sequence
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+_RATIONAL = (int, Fraction)
 _RATIONAL_FORM = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
+
+
+def _strict(value, kinds: tuple, what: str):
+    """``value`` unchanged if its type is one of ``kinds``; a bool is not an int."""
+    if type(value) not in kinds:
+        raise ValueError(f"{what} must be {' or '.join(k.__name__ for k in kinds)}, got {value!r}")
+    return value
 
 
 def parse_rational(text: str) -> Fraction:
@@ -43,7 +51,9 @@ def format_rational(x: Fraction) -> str:
 
 
 def _as_fraction_row(row: Iterable) -> tuple:
-    return tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+    return tuple(
+        x if type(x) is Fraction else Fraction(_strict(x, _RATIONAL, "matrix entry")) for x in row
+    )
 
 
 @dataclass(frozen=True)
@@ -98,7 +108,7 @@ class ExactMatrix:
         return self.scale(Fraction(-1))
 
     def scale(self, c) -> "ExactMatrix":
-        c = Fraction(c)
+        c = Fraction(_strict(c, _RATIONAL, "scale factor"))
         return ExactMatrix(tuple(tuple(c * a for a in row) for row in self.entries))
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":

@@ -3,9 +3,10 @@
 A lattice instance consists of N oriented chords (lines) attached to the
 perimeter points 1..2N, a subset of lines that bounce off the reflecting
 diameter, one rapidity per line and a boundary parameter q.  This module
-owns validation, the lattice-to-chain dictionary (inhomogeneities), the
-exactly-known Bethe roots and Q-function, and the magnon bookkeeping that
-links external edge states to chain sites.
+owns validation (run once, when a ``LatticeSpec`` is made), the
+lattice-to-chain dictionary (inhomogeneities), the exactly-known Bethe
+roots and Q-function, and the magnon bookkeeping that links external edge
+states to chain sites.
 """
 
 from __future__ import annotations
@@ -16,17 +17,14 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .errors import DegenerateSpecError, InvalidSpecError
-from .exact import format_rational, parse_rational
+from .exact import _RATIONAL, _strict, format_rational, parse_rational
 
-_HALF = Fraction(1, 2)
-_RATIONAL = (int, Fraction)
-
-
-def _strict(value, kinds: tuple, what: str):
-    """``value`` unchanged if its type is one of ``kinds``; a bool is not an int."""
-    if type(value) not in kinds:
-        raise ValueError(f"{what} must be {' or '.join(k.__name__ for k in kinds)}, got {value!r}")
-    return value
+# Values that genericity forbids (see ``validate_spec``): for a rapidity,
+# for a sum or difference of two, for q, and for q +- a rapidity.
+_BAD_THETA = frozenset({Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1), Fraction(-1)})
+_BAD_PAIR = frozenset({Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-2)})
+_BAD_Q = frozenset({Fraction(0), Fraction(1, 2), Fraction(-1, 2)})
+_BAD_Q_THETA = frozenset({Fraction(0), Fraction(1), Fraction(-1)})
 
 
 @dataclass(frozen=True)
@@ -58,7 +56,12 @@ class ExternalConfig:
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """A full problem instance: pairing, reflected set, rapidities, boundary q."""
+    """A full problem instance: pairing, reflected set, rapidities, boundary q.
+
+    Construction checks the field types, then runs ``validate_spec`` and
+    raises ``InvalidSpecError`` listing every violation, so every instance
+    that exists is valid and generic.
+    """
 
     chords: tuple
     reflected: frozenset
@@ -72,6 +75,9 @@ class LatticeSpec:
         rapidities = tuple(Fraction(_strict(t, _RATIONAL, "rapidity")) for t in self.rapidities)
         object.__setattr__(self, "rapidities", rapidities)
         object.__setattr__(self, "boundary_q", Fraction(_strict(self.boundary_q, _RATIONAL, "q")))
+        report = validate_spec(self)
+        if not report.ok:
+            raise InvalidSpecError(report.violations)
 
     @property
     def n(self) -> int:
@@ -129,31 +135,20 @@ def validate_spec(spec: LatticeSpec) -> ValidationReport:
         violations.append("lines must be ordered by strictly descending start point")
 
     if len(spec.rapidities) == n:
-        small = {Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-2)}
         for k, t in enumerate(spec.rapidities, start=1):
-            if t in {Fraction(0), _HALF, -_HALF, Fraction(1), Fraction(-1)}:
+            if t in _BAD_THETA:
                 violations.append(f"rapidity {k} = {t} is non-generic")
         for (k, tk), (l, tl) in itertools.combinations(enumerate(spec.rapidities, start=1), 2):
-            if tk - tl in small or tk + tl in small:
+            if tk - tl in _BAD_PAIR or tk + tl in _BAD_PAIR:
                 violations.append(f"rapidities {k},{l}: theta_{k} +- theta_{l} hits 0,+-1,+-2")
         q = spec.boundary_q
-        if q in {Fraction(0), _HALF, -_HALF}:
+        if q in _BAD_Q:
             violations.append(f"boundary parameter q = {q} is non-generic")
         for k, t in enumerate(spec.rapidities, start=1):
-            if q + t in {Fraction(0), Fraction(1), Fraction(-1)} or q - t in {
-                Fraction(0),
-                Fraction(1),
-                Fraction(-1),
-            }:
+            if q + t in _BAD_Q_THETA or q - t in _BAD_Q_THETA:
                 violations.append(f"q +- theta_{k} hits 0 or +-1")
 
     return ValidationReport(ok=not violations, violations=tuple(violations))
-
-
-def require_valid(spec: LatticeSpec) -> None:
-    report = validate_spec(spec)
-    if not report.ok:
-        raise InvalidSpecError(report.violations)
 
 
 def inhomogeneities(spec: LatticeSpec) -> tuple:
@@ -162,7 +157,6 @@ def inhomogeneities(spec: LatticeSpec) -> tuple:
     Start site of line k gets theta_k; the end site gets -theta_k - 1 when
     the line is reflected and theta_k - 1 otherwise.
     """
-    require_valid(spec)
     values = [None] * spec.length
     for k, chord in enumerate(spec.chords, start=1):
         t = spec.rapidities[k - 1]
@@ -177,7 +171,6 @@ def canonical_bethe_roots(spec: LatticeSpec) -> BetheRootSet:
     The partner branch z -> -z - 1 yields the same state up to a scalar, so
     a single canonical branch keeps every downstream output deterministic.
     """
-    require_valid(spec)
     return BetheRootSet(
         tuple(
             t if spec.is_reflected(k) else -t
@@ -188,7 +181,6 @@ def canonical_bethe_roots(spec: LatticeSpec) -> BetheRootSet:
 
 def q_function(spec: LatticeSpec, z) -> Fraction:
     """Baxter Q at z, written directly in terms of the rapidities."""
-    require_valid(spec)
     z = Fraction(z)
     out = Fraction(1)
     for k, t in enumerate(spec.rapidities, start=1):
@@ -234,9 +226,9 @@ def sweep(
     ``build_component(spec)`` returns the route's unnormalized component as
     a function of the config; it is built once, and only when some config
     satisfies the ice rule.  Values are normalized to 1 at the reference
-    config, and configs that break the ice rule get 0.
+    config, and configs that break the ice rule get 0.  The spec was
+    validated when it was made, so nothing is checked again here.
     """
-    require_valid(spec)
     configs = list(configs)
     allowed = [ice_rule_satisfied(spec, config) for config in configs]
     if not any(allowed):

@@ -23,19 +23,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .errors import PoleError
-from .exact import ExactMatrix
+from .exact import _RATIONAL, ExactMatrix, _strict
 from .lattice import (
-    _RATIONAL,
     ExternalConfig,
     LatticeSpec,
-    _strict,
+    _check_config,
     canonical_bethe_roots,
     inhomogeneities,
-    require_valid,
 )
 from .weights import PERMUTATION, embed_pair, lax_matrix, r_matrix
 
@@ -120,7 +117,6 @@ class ChainData:
     q: Fraction
 
 
-@lru_cache(maxsize=256)
 def chain_data(spec: LatticeSpec) -> ChainData:
     v = inhomogeneities(spec)
     conj = [False] * spec.length
@@ -163,7 +159,6 @@ def vacuum_eigenvalues(spec: LatticeSpec, z) -> VacuumEigenvalues:
     alpha(z) = (q+z) Xi(z) and dtilde(z) = 2z/(2z+1) (q-z-1) Xi(z-1); the
     shifted D block has a pole at z = -1/2.
     """
-    require_valid(spec)
     z = Fraction(z)
     if 2 * z + 1 == 0:
         raise PoleError("shifted D block has a pole at z = -1/2")
@@ -184,7 +179,6 @@ def reference_state(spec: LatticeSpec) -> QuantumState:
 
     Each end-site rotation sends |1> to -|2>, so the overall sign is (-1)^N.
     """
-    require_valid(spec)
     length = spec.length
     states = [1] * length
     for chord in spec.chords:
@@ -377,8 +371,7 @@ def check_reflection_algebra(spec: LatticeSpec, x, y) -> bool:
 
 def external_component(state: QuantumState, spec: LatticeSpec, config: ExternalConfig) -> Fraction:
     """Contraction of a chain state with perimeter labels: alpha at starts, beta at ends."""
-    if len(config.alpha) != spec.n or len(config.beta) != spec.n:
-        raise ValueError(f"config labels must have length {spec.n}")
+    _check_config(spec, config)
     states = [0] * spec.length
     for chord, a, b in zip(spec.chords, config.alpha, config.beta):
         states[chord.start - 1] = a

@@ -3,7 +3,7 @@
 Rapidities are drawn with distinct prime denominators per line, which makes
 the genericity conditions hold by construction: no signed sum of two values
 with coprime denominators greater than 2 can be an integer or half-integer.
-Every produced instance is still run through the validator as a guard.
+Every produced instance is validated by the constructor.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .lattice import Chord, ExternalConfig, LatticeSpec, validate_spec
+from .lattice import Chord, ExternalConfig, LatticeSpec, initial_pairing
 
 _THETA_DENOMS = (7, 11, 13, 17, 19, 23)
 _Q_DENOM = 29
@@ -63,23 +63,14 @@ def random_spec(
         raise ValueError(f"at most {len(_THETA_DENOMS)} lines supported by the draw scheme")
     if reflected is None:
         reflected = [k for k in range(1, n + 1) if rng.random() < 0.5]
-    if initial:
-        from .lattice import initial_pairing
-
-        chords = initial_pairing(n)
-    else:
-        chords = random_pairing(rng, n)
+    chords = initial_pairing(n) if initial else random_pairing(rng, n)
     denoms = rng.sample(_THETA_DENOMS, n)
-    spec = LatticeSpec(
+    return LatticeSpec(
         chords=chords,
         reflected=frozenset(reflected),
         rapidities=tuple(random_theta(rng, d) for d in denoms),
         boundary_q=random_q(rng),
     )
-    report = validate_spec(spec)
-    if not report.ok:  # the draw scheme should prevent this
-        return random_spec(rng, n, reflected=reflected, initial=initial)
-    return spec
 
 
 def random_config(rng: random.Random, n: int) -> ExternalConfig:

@@ -197,6 +197,20 @@ class TestWaveFunction:
         with pytest.raises(PoleError):
             wave_function(crossed_spec(), pair(F(5, 193)), (1, 2))
 
+    @pytest.mark.parametrize("roots", [(0.1, F(1, 3)), ("1/5", F(1, 3)), (True, F(1, 3))])
+    def test_non_rational_roots_rejected(self, roots):
+        with pytest.raises(ValueError):
+            wave_function(crossed_spec(), roots, (1, 2))
+
+    def test_string_q_rejected(self):
+        spec = crossed_spec()
+        with pytest.raises(ValueError):
+            WaveEngine(inhomogeneities(spec), (F(1, 5), F(1, 3)), "4/5", spec.length)
+
+    def test_int_roots_equal_fraction_roots(self):
+        spec = crossed_spec()
+        assert wave_function(spec, (2, 3), (1, 2)) == wave_function(spec, (F(2), F(3)), (1, 2))
+
 
 class TestClosedWave:
     def test_single_magnon(self):
@@ -218,6 +232,11 @@ class TestClosedWave:
     def test_coincident_roots(self):
         with pytest.raises(PoleError):
             closed_wave((F(1, 3), F(1, 5)), (F(1, 7), F(1, 7)), (1, 2))
+
+    @pytest.mark.parametrize("x", [(1.9,), (F(3, 2),), (True,)])
+    def test_non_integer_positions_rejected(self, x):
+        with pytest.raises(ValueError):
+            closed_wave((F(1, 3), F(-2, 5)), (F(3, 7),), x)
 
     def test_matches_single_row_creation_products(self):
         spec = crossed_spec()

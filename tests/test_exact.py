@@ -81,6 +81,21 @@ class TestMatrices:
         # entry ((i)n+k, (j)n+l) = A[i,j] * B[k,l]
         assert t[0, 0] == 5 and t[0, 2] == 10 and t[3, 1] == 24 and t[3, 2] == 28
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: ExactMatrix(((0.5, "1/3"),)), id="float-and-str"),
+            pytest.param(lambda: ExactMatrix(((True, 0),)), id="bool"),
+            pytest.param(lambda: ExactMatrix.identity(2).scale(0.5), id="scale-float"),
+        ],
+    )
+    def test_non_rational_entries_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_int_entries_equal_fraction_entries(self):
+        assert ExactMatrix(((1, 0),)) == ExactMatrix(((F(1), F(0)),))
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             _ = _random_matrix(random.Random(0), 2, 3) @ _random_matrix(random.Random(1), 2, 2)

@@ -24,6 +24,7 @@ from sixvb.lattice import (
     spec_to_dict,
     validate_spec,
 )
+from sixvb.monodromy import QuantumState, external_component
 from sixvb.sampling import random_config, random_spec
 
 
@@ -79,54 +80,67 @@ class TestValidation:
         assert validate_spec(figure_lattice()).ok
 
     def test_ordering_violation(self):
-        spec = LatticeSpec(
-            chords=(Chord(2, 1), Chord(4, 3)),
-            reflected=frozenset(),
-            rapidities=(F(2, 7), F(3, 11)),
-            boundary_q=F(4, 5),
-        )
-        report = validate_spec(spec)
-        assert not report.ok
-        assert any("descending" in v for v in report.violations)
+        with pytest.raises(InvalidSpecError) as info:
+            LatticeSpec(
+                chords=(Chord(2, 1), Chord(4, 3)),
+                reflected=frozenset(),
+                rapidities=(F(2, 7), F(3, 11)),
+                boundary_q=F(4, 5),
+            )
+        assert any("descending" in v for v in info.value.violations)
 
     def test_degenerate_rapidities(self):
-        spec = LatticeSpec(
-            chords=(Chord(4, 2), Chord(3, 1)),
-            reflected=frozenset(),
-            rapidities=(F(2, 7), F(2, 7)),
-            boundary_q=F(4, 5),
-        )
-        assert not validate_spec(spec).ok
+        with pytest.raises(InvalidSpecError):
+            LatticeSpec(
+                chords=(Chord(4, 2), Chord(3, 1)),
+                reflected=frozenset(),
+                rapidities=(F(2, 7), F(2, 7)),
+                boundary_q=F(4, 5),
+            )
 
     def test_duplicated_endpoint(self):
-        spec = LatticeSpec(
-            chords=(Chord(4, 2), Chord(4, 1)),
-            reflected=frozenset(),
-            rapidities=(F(2, 7), F(3, 11)),
-            boundary_q=F(4, 5),
-        )
-        report = validate_spec(spec)
-        assert any("perfect matching" in v for v in report.violations)
+        with pytest.raises(InvalidSpecError) as info:
+            LatticeSpec(
+                chords=(Chord(4, 2), Chord(4, 1)),
+                reflected=frozenset(),
+                rapidities=(F(2, 7), F(3, 11)),
+                boundary_q=F(4, 5),
+            )
+        assert any("perfect matching" in v for v in info.value.violations)
 
     @pytest.mark.parametrize(
         "theta", [F(0), F(1, 2), F(-1, 2), F(1), F(-1)]
     )
     def test_special_rapidity_values(self, theta):
-        assert not validate_spec(line_spec(theta=theta)).ok
+        with pytest.raises(InvalidSpecError):
+            line_spec(theta=theta)
 
     def test_rapidity_sum_hits_small_integer(self):
-        spec = LatticeSpec(
-            chords=(Chord(4, 2), Chord(3, 1)),
-            reflected=frozenset(),
-            rapidities=(F(5, 3), F(1, 3)),  # difference lands on 4/3? sum = 2
-            boundary_q=F(4, 5),
-        )
-        assert not validate_spec(spec).ok
+        with pytest.raises(InvalidSpecError):
+            LatticeSpec(
+                chords=(Chord(4, 2), Chord(3, 1)),
+                reflected=frozenset(),
+                rapidities=(F(5, 3), F(1, 3)),  # difference lands on 4/3? sum = 2
+                boundary_q=F(4, 5),
+            )
 
     def test_boundary_parameter_conditions(self):
-        assert not validate_spec(line_spec(q=F(1, 2))).ok
+        with pytest.raises(InvalidSpecError):
+            line_spec(q=F(1, 2))
         # q - theta = 1
-        assert not validate_spec(line_spec(theta=F(1, 3), q=F(4, 3))).ok
+        with pytest.raises(InvalidSpecError):
+            line_spec(theta=F(1, 3), q=F(4, 3))
+
+    def test_spec_from_dict_rejects_non_generic_lattice(self):
+        data = spec_to_dict(line_spec())
+        data["lines"][0]["rapidity"] = "1/2"
+        with pytest.raises(InvalidSpecError) as info:
+            spec_from_dict(data)
+        assert any("non-generic" in v for v in info.value.violations)
+
+    def test_random_spec_rejects_reflected_line_out_of_range(self):
+        with pytest.raises(InvalidSpecError):
+            random_spec(random.Random(1), 2, reflected=[5])
 
 
 class TestInhomogeneities:
@@ -155,11 +169,10 @@ class TestInhomogeneities:
             assert len(v) == spec.length and all(x is not None for x in v)
 
     def test_invalid_spec_rejected(self):
-        bad = LatticeSpec(
-            chords=(Chord(2, 1),), reflected=frozenset(), rapidities=(F(1),), boundary_q=F(2)
-        )
         with pytest.raises(InvalidSpecError):
-            inhomogeneities(bad)
+            LatticeSpec(
+                chords=(Chord(2, 1),), reflected=frozenset(), rapidities=(F(1),), boundary_q=F(2)
+            )
 
 
 class TestBetheRoots:
@@ -207,6 +220,21 @@ class TestQFunction:
 
 
 class TestMagnonsAndIce:
+    @pytest.mark.parametrize(
+        "read",
+        [
+            pytest.param(magnon_positions, id="magnon_positions"),
+            pytest.param(ice_rule_satisfied, id="ice_rule_satisfied"),
+            pytest.param(
+                lambda spec, config: external_component(QuantumState(2, (0, 1, 0, 0)), spec, config),
+                id="external_component",
+            ),
+        ],
+    )
+    def test_config_of_wrong_length_rejected(self, read):
+        with pytest.raises(ValueError, match="length 1"):
+            read(line_spec(), ExternalConfig((1, 2), (1, 1)))
+
     def test_line_reference(self):
         assert magnon_positions(line_spec(), ExternalConfig((1,), (1,))) == (1,)
 

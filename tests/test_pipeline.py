@@ -17,3 +17,15 @@ def test_validation_count_does_not_grow_with_the_sweep(monkeypatch):
         assert report.agreement and len(report.configs) == 4**n
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 16
+
+
+def test_compute_report_validates_at_most_once(monkeypatch):
+    calls = []
+    real = lattice.validate_spec
+    monkeypatch.setattr(lattice, "validate_spec", lambda spec: calls.append(spec) or real(spec))
+    for n in (2, 3):
+        spec = random_spec(random.Random(31), n)
+        calls.clear()
+        report = compute_report(spec, all_configs(n), METHODS)
+        assert report.agreement and len(report.configs) == 4**n
+        assert len(calls) <= 1
