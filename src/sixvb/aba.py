@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 from .contraction import boundary_line_invariant, line_invariant
 from .errors import DegenerateSpecError, PoleError
+from .exact import rational
 from .lattice import (
     BetheRootSet,
     Chord,
@@ -54,22 +55,17 @@ class AbaResult:
     roots: BetheRootSet
 
 
-def _root_tuple(roots) -> tuple:
-    if isinstance(roots, BetheRootSet):
-        return roots.roots
-    return tuple(Fraction(z) for z in roots)
-
-
-def bethe_state(spec: LatticeSpec, roots) -> QuantumState:
+def bethe_state(spec: LatticeSpec, roots: Sequence) -> QuantumState:
     """Creation-operator product on the reference state, one factor per root.
 
     The result does not depend on the order of the roots.  Raises
     DegenerateSpecError when the state vanishes identically.
     """
+    zs = tuple(rational(z, "root") for z in roots)
     state = reference_state(spec)
-    for z in reversed(_root_tuple(roots)):
+    for z in reversed(zs):
         state = apply_open_b(spec, z, state)
-    if state.is_zero() and len(_root_tuple(roots)) > 0:
+    if state.is_zero() and zs:
         raise DegenerateSpecError("creation-operator product annihilated the reference state")
     return state
 
@@ -77,7 +73,7 @@ def bethe_state(spec: LatticeSpec, roots) -> QuantumState:
 def solve_aba(spec: LatticeSpec) -> AbaResult:
     """Half-filled Bethe state at the canonical roots."""
     roots = canonical_bethe_roots(spec)
-    return AbaResult(bethe_state=bethe_state(spec, roots), roots=roots)
+    return AbaResult(bethe_state=bethe_state(spec, roots.roots), roots=roots)
 
 
 def z_aba(spec: LatticeSpec, config: ExternalConfig) -> Fraction:
@@ -96,7 +92,7 @@ def check_invariance(spec: LatticeSpec, state: QuantumState, z) -> bool:
     The off-diagonal blocks must annihilate the state while the diagonal
     blocks act with eigenvalue Lambda(z) times (q+z) and (q-z).
     """
-    z = Fraction(z)
+    z = rational(z, "z")
     q = spec.boundary_q
     lam = lambda_value(spec, z)
     blocks = double_row_on_state(spec, z, state)
@@ -112,7 +108,7 @@ def check_baxter(spec: LatticeSpec, z) -> bool:
 
     Xi(z) Q(z-1) = Lambda(z) Q(z)  and  Xi(z-1) Q(z+1) = Lambda(z) Q(z).
     """
-    z = Fraction(z)
+    z = rational(z, "z")
     qz = q_function(spec, z)
     if qz == 0:
         raise PoleError(f"Q({z}) = 0; functional equation undefined at a root")
@@ -131,27 +127,27 @@ def _nonzero(value: Fraction, what: str) -> Fraction:
 
 
 def h_a_coeff(x, y) -> Fraction:
-    x, y = Fraction(x), Fraction(y)
+    x, y = rational(x, "x"), rational(y, "y")
     return (x + y) * (x - y - 1) / _nonzero((x - y) * (x + y + 1), "(x-y)(x+y+1)")
 
 
 def g_a_coeff(x, y) -> Fraction:
-    x, y = Fraction(x), Fraction(y)
+    x, y = rational(x, "x"), rational(y, "y")
     return 2 * y / _nonzero((x - y) * (2 * y + 1), "(x-y)(2y+1)")
 
 
 def g_dt_coeff(x, y) -> Fraction:
-    x, y = Fraction(x), Fraction(y)
+    x, y = rational(x, "x"), rational(y, "y")
     return -_F1 / _nonzero(x + y + 1, "x+y+1")
 
 
 def h_dt_coeff(x, y) -> Fraction:
-    x, y = Fraction(x), Fraction(y)
+    x, y = rational(x, "x"), rational(y, "y")
     return (x - y + 1) * (x + y + 2) / _nonzero((x - y) * (x + y + 1), "(x-y)(x+y+1)")
 
 
 def k_a_coeff(x, y) -> Fraction:
-    x, y = Fraction(x), Fraction(y)
+    x, y = rational(x, "x"), rational(y, "y")
     return (
         4 * y * (x + 1)
         / _nonzero((2 * x + 1) * (2 * y + 1) * (x + y + 1), "(2x+1)(2y+1)(x+y+1)")
@@ -159,7 +155,7 @@ def k_a_coeff(x, y) -> Fraction:
 
 
 def k_dt_coeff(x, y) -> Fraction:
-    x, y = Fraction(x), Fraction(y)
+    x, y = rational(x, "x"), rational(y, "y")
     return -2 * (x + 1) / _nonzero((x - y) * (2 * x + 1), "(x-y)(2x+1)")
 
 
@@ -176,8 +172,9 @@ def unwanted_terms(spec: LatticeSpec, z, k: int, roots: Optional[Sequence] = Non
     Both vanish exactly at the canonical roots; with any off-shell root set
     they are generically nonzero.  ``k`` is 1-based.
     """
-    z = Fraction(z)
-    zs = _root_tuple(roots) if roots is not None else canonical_bethe_roots(spec).roots
+    z = rational(z, "z")
+    roots = canonical_bethe_roots(spec).roots if roots is None else roots
+    zs = tuple(rational(zi, "root") for zi in roots)
     if not (1 <= k <= len(zs)):
         raise ValueError(f"k must lie in 1..{len(zs)}")
     zk = zs[k - 1]
@@ -203,8 +200,9 @@ def unwanted_terms_from_fcr(
     spec: LatticeSpec, z, k: int, roots: Optional[Sequence] = None
 ) -> tuple:
     """The same remainder coefficients assembled from the exchange coefficients."""
-    z = Fraction(z)
-    zs = _root_tuple(roots) if roots is not None else canonical_bethe_roots(spec).roots
+    z = rational(z, "z")
+    roots = canonical_bethe_roots(spec).roots if roots is None else roots
+    zs = tuple(rational(zi, "root") for zi in roots)
     if not (1 <= k <= len(zs)):
         raise ValueError(f"k must lie in 1..{len(zs)}")
     zk = zs[k - 1]
@@ -229,7 +227,7 @@ def check_fcr_open(spec: LatticeSpec, x, y) -> bool:
 
     Dense block products; intended for short chains.
     """
-    x, y = Fraction(x), Fraction(y)
+    x, y = rational(x, "x"), rational(y, "y")
     ux = double_row(spec, x)
     uy = double_row(spec, y)
     bx, by = aux_block(ux, 0, 1), aux_block(uy, 0, 1)
@@ -258,7 +256,7 @@ def check_fcr_open(spec: LatticeSpec, x, y) -> bool:
 
 def check_b_reflection(spec: LatticeSpec, z) -> bool:
     """Creation-block reflection symmetry B(z) = -(z/(z+1)) B(-z-1), exactly."""
-    z = Fraction(z)
+    z = rational(z, "z")
     if z == 0 or z == -1:
         raise PoleError("reflection factor z/(z+1) degenerates at z in {0, -1}")
     lhs = aux_block(double_row(spec, z), 0, 1)
@@ -273,11 +271,11 @@ def reduction_factor(spec: LatticeSpec, t, extra_roots: Sequence) -> Fraction:
                         prod_k (t+v_k)(t-v_k+1)
     with the product over the remaining roots and remaining sites.
     """
-    t = Fraction(t)
+    t = rational(t, "t")
     q = spec.boundary_q
     out = 4 * t * (t + 1) * (q + t)
     for zi in extra_roots:
-        zi = Fraction(zi)
+        zi = rational(zi, "root")
         out *= (t + zi + 2) * (t - zi - 1) * (t + zi) * (t - zi + 1)
     v = inhomogeneities(spec)
     for vk in v[: spec.length - 2]:
@@ -308,7 +306,7 @@ def check_reduction(spec: LatticeSpec, m: int, extra_roots: Sequence) -> bool:
     """
     if len(extra_roots) != m - 1:
         raise ValueError(f"need {m - 1} extra roots for magnon number {m}")
-    extra = tuple(Fraction(z) for z in extra_roots)
+    extra = tuple(rational(z, "root") for z in extra_roots)
     theta1 = spec.rapidities[0]
     t = theta1 if spec.is_reflected(1) else -theta1
     full = bethe_state(spec, extra + (t,))

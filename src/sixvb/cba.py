@@ -19,9 +19,8 @@ from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
 from .errors import PoleError
-from .exact import _RATIONAL, _strict
+from .exact import rational
 from .lattice import (
-    BetheRootSet,
     ExternalConfig,
     LatticeSpec,
     canonical_bethe_roots,
@@ -50,7 +49,7 @@ def pair_factor(a, b) -> Fraction:
 
     (a - b + 1)(a + b + 2) / ((a - b)(a + b + 1)).
     """
-    a, b = Fraction(a), Fraction(b)
+    a, b = rational(a, "a"), rational(b, "b")
     den = (a - b) * (a + b + 1)
     if den == 0:
         raise PoleError(f"amplitude pole for the root pair ({a}, {b})")
@@ -74,7 +73,8 @@ def wave_part(x: int, z, v: Sequence, q) -> Fraction:
     (-1)^L (q - z - 1) prod_j (z + v_j) prod_{j<x} (z - v_j + 1)
     prod_{j>x} (z - v_j).
     """
-    z = Fraction(z)
+    z, q = rational(z, "z"), rational(q, "q")
+    v = tuple(rational(vj, "inhomogeneity") for vj in v)
     length = len(v)
     sign = _F1 if length % 2 == 0 else -_F1
     out = sign * (q - z - 1)
@@ -108,9 +108,9 @@ class WaveEngine:
     """
 
     def __init__(self, v: Sequence, roots: Sequence, q, length: int):
-        self.v = tuple(Fraction(_strict(x, _RATIONAL, "inhomogeneity")) for x in v)
-        self.roots = tuple(Fraction(_strict(z, _RATIONAL, "root")) for z in roots)
-        self.q = Fraction(_strict(q, _RATIONAL, "q"))
+        self.v = tuple(rational(x, "inhomogeneity") for x in v)
+        self.roots = tuple(rational(z, "root") for z in roots)
+        self.q = rational(q, "q")
         self.length = length
         # image 2j is z_j and image 2j + 1 its reflection -z_j - 1
         self._images = tuple(w for z in self.roots for w in (z, -z - 1))
@@ -195,10 +195,9 @@ class WaveEngine:
         return total
 
 
-def wave_function(spec: LatticeSpec, roots, x: Sequence[int]) -> Fraction:
+def wave_function(spec: LatticeSpec, roots: Sequence, x: Sequence[int]) -> Fraction:
     """Wave sum for a lattice instance at explicit roots and positions."""
-    zs = roots.roots if isinstance(roots, BetheRootSet) else roots
-    engine = WaveEngine(inhomogeneities(spec), zs, spec.boundary_q, spec.length)
+    engine = WaveEngine(inhomogeneities(spec), roots, spec.boundary_q, spec.length)
     return engine.upsilon(tuple(x))
 
 
@@ -239,7 +238,7 @@ def z_cba_table(spec: LatticeSpec, configs: Sequence[ExternalConfig]) -> list:
 
 def norm_prefactor(spec: LatticeSpec, roots: Sequence) -> Fraction:
     """(-1)^{mL} prod_i 2 z_i / (2 z_i + 1)."""
-    zs = tuple(Fraction(z) for z in roots)
+    zs = tuple(rational(z, "root") for z in roots)
     m = len(zs)
     out = _F1 if (m * spec.length) % 2 == 0 else -_F1
     for z in zs:
@@ -292,8 +291,8 @@ def closed_wave(v: Sequence, z: Sequence, x: Sequence[int]) -> Fraction:
     Amplitude prod_{k<l} (z_k - z_l + 1)/(z_k - z_l); wave factors
     prod_{j<x}(z - v_j + 1) prod_{j>x}(z - v_j).
     """
-    vs = tuple(Fraction(t) for t in v)
-    zs = tuple(Fraction(t) for t in z)
+    vs = tuple(rational(t, "inhomogeneity") for t in v)
+    zs = tuple(rational(t, "root") for t in z)
     xs = tuple(x)
     if any(type(p) is not int for p in xs):
         raise ValueError(f"magnon positions must be integers, got {xs}")
@@ -320,14 +319,14 @@ def closed_wave(v: Sequence, z: Sequence, x: Sequence[int]) -> Fraction:
 
 
 def h_closed(x, y) -> Fraction:
-    x, y = Fraction(x), Fraction(y)
+    x, y = rational(x, "x"), rational(y, "y")
     if x == y:
         raise PoleError("closed exchange coefficient pole at x = y")
     return (1 + x - y) / (x - y)
 
 
 def k_closed(x, y) -> Fraction:
-    x, y = Fraction(x), Fraction(y)
+    x, y = rational(x, "x"), rational(y, "y")
     if x == y:
         raise PoleError("closed exchange coefficient pole at x = y")
     return _F1 / (x - y)
@@ -338,7 +337,7 @@ def check_closed_fcr(spec: LatticeSpec, x, y) -> bool:
 
     [B(x), B(y)] = 0 and A(x)B(y) = h(y,x) B(y)A(x) - k(y,x) B(x)A(y).
     """
-    x, y = Fraction(x), Fraction(y)
+    x, y = rational(x, "x"), rational(y, "y")
     mx = single_row(spec, x, hat=False)
     my = single_row(spec, y, hat=False)
     bx, by = aux_block(mx, 0, 1), aux_block(my, 0, 1)
@@ -353,7 +352,7 @@ def check_b_expansion(spec: LatticeSpec, z) -> bool:
 
     Bopen(z) = (-1)^L 2z/(2z+1) [ (q-z-1) B(z) A(-z-1) - (q+z) B(-z-1) A(z) ].
     """
-    z = Fraction(z)
+    z = rational(z, "z")
     if 2 * z + 1 == 0:
         raise PoleError("expansion pole at z = -1/2")
     q = spec.boundary_q
@@ -369,7 +368,7 @@ def check_b_expansion(spec: LatticeSpec, z) -> bool:
 
 def kappa(spec: LatticeSpec, z) -> Fraction:
     """prod_i (z - v_i + 1) over the chain sites."""
-    z = Fraction(z)
+    z = rational(z, "z")
     out = _F1
     for vi in inhomogeneities(spec):
         out *= z - vi + 1
@@ -385,7 +384,7 @@ def check_state_expansion(spec: LatticeSpec, m: int, roots: Sequence) -> bool:
     """
     from .aba import bethe_state  # deferred: aba imports contraction, not cba
 
-    zs = tuple(Fraction(z) for z in roots)
+    zs = tuple(rational(z, "root") for z in roots)
     if len(zs) != m:
         raise ValueError(f"need {m} roots")
     lhs = bethe_state(spec, zs)
@@ -415,7 +414,7 @@ def check_state_expansion(spec: LatticeSpec, m: int, roots: Sequence) -> bool:
 def two_reflection_sum(q, zi, zj) -> Fraction:
     """Reflection sum of boundary factors against the closed k coefficient;
     vanishes identically in (q, z_i, z_j)."""
-    q, zi, zj = Fraction(q), Fraction(zi), Fraction(zj)
+    q, zi, zj = rational(q, "q"), rational(zi, "zi"), rational(zj, "zj")
     total = _F0
     for bi in (0, 1):
         for bj in (0, 1):

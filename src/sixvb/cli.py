@@ -146,7 +146,7 @@ def cmd_bench(args) -> int:
         print(
             f"{n:>2} {2 * n:>3} {t['direct']:>10.4f} {t['aba']:>10.4f} {t['cba']:>10.4f}"
         )
-    print("# cba DP state count grows as 3^N; direct and aba stay polynomial per amplitude")
+    print("# direct and aba build a 2^(2N)-amplitude state; the cba DP has up to 3^N states")
     return EXIT_OK
 
 

@@ -20,6 +20,7 @@ from functools import partial
 from typing import Optional, Sequence
 
 from .errors import PoleError
+from .exact import rational
 from .lattice import (
     ExternalConfig,
     LatticeSpec,
@@ -42,7 +43,7 @@ def line_invariant() -> QuantumState:
 def boundary_line_invariant(theta, q) -> QuantumState:
     """Two-site invariant of a reflected line; the (2,2) component is the
     reflection weight (q-theta)/(q+theta)."""
-    theta, q = Fraction(theta), Fraction(q)
+    theta, q = rational(theta, "theta"), rational(q, "q")
     if q + theta == 0:
         raise PoleError("reflection weights have a pole at q + theta = 0")
     return QuantumState(2, (_F1, _F0, _F0, (q - theta) / (q + theta)))

@@ -6,7 +6,8 @@ after every operation).  This module adds the ``"p/q"`` text form used by
 every file format and report, plus one small immutable dense matrix for
 exact linear algebra; a vector is a one-column matrix, and chain states
 are :class:`sixvb.monodromy.QuantumState`.  No floating point appears
-anywhere.
+anywhere: every public function takes its rational arguments through the
+one gate :func:`rational`, which accepts ``int`` and ``Fraction`` only.
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-_RATIONAL = (int, Fraction)
 _RATIONAL_FORM = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
 
@@ -30,6 +30,13 @@ def _strict(value, kinds: tuple, what: str):
     return value
 
 
+def rational(value, what: str) -> Fraction:
+    """An int or Fraction ``value`` as a Fraction; any other type (bool too) raises ValueError."""
+    if type(value) is Fraction:
+        return value
+    return Fraction(_strict(value, (int, Fraction), what))
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p"`` or ``"p/q"`` with decimal integers and an optional sign on p."""
     if not isinstance(text, str):
@@ -37,23 +44,15 @@ def parse_rational(text: str) -> Fraction:
     body = text.strip()
     if not _RATIONAL_FORM.match(body):
         raise ValueError(f"malformed rational literal: {text!r}")
-    if "/" in body:
-        num, den = body.split("/")
-        if int(den) == 0:
-            raise ZeroDivisionError(f"zero denominator in rational literal {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(body))
+    num, _, den = body.partition("/")
+    if den and int(den) == 0:
+        raise ZeroDivisionError(f"zero denominator in rational literal {text!r}")
+    return Fraction(int(num), int(den or 1))
 
 
 def format_rational(x: Fraction) -> str:
     """Inverse of :func:`parse_rational`; integers render without ``/q``."""
-    return str(Fraction(x))
-
-
-def _as_fraction_row(row: Iterable) -> tuple:
-    return tuple(
-        x if type(x) is Fraction else Fraction(_strict(x, _RATIONAL, "matrix entry")) for x in row
-    )
+    return str(rational(x, "rational"))
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,10 @@ class ExactMatrix:
     entries: tuple
 
     def __post_init__(self):
-        rows = tuple(_as_fraction_row(r) for r in self.entries)
+        rows = tuple(
+            tuple(x if type(x) is Fraction else rational(x, "matrix entry") for x in row)
+            for row in self.entries
+        )
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -84,7 +86,7 @@ class ExactMatrix:
 
     @classmethod
     def diagonal(cls, values: Sequence) -> "ExactMatrix":
-        vals = _as_fraction_row(values)
+        vals = tuple(rational(x, "diagonal entry") for x in values)
         n = len(vals)
         return cls(tuple(tuple(vals[i] if i == j else _ZERO for j in range(n)) for i in range(n)))
 
@@ -102,13 +104,13 @@ class ExactMatrix:
         )
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
     def __neg__(self) -> "ExactMatrix":
-        return self.scale(Fraction(-1))
+        return self.scale(-1)
 
     def scale(self, c) -> "ExactMatrix":
-        c = Fraction(_strict(c, _RATIONAL, "scale factor"))
+        c = rational(c, "scale factor")
         return ExactMatrix(tuple(tuple(c * a for a in row) for row in self.entries))
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .errors import DegenerateSpecError, InvalidSpecError
-from .exact import _RATIONAL, _strict, format_rational, parse_rational
+from .exact import _strict, format_rational, parse_rational, rational
 
 # Values that genericity forbids (see ``validate_spec``): for a rapidity,
 # for a sum or difference of two, for q, and for q +- a rapidity.
@@ -69,12 +69,13 @@ class LatticeSpec:
     boundary_q: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "chords", tuple(self.chords))
+        chords = tuple(_strict(chord, (Chord,), "chord") for chord in self.chords)
+        object.__setattr__(self, "chords", chords)
         reflected = frozenset(_strict(k, (int,), "reflected line") for k in self.reflected)
         object.__setattr__(self, "reflected", reflected)
-        rapidities = tuple(Fraction(_strict(t, _RATIONAL, "rapidity")) for t in self.rapidities)
+        rapidities = tuple(rational(t, "rapidity") for t in self.rapidities)
         object.__setattr__(self, "rapidities", rapidities)
-        object.__setattr__(self, "boundary_q", Fraction(_strict(self.boundary_q, _RATIONAL, "q")))
+        object.__setattr__(self, "boundary_q", rational(self.boundary_q, "q"))
         report = validate_spec(self)
         if not report.ok:
             raise InvalidSpecError(report.violations)
@@ -98,7 +99,7 @@ class BetheRootSet:
     roots: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "roots", tuple(Fraction(z) for z in self.roots))
+        object.__setattr__(self, "roots", tuple(rational(z, "root") for z in self.roots))
 
 
 @dataclass(frozen=True)
@@ -181,7 +182,7 @@ def canonical_bethe_roots(spec: LatticeSpec) -> BetheRootSet:
 
 def q_function(spec: LatticeSpec, z) -> Fraction:
     """Baxter Q at z, written directly in terms of the rapidities."""
-    z = Fraction(z)
+    z = rational(z, "z")
     out = Fraction(1)
     for k, t in enumerate(spec.rapidities, start=1):
         if spec.is_reflected(k):

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import PoleError
-from .exact import _RATIONAL, ExactMatrix, _strict
+from .exact import ExactMatrix, rational
 from .lattice import (
     ExternalConfig,
     LatticeSpec,
@@ -57,8 +57,7 @@ class QuantumState:
 
     def __post_init__(self):
         amps = tuple(
-            a if type(a) is Fraction else Fraction(_strict(a, _RATIONAL, "amplitude"))
-            for a in self.amplitudes
+            a if type(a) is Fraction else rational(a, "amplitude") for a in self.amplitudes
         )
         if len(amps) != 1 << self.length:
             raise ValueError(f"state needs {1 << self.length} amplitudes, got {len(amps)}")
@@ -68,7 +67,7 @@ class QuantumState:
         return self.amplitudes[basis_index(states)]
 
     def scale(self, c) -> "QuantumState":
-        c = Fraction(c)
+        c = rational(c, "scale factor")
         return QuantumState(self.length, tuple(c * a for a in self.amplitudes))
 
     def __add__(self, other: "QuantumState") -> "QuantumState":
@@ -104,7 +103,6 @@ class VacuumEigenvalues:
     alpha_val: Fraction
     delta_tilde_val: Fraction
     xi_val: Fraction
-    lambda_val: Fraction
 
 
 @dataclass(frozen=True)
@@ -128,17 +126,17 @@ def chain_data(spec: LatticeSpec) -> ChainData:
 # -- eigenvalue functions -----------------------------------------------------
 
 def f_factor(z, theta) -> Fraction:
-    z, theta = Fraction(z), Fraction(theta)
+    z, theta = rational(z, "z"), rational(theta, "theta")
     return (z - theta - 1) * (z - theta + 1) * (z + theta) * (z + theta + 2)
 
 
 def g_factor(z, theta) -> Fraction:
-    z, theta = Fraction(z), Fraction(theta)
+    z, theta = rational(z, "z"), rational(theta, "theta")
     return (z - theta) * (z - theta + 1) * (z + theta + 1) * (z + theta + 2)
 
 
 def xi_value(spec: LatticeSpec, z) -> Fraction:
-    z = Fraction(z)
+    z = rational(z, "z")
     out = _F1
     for t in canonical_bethe_roots(spec).roots:
         out *= g_factor(z, t)
@@ -146,7 +144,7 @@ def xi_value(spec: LatticeSpec, z) -> Fraction:
 
 
 def lambda_value(spec: LatticeSpec, z) -> Fraction:
-    z = Fraction(z)
+    z = rational(z, "z")
     out = _F1
     for t in canonical_bethe_roots(spec).roots:
         out *= f_factor(z, t)
@@ -159,16 +157,15 @@ def vacuum_eigenvalues(spec: LatticeSpec, z) -> VacuumEigenvalues:
     alpha(z) = (q+z) Xi(z) and dtilde(z) = 2z/(2z+1) (q-z-1) Xi(z-1); the
     shifted D block has a pole at z = -1/2.
     """
-    z = Fraction(z)
+    z = rational(z, "z")
     if 2 * z + 1 == 0:
         raise PoleError("shifted D block has a pole at z = -1/2")
     q = spec.boundary_q
     xi = xi_value(spec, z)
     return VacuumEigenvalues(
         alpha_val=(q + z) * xi,
-        delta_tilde_val=Fraction(2 * z, 1) / (2 * z + 1) * (q - z - 1) * xi_value(spec, z - 1),
+        delta_tilde_val=2 * z / (2 * z + 1) * (q - z - 1) * xi_value(spec, z - 1),
         xi_val=xi,
-        lambda_val=lambda_value(spec, z),
     )
 
 
@@ -253,13 +250,13 @@ def single_row_on_state(spec: LatticeSpec, z, hat: bool, state: QuantumState):
     Returns a 2x2 nested list ``phi`` with ``phi[r][c]`` the chain vector
     block(r+1, c+1) |state>.
     """
-    chain, z = chain_data(spec), Fraction(z)
+    chain, z = chain_data(spec), rational(z, "z")
     return _blocks_on_state(chain.length, lambda a, b: _row(a, b, chain, z, hat), state.amplitudes)
 
 
 def double_row_on_state(spec: LatticeSpec, z, state: QuantumState):
     """Blocks of the double-row monodromy applied to a state (2x2 nested list)."""
-    chain, z = chain_data(spec), Fraction(z)
+    chain, z = chain_data(spec), rational(z, "z")
     return _blocks_on_state(chain.length, lambda a, b: _double_row(a, b, chain, z), state.amplitudes)
 
 
@@ -271,7 +268,7 @@ def apply_open_b(spec: LatticeSpec, z, state: QuantumState) -> QuantumState:
     """
     chain = chain_data(spec)
     zero = [_F0] * len(state.amplitudes)
-    bv, _ = _double_row(zero, state.amplitudes, chain, Fraction(z))
+    bv, _ = _double_row(zero, state.amplitudes, chain, rational(z, "z"))
     return QuantumState(chain.length, tuple(bv))
 
 
@@ -279,7 +276,7 @@ def apply_closed_b(spec: LatticeSpec, z, state: QuantumState) -> QuantumState:
     """Apply the closed-chain (single-row) creation block to a state."""
     chain = chain_data(spec)
     zero = [_F0] * len(state.amplitudes)
-    bv, _ = _row(zero, state.amplitudes, chain, Fraction(z), hat=False)
+    bv, _ = _row(zero, state.amplitudes, chain, rational(z, "z"), hat=False)
     return QuantumState(chain.length, tuple(bv))
 
 
@@ -317,19 +314,19 @@ def _assemble(length: int, apply) -> ExactMatrix:
 
 def single_row(spec: LatticeSpec, z, hat: bool = False) -> ExactMatrix:
     """Dense conjugated single-row monodromy (end sites carry conjugate blocks)."""
-    chain, z = chain_data(spec), Fraction(z)
+    chain, z = chain_data(spec), rational(z, "z")
     return _assemble(chain.length, lambda a, b: _row(a, b, chain, z, hat))
 
 
 def double_row(spec: LatticeSpec, z) -> ExactMatrix:
     """Dense double-row monodromy M K Mhat with the dressed boundary matrix."""
-    chain, z = chain_data(spec), Fraction(z)
+    chain, z = chain_data(spec), rational(z, "z")
     return _assemble(chain.length, lambda a, b: _double_row(a, b, chain, z))
 
 
 def shifted_d_block(u: ExactMatrix, z) -> ExactMatrix:
     """Dtilde(z) = D(z) - A(z)/(2z+1) from the double row ``u`` at z."""
-    z = Fraction(z)
+    z = rational(z, "z")
     if 2 * z + 1 == 0:
         raise PoleError("shifted D block has a pole at z = -1/2")
     return aux_block(u, 1, 1) - aux_block(u, 0, 0).scale(_F1 / (2 * z + 1))
@@ -342,7 +339,7 @@ def check_crossing(spec: LatticeSpec, z) -> bool:
     similarity both taken in the auxiliary space; S^{-1} = -S.  Block by
     block: Mhat_{rc} = +-(-1)^L M_{1-c,1-r}, + on the diagonal, - off it.
     """
-    z = Fraction(z)
+    z = rational(z, "z")
     hat, m = single_row(spec, z, hat=True), single_row(spec, -z - 1, hat=False)
     sign = 1 if spec.length % 2 == 0 else -1
     return all(
@@ -358,7 +355,7 @@ def check_reflection_algebra(spec: LatticeSpec, x, y) -> bool:
     R(x-y) U1(x) R(x+y) U2(y) = U2(y) R(x+y) U1(x) R(x-y) on the space
     (aux leg 1, aux leg 2, chain).  Dense; intended for short chains.
     """
-    x, y = Fraction(x), Fraction(y)
+    x, y = rational(x, "x"), rational(y, "y")
     eye = ExactMatrix.identity(1 << spec.length)
     i2 = ExactMatrix.identity(2)
     swap = PERMUTATION.tensor(eye)

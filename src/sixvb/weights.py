@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import PoleError
-from .exact import ExactMatrix
+from .exact import ExactMatrix, rational
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -50,7 +50,7 @@ ANTISYMMETRIZER = ExactMatrix(
 
 def r_matrix(theta) -> ExactMatrix:
     """Crossing weights (theta + P) / (theta + 1); pole at theta = -1."""
-    theta = Fraction(theta)
+    theta = rational(theta, "theta")
     if theta == -1:
         raise PoleError("crossing weights have a pole at theta = -1")
     d = theta + 1
@@ -67,8 +67,7 @@ def r_matrix(theta) -> ExactMatrix:
 
 def k_matrix(theta, q) -> ExactMatrix:
     """Reflection weights for a line of rapidity theta; pole at q + theta = 0."""
-    theta = Fraction(theta)
-    q = Fraction(q)
+    theta, q = rational(theta, "theta"), rational(q, "q")
     if q + theta == 0:
         raise PoleError("reflection weights have a pole at q + theta = 0")
     return ExactMatrix(((_F1, _F0), (_F0, (q - theta) / (q + theta))))
@@ -80,7 +79,7 @@ def lax_matrix(z, conjugate: bool = False) -> ExactMatrix:
     Plain form: z*I + P.  Conjugate form: (z+1)*I - K where K has unit
     entries exactly at rows (a,a) and columns (b,b).
     """
-    z = Fraction(z)
+    z = rational(z, "z")
     if not conjugate:
         return ExactMatrix.identity(4).scale(z) + PERMUTATION
     k = [[_F0] * 4 for _ in range(4)]
@@ -126,7 +125,7 @@ def check_ybe(theta1, theta2, theta3) -> bool:
     R12(t1-t2) R13(t1-t3) R23(t2-t3) = R23(t2-t3) R13(t1-t3) R12(t1-t2),
     checked as 8x8 matrices.  Raises PoleError when any difference is -1.
     """
-    t1, t2, t3 = Fraction(theta1), Fraction(theta2), Fraction(theta3)
+    t1, t2, t3 = (rational(t, "theta") for t in (theta1, theta2, theta3))
     r12 = embed_pair(r_matrix(t1 - t2), 3, (0, 1))
     r13 = embed_pair(r_matrix(t1 - t3), 3, (0, 2))
     r23 = embed_pair(r_matrix(t2 - t3), 3, (1, 2))
@@ -138,7 +137,7 @@ def check_bybe(theta1, theta2, q) -> bool:
 
     R(t1-t2) K1(t1) R(t1+t2) K2(t2) = K2(t2) R(t1+t2) K1(t1) R(t1-t2).
     """
-    t1, t2, q = Fraction(theta1), Fraction(theta2), Fraction(q)
+    t1, t2, q = rational(theta1, "theta1"), rational(theta2, "theta2"), rational(q, "q")
     rm = r_matrix(t1 - t2)
     rp = r_matrix(t1 + t2)
     i2 = ExactMatrix.identity(2)
@@ -149,7 +148,7 @@ def check_bybe(theta1, theta2, q) -> bool:
 
 def check_unitarity(z) -> bool:
     """L(z) L(-z) = (1 - z^2) I for both the plain and conjugate local block."""
-    z = Fraction(z)
+    z = rational(z, "z")
     want = ExactMatrix.identity(4).scale(1 - z * z)
     plain = lax_matrix(z) @ lax_matrix(-z)
     conj = lax_matrix(z, conjugate=True) @ lax_matrix(-z, conjugate=True)
@@ -158,7 +157,7 @@ def check_unitarity(z) -> bool:
 
 def check_transpose(z) -> bool:
     """Site-leg transpose identity L^t(z) = -Lbar(-z-1)."""
-    z = Fraction(z)
+    z = rational(z, "z")
     return site_transpose(lax_matrix(z)) == -lax_matrix(-z - 1, conjugate=True)
 
 
@@ -169,7 +168,7 @@ def check_bootstrap(z) -> bool:
     carrying the singlet, one site leg), on the 8x2 matrix whose column c
     is the singlet with the site leg in state c + 1.
     """
-    z = Fraction(z)
+    z = rational(z, "z")
     scalar = (z + 1) * (z - 1)
     la = embed_pair(lax_matrix(z), 3, (0, 2))
     lb = embed_pair(lax_matrix(z - 1), 3, (1, 2))
@@ -189,9 +188,9 @@ def check_bootstrap(z) -> bool:
 
 def check_special_points() -> bool:
     """L(0) is the permutation and L(-1) is -2 times the singlet projector."""
-    if lax_matrix(Fraction(0)) != PERMUTATION:
+    if lax_matrix(0) != PERMUTATION:
         return False
-    if lax_matrix(Fraction(-1)) != ANTISYMMETRIZER.scale(-2):
+    if lax_matrix(-1) != ANTISYMMETRIZER.scale(-2):
         return False
     # projector sanity: A^2 = A and -2A = -Y Y^t
     if ANTISYMMETRIZER @ ANTISYMMETRIZER != ANTISYMMETRIZER:

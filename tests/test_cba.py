@@ -169,13 +169,13 @@ class TestWaveFunction:
     def test_malformed_positions_rejected(self, x):
         fig = figure_lattice()
         with pytest.raises(ValueError):
-            wave_function(fig, canonical_bethe_roots(fig), x)
+            wave_function(fig, canonical_bethe_roots(fig).roots, x)
 
     @pytest.mark.parametrize("x", [(1.9, 2.5, 3, 4), (F(3, 2), 2, 3, 4), (True, 2, 3, 4)])
     def test_non_integer_positions_rejected(self, x):
         fig = figure_lattice()
         with pytest.raises(ValueError):
-            wave_function(fig, canonical_bethe_roots(fig), x)
+            wave_function(fig, canonical_bethe_roots(fig).roots, x)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_equals_the_literal_sum_at_every_position_set(self, n):

@@ -1,11 +1,19 @@
+import ast
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sixvb.exact import ExactMatrix, format_rational, parse_rational
+from sixvb import aba, cba, exact, weights
+from sixvb.exact import ExactMatrix, format_rational, parse_rational, rational
+from sixvb.fixtures import figure_lattice
+from sixvb.lattice import BetheRootSet, q_function
+from sixvb.monodromy import QuantumState, apply_open_b, reference_state
+
+_FIG = figure_lattice()
 
 
 class TestParse:
@@ -113,3 +121,66 @@ class TestMatrices:
         for _ in range(10):
             a, b, c, d = (_random_matrix(rng, 2, 2) for _ in range(4))
             assert a.tensor(b) @ c.tensor(d) == (a @ c).tensor(b @ d)
+
+
+class TestRationalGate:
+    """Every public function taking a rational accepts int or Fraction only."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: QuantumState(1, (1, 0)).scale(0.5), id="state-scale-float"),
+            pytest.param(lambda: BetheRootSet((0.1,)), id="root-set-float"),
+            pytest.param(lambda: cba.closed_wave((0.5, "1/3"), (F(1, 4),), (1,)), id="closed-wave"),
+            pytest.param(lambda: aba.h_a_coeff(0.5, "1/3"), id="h-a-coeff"),
+            pytest.param(lambda: cba.pair_factor(0.5, F(1, 3)), id="pair-factor"),
+            pytest.param(lambda: weights.r_matrix(0.5), id="r-matrix"),
+            pytest.param(lambda: format_rational(0.5), id="format-float"),
+            pytest.param(lambda: q_function(_FIG, "1/3"), id="q-function-str"),
+            pytest.param(lambda: aba.bethe_state(_FIG, (0.1,)), id="bethe-state"),
+            pytest.param(lambda: apply_open_b(_FIG, 0.5, reference_state(_FIG)), id="apply-open-b"),
+            pytest.param(lambda: weights.lax_matrix(True), id="bool"),
+        ],
+    )
+    def test_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+    def test_int_argument_equals_fraction(self):
+        assert rational(3, "x") == F(3) and type(rational(3, "x")) is F
+        assert aba.h_a_coeff(2, F(1, 3)) == aba.h_a_coeff(F(2), F(1, 3))
+        assert weights.r_matrix(2) == weights.r_matrix(F(2))
+
+
+def _coercions(tree) -> list:
+    """Line numbers of ``Fraction(x)`` calls whose one argument is not a numeric literal."""
+
+    def literal(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            node = node.operand
+        return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Fraction"
+        and len(node.args) + len(node.keywords) == 1
+        and not (node.args and literal(node.args[0]))
+    ]
+
+
+class TestOneConversionPath:
+    def test_only_the_gate_converts(self):
+        """No module but ``exact.rational`` turns an argument into a Fraction."""
+        flagged = "Fraction(x)\nfractions.Fraction('1/3')\nFraction(*a)"
+        assert _coercions(ast.parse(flagged)) == [1, 2, 3]
+        assert _coercions(ast.parse("Fraction(0); Fraction(-1); Fraction(a, b)")) == []
+        src = Path(exact.__file__).parent
+        offenders = []
+        for path in sorted(src.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            if path == src / "exact.py":
+                tree.body = [n for n in tree.body if getattr(n, "name", None) != "rational"]
+            offenders += [f"{path.relative_to(src)}:{line}" for line in _coercions(tree)]
+        assert offenders == []

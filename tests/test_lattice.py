@@ -62,6 +62,7 @@ class TestStrictConstructors:
             pytest.param(lambda: _spec_with(reflected={1.0}), id="reflected-float"),
             pytest.param(lambda: _spec_with(reflected={True}), id="reflected-bool"),
             pytest.param(lambda: _spec_with(reflected={"1"}), id="reflected-str"),
+            pytest.param(lambda: _spec_with(chords=((2, 1),)), id="chord-tuple"),
         ],
     )
     def test_rejected(self, make):
