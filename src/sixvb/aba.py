@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .contraction import boundary_line_invariant, line_invariant
 from .errors import DegenerateSpecError, PoleError
-from .exact import rational
+from .exact import _strict, rational
 from .lattice import (
     BetheRootSet,
     Chord,
@@ -31,8 +31,11 @@ from .lattice import (
 )
 from .monodromy import (
     QuantumState,
-    apply_open_b,
+    _from_sparse,
+    _open_b,
+    _to_sparse,
     aux_block,
+    chain_data,
     double_row,
     double_row_on_state,
     external_component,
@@ -62,12 +65,13 @@ def bethe_state(spec: LatticeSpec, roots: Sequence) -> QuantumState:
     DegenerateSpecError when the state vanishes identically.
     """
     zs = tuple(rational(z, "root") for z in roots)
-    state = reference_state(spec)
+    chain = chain_data(spec)
+    vec, scale = _to_sparse(reference_state(spec).amplitudes)
     for z in reversed(zs):
-        state = apply_open_b(spec, z, state)
-    if state.is_zero() and zs:
+        vec, scale = _open_b(chain, z, vec, scale)
+    if not vec:
         raise DegenerateSpecError("creation-operator product annihilated the reference state")
-    return state
+    return _from_sparse(spec.length, vec, scale)
 
 
 def solve_aba(spec: LatticeSpec) -> AbaResult:
@@ -175,7 +179,7 @@ def unwanted_terms(spec: LatticeSpec, z, k: int, roots: Optional[Sequence] = Non
     z = rational(z, "z")
     roots = canonical_bethe_roots(spec).roots if roots is None else roots
     zs = tuple(rational(zi, "root") for zi in roots)
-    if not (1 <= k <= len(zs)):
+    if not (1 <= _strict(k, (int,), "k") <= len(zs)):
         raise ValueError(f"k must lie in 1..{len(zs)}")
     zk = zs[k - 1]
     ev = vacuum_eigenvalues(spec, zk)
@@ -203,7 +207,7 @@ def unwanted_terms_from_fcr(
     z = rational(z, "z")
     roots = canonical_bethe_roots(spec).roots if roots is None else roots
     zs = tuple(rational(zi, "root") for zi in roots)
-    if not (1 <= k <= len(zs)):
+    if not (1 <= _strict(k, (int,), "k") <= len(zs)):
         raise ValueError(f"k must lie in 1..{len(zs)}")
     zk = zs[k - 1]
     ev = vacuum_eigenvalues(spec, zk)
@@ -304,7 +308,7 @@ def check_reduction(spec: LatticeSpec, m: int, extra_roots: Sequence) -> bool:
     remaining m-1 roots) tensor (two-site invariant scaled by h).  Also
     verifies that components with unequal labels on the pair vanish.
     """
-    if len(extra_roots) != m - 1:
+    if len(extra_roots) != _strict(m, (int,), "magnon number") - 1:
         raise ValueError(f"need {m - 1} extra roots for magnon number {m}")
     extra = tuple(rational(z, "root") for z in extra_roots)
     theta1 = spec.rapidities[0]

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
 from .errors import PoleError
-from .exact import rational
+from .exact import _strict, rational
 from .lattice import (
     ExternalConfig,
     LatticeSpec,
@@ -111,7 +111,7 @@ class WaveEngine:
         self.v = tuple(rational(x, "inhomogeneity") for x in v)
         self.roots = tuple(rational(z, "root") for z in roots)
         self.q = rational(q, "q")
-        self.length = length
+        self.length = _strict(length, (int,), "chain length")
         # image 2j is z_j and image 2j + 1 its reflection -z_j - 1
         self._images = tuple(w for z in self.roots for w in (z, -z - 1))
         # Every pair of images of distinct roots meets in some term of the

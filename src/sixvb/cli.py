@@ -146,7 +146,10 @@ def cmd_bench(args) -> int:
         print(
             f"{n:>2} {2 * n:>3} {t['direct']:>10.4f} {t['aba']:>10.4f} {t['cba']:>10.4f}"
         )
-    print("# direct and aba build a 2^(2N)-amplitude state; the cba DP has up to 3^N states")
+    print(
+        "# direct and aba hold only the ice-rule sector of a 2^(2N)-amplitude state"
+        " while building it; the cba DP has up to 3^N states"
+    )
     return EXIT_OK
 
 

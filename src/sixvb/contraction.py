@@ -10,6 +10,13 @@ rotation S at whichever sites hold an end point; in closed form that is
 end point and X = S^{-1} (x) S otherwise.  The overall scalar picked up
 along the way is irrelevant because the partition function is a ratio of
 components.
+
+The weave runs fraction-free on a sparse state: a dict from index to
+nonzero ``int`` and one exact ``Fraction`` scale, the convention of
+:mod:`sixvb.monodromy`.  With D the lcm of the denominators of the
+inhomogeneities, every theta is Theta/D for an integer Theta, so a move
+applies ``Theta P + D X`` to the integers and multiplies the scale by
+1/(Theta + D).  One ``Fraction`` is formed per nonzero output value.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import PoleError
@@ -29,7 +37,7 @@ from .lattice import (
     is_initial,
     sweep,
 )
-from .monodromy import QuantumState, external_component
+from .monodromy import QuantumState, _from_sparse, external_component
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -49,23 +57,31 @@ def boundary_line_invariant(theta, q) -> QuantumState:
     return QuantumState(2, (_F1, _F0, _F0, (q - theta) / (q + theta)))
 
 
-def initial_invariant(spec: LatticeSpec) -> QuantumState:
-    """Tensor product of two-site invariants for the nested pairing.
+def _initial_sparse(spec: LatticeSpec) -> tuple:
+    """The nested-pairing invariant as a pair (dict from index to int, scale).
 
     Line k occupies sites (2(N-k)+1, 2(N-k)+2), so line N fills the most
-    significant pair and line 1 the least significant one.
+    significant pair and line 1 the least significant one.  A reflected
+    line enters as the integers (r.denominator, r.numerator) at (1,1) and
+    (2,2), r its reflection weight, and 1/r.denominator goes into the scale.
     """
     if not is_initial(spec):
         raise ValueError("initial invariant requires the nested pairing")
-    amps = [_F1]
+    vec, den = {0: 1}, 1
     for k in range(spec.n, 0, -1):
-        local = (
-            boundary_line_invariant(spec.rapidities[k - 1], spec.boundary_q)
-            if spec.is_reflected(k)
-            else line_invariant()
-        )
-        amps = [a * b for a in amps for b in local.amplitudes]
-    return QuantumState(spec.length, tuple(amps))
+        if spec.is_reflected(k):
+            r = boundary_line_invariant(spec.rapidities[k - 1], spec.boundary_q).amplitudes[3]
+            local = ((0, r.denominator), (3, r.numerator))
+            den *= r.denominator
+        else:
+            local = ((0, 1), (3, 1))
+        vec = {(i << 2) | j: x * y for i, x in vec.items() for j, y in local if y}
+    return vec, Fraction(1, den)
+
+
+def initial_invariant(spec: LatticeSpec) -> QuantumState:
+    """Tensor product of two-site invariants for the nested pairing."""
+    return _from_sparse(spec.length, *_initial_sparse(spec))
 
 
 @dataclass(frozen=True)
@@ -129,29 +145,33 @@ def plan_moves(spec: LatticeSpec, lowest_first: bool = False) -> MoveSequence:
     return MoveSequence(moves=tuple(moves), source=source, target=spec)
 
 
-def _apply_move(amps, length, p, theta, one_end):
-    """One endpoint swap ``(theta P + X)/(theta + 1)`` on sites (p, p+1), in place.
+def _apply_move(vec: dict, length: int, p: int, theta: int, d: int, one_end: bool) -> dict:
+    """One endpoint swap on sites (p, p+1) of an integer vector, as a new vector.
 
-    X is the identity unless exactly one of the two sites holds an end point;
-    then X = S^{-1} (x) S sends |11> -> -|22>, |22> -> -|11> and swaps |12>, |21>.
+    With theta the crossing argument scaled by d, the swap is
+    ``(theta P + d X)/(theta + d)``; this applies its numerator, so the
+    caller moves 1/(theta + d) into the scale.  X is the identity unless
+    exactly one of the two sites holds an end point; then X = S^{-1} (x) S
+    sends |11> -> -|22>, |22> -> -|11> and swaps |12>, |21>.  Either way an
+    amplitude feeds only itself and its partner with both sites flipped.
     """
-    if theta == -1:
+    if theta + d == 0:
         raise PoleError("crossing factor evaluated at its pole theta = -1")
-    d = theta + 1
     lo = 1 << (length - p - 1)
     hi = lo << 1
-    for base in range(0, 1 << length, hi << 1):
-        for i11 in range(base, base + lo):
-            i12, i21, i22 = i11 | lo, i11 | hi, i11 | hi | lo
-            a12, a21 = amps[i12], amps[i21]
-            if one_end:
-                a11, a22 = amps[i11], amps[i22]
-                amps[i11] = (theta * a11 - a22) / d
-                amps[i22] = (theta * a22 - a11) / d
-                amps[i12], amps[i21] = a21, a12
-            else:
-                amps[i12] = (theta * a21 + a12) / d
-                amps[i21] = (theta * a12 + a21) / d
+    both = hi | lo
+    # (self, partner) coefficients for equal (|11>, |22>) and mixed site states
+    equal, mixed = ((theta, -d), (0, theta + d)) if one_end else ((theta + d, 0), (d, theta))
+    coeffs = {0: equal, both: equal, hi: mixed, lo: mixed}
+    out = {}
+    for i, x in vec.items():
+        c_self, c_pair = coeffs[i & both]
+        if c_self:
+            out[i] = out.get(i, 0) + c_self * x
+        if c_pair:
+            j = i ^ both
+            out[j] = out.get(j, 0) + c_pair * x
+    return {i: x for i, x in out.items() if x}
 
 
 def build_invariant(spec: LatticeSpec, plan: Optional[MoveSequence] = None) -> QuantumState:
@@ -162,7 +182,9 @@ def build_invariant(spec: LatticeSpec, plan: Optional[MoveSequence] = None) -> Q
     ``swap . C R(theta) C^{-1}`` (X = S^{-1} (x) S when exactly one of the
     two sites holds an end point, else X = I); the inhomogeneity
     bookkeeping then travels with the endpoints.  The state is exact
-    throughout; its overall normalization is arbitrary.
+    throughout: an integer vector and one scale, with every theta scaled
+    by d, the lcm of the denominators of the inhomogeneities.  Its overall
+    normalization is arbitrary.
     """
     if plan is None:
         plan = plan_moves(spec)
@@ -170,21 +192,25 @@ def build_invariant(spec: LatticeSpec, plan: Optional[MoveSequence] = None) -> Q
     owner, v = _endpoint_layout(source)
     owner = list(owner)
     length = spec.length
-    amps = list(initial_invariant(source).amplitudes)
+    d = lcm(*(x.denominator for x in v))
+    vec, scale = _initial_sparse(source)
+    den = 1
 
     for move in plan.moves:
         p = move.position
         theta = v[p] - v[p - 1]
         if theta != move.argument:
             raise ValueError("move plan inconsistent with inhomogeneity bookkeeping")
-        _apply_move(amps, length, p, theta, owner[p - 1][1] != owner[p][1])
+        theta_d = int(theta * d)
+        vec = _apply_move(vec, length, p, theta_d, d, owner[p - 1][1] != owner[p][1])
+        den *= theta_d + d
         owner[p - 1], owner[p] = owner[p], owner[p - 1]
         v[p - 1], v[p] = v[p], v[p - 1]
 
     target_owner, target_v = _endpoint_layout(spec)
     if owner != list(target_owner) or v != list(target_v):
         raise ValueError("move plan did not reach the target pairing")
-    return QuantumState(length, tuple(amps))
+    return _from_sparse(length, vec, scale / den)
 
 
 def z_direct(spec: LatticeSpec, config: ExternalConfig) -> Fraction:

@@ -14,19 +14,29 @@ and ``_double_row`` for M K Mhat), carries every monodromy action: a
 creation operator is the top slot of the column (0, v), the four blocks on
 a state come from the columns (v, 0) and (0, v), and the dense
 ``single_row``/``double_row`` operators are assembled from one column per
-basis vector.  ``lax_embed`` embeds the 4x4 local block of
-:func:`sixvb.weights.lax_matrix` into the full space; it is kept only as an
-independent reference for tests.
+basis vector.
+
+The primitive is fraction-free and sparse.  A chain vector is a pair: a
+dict from index to nonzero ``int``, and one exact ``Fraction`` scale
+(``_to_sparse`` and ``_from_sparse`` convert at the boundary).  With D the
+lcm of the denominators of z, the inhomogeneities and q, a site factor with
+weights w, w+1 and 1 enters as the integers D w, D w + D and D, and the
+boundary as (D q + D z, D q - D z); each power of D goes into the scale.
+The monodromy conserves the magnon count, so a column stays in few charge
+sectors and only their amplitudes are ever stored.  ``lax_embed`` embeds
+the 4x4 local block of :func:`sixvb.weights.lax_matrix` into the full
+space; it is kept only as an independent reference for tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import PoleError
-from .exact import ExactMatrix, rational
+from .exact import ExactMatrix, _strict, rational
 from .lattice import (
     ExternalConfig,
     LatticeSpec,
@@ -56,6 +66,7 @@ class QuantumState:
     amplitudes: tuple
 
     def __post_init__(self):
+        _strict(self.length, (int,), "chain length")
         amps = tuple(
             a if type(a) is Fraction else rational(a, "amplitude") for a in self.amplitudes
         )
@@ -82,6 +93,34 @@ class QuantumState:
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.amplitudes)
+
+
+def _to_sparse(amplitudes) -> tuple:
+    """Amplitudes as a pair (dict from index to nonzero int, Fraction scale).
+
+    The scale is one over the lcm of the denominators, so the amplitudes
+    are ``scale * vec[i]`` (0 where i is absent).
+    """
+    den = lcm(*(a.denominator for a in amplitudes if a))
+    vec = {i: a.numerator * (den // a.denominator) for i, a in enumerate(amplitudes) if a}
+    return vec, Fraction(1, den)
+
+
+def _primitive(vec: dict, scale: Fraction) -> tuple:
+    """The same pair with the content gcd of ``vec`` moved into the scale."""
+    g = gcd(*vec.values())
+    if g > 1:
+        return {i: x // g for i, x in vec.items()}, scale * g
+    return vec, scale
+
+
+def _from_sparse(length: int, vec: dict, scale: Fraction) -> QuantumState:
+    """The exact state ``scale * vec``: one Fraction per nonzero amplitude."""
+    vec, scale = _primitive(vec, scale)
+    amps = [_F0] * (1 << length)
+    for i, x in vec.items():
+        amps[i] = scale * x
+    return QuantumState(length, tuple(amps))
 
 
 def states_proportional(u: QuantumState, v: QuantumState) -> bool:
@@ -113,6 +152,7 @@ class ChainData:
     v: tuple
     conjugate: tuple
     q: Fraction
+    denominator: int  # lcm of the denominators of v and q
 
 
 def chain_data(spec: LatticeSpec) -> ChainData:
@@ -120,7 +160,9 @@ def chain_data(spec: LatticeSpec) -> ChainData:
     conj = [False] * spec.length
     for chord in spec.chords:
         conj[chord.end - 1] = True
-    return ChainData(spec.length, v, tuple(conj), spec.boundary_q)
+    q = spec.boundary_q
+    denominator = lcm(q.denominator, *(x.denominator for x in v))
+    return ChainData(spec.length, v, tuple(conj), q, denominator)
 
 
 # -- eigenvalue functions -----------------------------------------------------
@@ -185,62 +227,85 @@ def reference_state(spec: LatticeSpec) -> QuantumState:
     return QuantumState(length, tuple(amps))
 
 
-# -- fast state-application engine --------------------------------------------
+# -- sparse integer kernel ----------------------------------------------------
 
-def _lax_column(a, b, length, site, w, conjugate):
-    """Apply one local factor to an auxiliary column (a, b) of chain vectors."""
-    size = 1 << length
-    mask = 1 << (length - site)
-    wp1 = w + 1
-    a2 = [None] * size
-    b2 = [None] * size
-    for i0 in range(size):
-        if i0 & mask:
-            continue
-        i1 = i0 | mask
-        x0 = a[i0]
-        x1 = a[i1]
-        y0 = b[i0]
-        y1 = b[i1]
-        if conjugate:
-            a2[i0] = w * x0 - y1
-            a2[i1] = wp1 * x1
-            b2[i0] = wp1 * y0
-            b2[i1] = w * y1 - x0
-        else:
-            a2[i0] = wp1 * x0
-            a2[i1] = w * x1 + y0
-            b2[i0] = w * y0 + x1
-            b2[i1] = wp1 * y1
-    return a2, b2
+def _lax_column(a, b, mask, w, d, conjugate):
+    """Apply d times one local factor to an integer column (a, b).
+
+    The factor's weights are w/d, w/d + 1 and 1, so its entries scaled by d
+    are the integers w, w + d and d; ``mask`` is the bit of the site.  Zero
+    entries are dropped.
+    """
+    wd = w + d
+    if conjugate:
+        a2 = {i: (wd if i & mask else w) * x for i, x in a.items()}
+        b2 = {i: (w if i & mask else wd) * y for i, y in b.items()}
+        for i, y in b.items():
+            if i & mask:
+                j = i ^ mask
+                a2[j] = a2.get(j, 0) - d * y
+        for i, x in a.items():
+            if not i & mask:
+                j = i | mask
+                b2[j] = b2.get(j, 0) - d * x
+    else:
+        a2 = {i: (w if i & mask else wd) * x for i, x in a.items()}
+        b2 = {i: (wd if i & mask else w) * y for i, y in b.items()}
+        for i, y in b.items():
+            if not i & mask:
+                j = i | mask
+                a2[j] = a2.get(j, 0) + d * y
+        for i, x in a.items():
+            if i & mask:
+                j = i ^ mask
+                b2[j] = b2.get(j, 0) + d * x
+    return {i: x for i, x in a2.items() if x}, {i: y for i, y in b2.items() if y}
 
 
-def _row(a, b, chain: ChainData, z, hat: bool):
-    """Left-multiply one auxiliary column (a, b) by a conjugated row product."""
+def _sites(a, b, chain: ChainData, z: Fraction, d: int, hat: bool):
+    """d^L times a conjugated row product on an integer column; d z and d v are integers."""
     length = chain.length
-    sites = range(1, length + 1) if hat else range(length, 0, -1)
-    for site in sites:
-        w = z + chain.v[site - 1] if hat else z - chain.v[site - 1]
-        a, b = _lax_column(a, b, length, site, w, chain.conjugate[site - 1])
+    zd = int(z * d)
+    for site in range(1, length + 1) if hat else range(length, 0, -1):
+        vd = int(chain.v[site - 1] * d)
+        a, b = _lax_column(
+            a, b, 1 << (length - site), zd + vd if hat else zd - vd, d, chain.conjugate[site - 1]
+        )
     return a, b
 
 
-def _double_row(a, b, chain: ChainData, z):
-    """Left-multiply one auxiliary column (a, b) by the double row M K Mhat."""
-    a, b = _row(a, b, chain, z, hat=True)
-    q = chain.q
-    a = [(q + z) * x for x in a]
-    b = [(q - z) * x for x in b]
-    return _row(a, b, chain, z, hat=False)
+def _row(a, b, chain: ChainData, z: Fraction, hat: bool):
+    """Left-multiply an integer column (a, b) by a conjugated row product.
+
+    Returns (a', b', f): the product applied to (a, b) is f (a', b').
+    """
+    d = lcm(z.denominator, chain.denominator)
+    a, b = _sites(a, b, chain, z, d, hat)
+    return a, b, Fraction(1, d**chain.length)
 
 
-def _blocks_on_state(length: int, apply, vec):
+def _double_row(a, b, chain: ChainData, z: Fraction):
+    """Left-multiply an integer column (a, b) by the double row M K Mhat.
+
+    Returns (a', b', f) as :func:`_row` does; the boundary enters as the
+    integers (Q + Z, Q - Z), the boundary parameter and z scaled by d.
+    """
+    d = lcm(z.denominator, chain.denominator)
+    a, b = _sites(a, b, chain, z, d, hat=True)
+    qd, zd = int(chain.q * d), int(z * d)
+    a = {i: (qd + zd) * x for i, x in a.items()} if qd + zd else {}
+    b = {i: (qd - zd) * y for i, y in b.items()} if qd - zd else {}
+    a, b = _sites(a, b, chain, z, d, hat=False)
+    return a, b, Fraction(1, d ** (2 * chain.length + 1))
+
+
+def _blocks_on_state(apply, state: QuantumState):
     """``[[A v, B v], [C v, D v]]`` from the two auxiliary columns (v, 0), (0, v)."""
-    zero = [_F0] * len(vec)
-    (av, cv), (bv, dv) = apply(vec, zero), apply(zero, vec)
+    vec, scale = _to_sparse(state.amplitudes)
+    (av, cv, f), (bv, dv, _) = apply(vec, {}), apply({}, vec)
     return [
-        [QuantumState(length, tuple(av)), QuantumState(length, tuple(bv))],
-        [QuantumState(length, tuple(cv)), QuantumState(length, tuple(dv))],
+        [_from_sparse(state.length, x, scale * f) for x in (av, bv)],
+        [_from_sparse(state.length, x, scale * f) for x in (cv, dv)],
     ]
 
 
@@ -251,33 +316,38 @@ def single_row_on_state(spec: LatticeSpec, z, hat: bool, state: QuantumState):
     block(r+1, c+1) |state>.
     """
     chain, z = chain_data(spec), rational(z, "z")
-    return _blocks_on_state(chain.length, lambda a, b: _row(a, b, chain, z, hat), state.amplitudes)
+    return _blocks_on_state(lambda a, b: _row(a, b, chain, z, hat), state)
 
 
 def double_row_on_state(spec: LatticeSpec, z, state: QuantumState):
     """Blocks of the double-row monodromy applied to a state (2x2 nested list)."""
     chain, z = chain_data(spec), rational(z, "z")
-    return _blocks_on_state(chain.length, lambda a, b: _double_row(a, b, chain, z), state.amplitudes)
+    return _blocks_on_state(lambda a, b: _double_row(a, b, chain, z), state)
+
+
+def _open_b(chain: ChainData, z: Fraction, vec: dict, scale: Fraction):
+    """The creation operator B(z) on the state ``scale * vec``, as a new pair.
+
+    Only the second auxiliary column feeds block (1, 2), so one column is
+    tracked.  The content gcd of the result moves into its scale.
+    """
+    bv, _, f = _double_row({}, vec, chain, z)
+    return _primitive(bv, scale * f)
 
 
 def apply_open_b(spec: LatticeSpec, z, state: QuantumState) -> QuantumState:
-    """Apply the open-chain creation operator at parameter z to a state.
-
-    Only the second auxiliary column feeds block (1, 2), so one column is
-    tracked.
-    """
+    """Apply the open-chain creation operator at parameter z to a state."""
     chain = chain_data(spec)
-    zero = [_F0] * len(state.amplitudes)
-    bv, _ = _double_row(zero, state.amplitudes, chain, rational(z, "z"))
-    return QuantumState(chain.length, tuple(bv))
+    bv, scale = _open_b(chain, rational(z, "z"), *_to_sparse(state.amplitudes))
+    return _from_sparse(chain.length, bv, scale)
 
 
 def apply_closed_b(spec: LatticeSpec, z, state: QuantumState) -> QuantumState:
     """Apply the closed-chain (single-row) creation block to a state."""
     chain = chain_data(spec)
-    zero = [_F0] * len(state.amplitudes)
-    bv, _ = _row(zero, state.amplitudes, chain, rational(z, "z"), hat=False)
-    return QuantumState(chain.length, tuple(bv))
+    vec, scale = _to_sparse(state.amplitudes)
+    bv, _, f = _row({}, vec, chain, rational(z, "z"), hat=False)
+    return _from_sparse(chain.length, bv, scale * f)
 
 
 # -- dense operators ----------------------------------------------------------
@@ -301,14 +371,12 @@ def _assemble(length: int, apply) -> ExactMatrix:
     """Dense operator on (auxiliary leg, chain) whose column (c, j) is
     ``apply`` on the auxiliary column holding e_j in slot c (0 top, 1 bottom)."""
     size = 1 << length
-    zero = [_F0] * size
     cols = []
     for c in (0, 1):
         for j in range(size):
-            e = [_F0] * size
-            e[j] = _F1
-            top, bottom = apply(e, zero) if c == 0 else apply(zero, e)
-            cols.append(top + bottom)
+            top, bottom, f = apply({j: 1}, {}) if c == 0 else apply({}, {j: 1})
+            column = {**top, **{size + i: y for i, y in bottom.items()}}
+            cols.append(_from_sparse(length + 1, column, f).amplitudes)
     return ExactMatrix(tuple(zip(*cols)))
 
 

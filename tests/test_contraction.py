@@ -27,8 +27,15 @@ from sixvb.lattice import (
     inhomogeneities,
     reference_config,
 )
-from sixvb.monodromy import aux_block, lax_embed, states_proportional
-from sixvb.sampling import random_spec
+from sixvb.monodromy import (
+    QuantumState,
+    _from_sparse,
+    _to_sparse,
+    aux_block,
+    lax_embed,
+    states_proportional,
+)
+from sixvb.sampling import random_ice_config, random_pairing, random_q, random_spec, random_theta
 from sixvb.weights import PERMUTATION, S_MATRIX, embed_pair, k_matrix, r_matrix
 
 
@@ -260,12 +267,15 @@ class TestMoveAgainstLiteralProduct:
         length, p, theta = 4, 2, F(5, 17)
         amps = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(1 << length)]
         want = embed_pair(_literal_move(theta, ends), length, (p - 1, p)) @ _column(amps)
-        contraction._apply_move(amps, length, p, theta, ends[0] != ends[1])
-        assert _column(amps) == want
+        vec, scale = _to_sparse(amps)
+        d = theta.denominator
+        theta_d = theta.numerator
+        out = contraction._apply_move(vec, length, p, theta_d, d, ends[0] != ends[1])
+        assert _column(_from_sparse(length, out, scale / (theta_d + d)).amplitudes) == want
 
     def test_pole(self):
         with pytest.raises(PoleError, match="theta = -1"):
-            contraction._apply_move([F(0)] * 16, 4, 2, F(-1), True)
+            contraction._apply_move({}, 4, 2, -1, 1, True)
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("lowest_first", [False, True])
@@ -285,6 +295,51 @@ class TestMoveAgainstLiteralProduct:
                 ends[p - 1], ends[p] = ends[p], ends[p - 1]
                 v[p - 1], v[p] = v[p], v[p - 1]
             assert _column(build_invariant(spec, plan).amplitudes) == state
+
+
+def _dense_weave(spec, plan) -> QuantumState:
+    """Reference: the literal 4x4 move applied pair by pair to a dense Fraction state."""
+    source, length = plan.source, spec.length
+    amps = [F(1)]
+    for k in range(spec.n, 0, -1):
+        theta, q = source.rapidities[k - 1], source.boundary_q
+        corner = (q - theta) / (q + theta) if source.is_reflected(k) else F(1)
+        amps = [a * b for a in amps for b in (F(1), F(0), F(0), corner)]
+    v = list(inhomogeneities(source))
+    ends = [False] * length
+    for chord in source.chords:
+        ends[chord.end - 1] = True
+    for move in plan.moves:
+        p = move.position
+        op = _literal_move(v[p] - v[p - 1], (ends[p - 1], ends[p]))
+        lo = 1 << (length - p - 1)
+        hi = lo << 1
+        for i in range(1 << length):
+            if not i & (hi | lo):
+                quad = (i, i | lo, i | hi, i | hi | lo)
+                old = [amps[j] for j in quad]
+                for r, j in enumerate(quad):
+                    amps[j] = sum(op[r, c] * old[c] for c in range(4))
+        ends[p - 1], ends[p] = ends[p], ends[p - 1]
+        v[p - 1], v[p] = v[p], v[p - 1]
+    return QuantumState(length, tuple(amps))
+
+
+class TestSparseWeaveAgainstDenseReference:
+    """The integer weave equals the dense weave of literal moves, normalisation included."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_build_invariant(self, n):
+        for seed in (101, 9001):
+            spec = random_spec(random.Random(seed), n)
+            for lowest_first in (False, True):
+                plan = plan_moves(spec, lowest_first=lowest_first)
+                assert build_invariant(spec, plan) == _dense_weave(spec, plan)
+
+    def test_initial_invariant(self):
+        for seed in range(4):
+            spec = random_spec(random.Random(seed), 3, initial=True)
+            assert initial_invariant(spec) == _dense_weave(spec, plan_moves(spec))
 
 
 class TestZDirect:
@@ -319,3 +374,34 @@ class TestZDirect:
                 for c in configs
             ]
             assert table_high == table_low
+
+
+def _seven_line_spec() -> LatticeSpec:
+    """An N=7 lattice drawn like ``random_spec``, whose draws stop at six lines.
+
+    The rapidity denominators are primes coprime to the boundary's 29, so
+    the genericity conditions hold for the same reason as in ``sampling``.
+    """
+    rng = random.Random(108)
+    n = 7
+    reflected = frozenset(k for k in range(1, n + 1) if rng.random() < 0.5)
+    chords = random_pairing(rng, n)
+    denoms = rng.sample((7, 11, 13, 17, 19, 23, 31, 37, 41, 43, 47, 53), n)
+    return LatticeSpec(
+        chords=chords,
+        reflected=reflected,
+        rapidities=tuple(random_theta(rng, d) for d in denoms),
+        boundary_q=random_q(rng),
+    )
+
+
+def test_three_routes_agree_at_seven_lines():
+    spec = _seven_line_spec()
+    configs = list(all_configs(spec.n))
+    direct = z_direct_table(spec, configs)
+    assert len(direct) == 16384 and any(x not in (0, 1) for x in direct)
+    assert z_aba_table(spec, configs) == direct
+    rng = random.Random(7)
+    sample = [random_ice_config(rng, spec) for _ in range(100)]
+    index = {config: i for i, config in enumerate(configs)}
+    assert z_cba_table(spec, sample) == [direct[index[config]] for config in sample]

@@ -152,6 +152,27 @@ class TestRationalGate:
         assert weights.r_matrix(2) == weights.r_matrix(F(2))
 
 
+class TestIntegerGate:
+    """Chain lengths, root indices and magnon numbers must be ints; a bool is not one."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: QuantumState(True, (1, 0)), id="state-length-bool"),
+            pytest.param(lambda: QuantumState(1.0, (1, 0)), id="state-length-float"),
+            pytest.param(
+                lambda: cba.WaveEngine((F(1, 3),) * 2, (F(1, 5),), F(2, 7), 2.5), id="engine-length"
+            ),
+            pytest.param(lambda: aba.unwanted_terms(_FIG, F(1, 3), True), id="unwanted-k"),
+            pytest.param(lambda: aba.unwanted_terms_from_fcr(_FIG, F(1, 3), 1.0), id="fcr-k"),
+            pytest.param(lambda: aba.check_reduction(_FIG, True, ()), id="reduction-m"),
+        ],
+    )
+    def test_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+
 def _coercions(tree) -> list:
     """Line numbers of ``Fraction(x)`` calls whose one argument is not a numeric literal."""
 

@@ -6,7 +6,13 @@ import pytest
 from sixvb.errors import PoleError
 from sixvb.exact import ExactMatrix
 from sixvb.fixtures import figure_lattice
-from sixvb.lattice import Chord, ExternalConfig, LatticeSpec, reference_config
+from sixvb.lattice import (
+    Chord,
+    ExternalConfig,
+    LatticeSpec,
+    canonical_bethe_roots,
+    reference_config,
+)
 from sixvb import monodromy
 from sixvb.monodromy import (
     QuantumState,
@@ -239,6 +245,119 @@ class TestCreationKernelConsistency:
             z = random_z(rng)
             assert apply_open_b(spec, z, state) == double_row_on_state(spec, z, state)[0][1]
             assert apply_closed_b(spec, z, state) == single_row_on_state(spec, z, False, state)[0][1]
+
+
+def _dense_lax_column(a, b, length, site, w, conjugate):
+    """Reference: one local factor on a dense Fraction column (a, b), every product formed."""
+    size = 1 << length
+    mask = 1 << (length - site)
+    wp1 = w + 1
+    a2 = [None] * size
+    b2 = [None] * size
+    for i0 in range(size):
+        if i0 & mask:
+            continue
+        i1 = i0 | mask
+        x0, x1, y0, y1 = a[i0], a[i1], b[i0], b[i1]
+        if conjugate:
+            a2[i0] = w * x0 - y1
+            a2[i1] = wp1 * x1
+            b2[i0] = wp1 * y0
+            b2[i1] = w * y1 - x0
+        else:
+            a2[i0] = wp1 * x0
+            a2[i1] = w * x1 + y0
+            b2[i0] = w * y0 + x1
+            b2[i1] = wp1 * y1
+    return a2, b2
+
+
+def _dense_row(a, b, chain, z, hat):
+    length = chain.length
+    for site in range(1, length + 1) if hat else range(length, 0, -1):
+        w = z + chain.v[site - 1] if hat else z - chain.v[site - 1]
+        a, b = _dense_lax_column(a, b, length, site, w, chain.conjugate[site - 1])
+    return a, b
+
+
+def _dense_double_row(a, b, chain, z):
+    a, b = _dense_row(a, b, chain, z, hat=True)
+    a = [(chain.q + z) * x for x in a]
+    b = [(chain.q - z) * x for x in b]
+    return _dense_row(a, b, chain, z, hat=False)
+
+
+def _dense_blocks(state, apply):
+    amps = list(state.amplitudes)
+    zero = [F(0)] * len(amps)
+    (av, cv), (bv, dv) = apply(amps, zero), apply(zero, amps)
+    return [
+        [QuantumState(state.length, tuple(av)), QuantumState(state.length, tuple(bv))],
+        [QuantumState(state.length, tuple(cv)), QuantumState(state.length, tuple(dv))],
+    ]
+
+
+def _dense_bethe_state(spec, roots):
+    chain = monodromy.chain_data(spec)
+    amps = list(reference_state(spec).amplitudes)
+    zero = [F(0)] * len(amps)
+    for z in reversed(roots):
+        amps, _ = _dense_double_row(zero, amps, chain, z)
+    return QuantumState(spec.length, tuple(amps))
+
+
+def _random_dense_state(rng, length):
+    """Mixed denominators, about a third of the entries zero."""
+    return QuantumState(
+        length,
+        tuple(
+            F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 12, 29))) if rng.random() < 0.7 else F(0)
+            for _ in range(1 << length)
+        ),
+    )
+
+
+class TestSparseKernelAgainstDenseReference:
+    """The sparse integer kernel equals the dense Fraction kernel it replaced,
+    entry for entry, normalisation included."""
+
+    Z_VALUES = (F(-7, 5), F(-3, 193), F(5, 12), F(2))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_random_states(self, n):
+        rng = random.Random(900 + n)
+        spec = random_spec(rng, n)
+        chain = monodromy.chain_data(spec)
+        for z in self.Z_VALUES:
+            state = _random_dense_state(rng, 2 * n)
+            double = _dense_blocks(state, lambda a, b: _dense_double_row(a, b, chain, z))
+            assert double_row_on_state(spec, z, state) == double
+            assert apply_open_b(spec, z, state) == double[0][1]
+            for hat in (False, True):
+                single = _dense_blocks(state, lambda a, b: _dense_row(a, b, chain, z, hat))
+                assert single_row_on_state(spec, z, hat, state) == single
+                if not hat:
+                    assert apply_closed_b(spec, z, state) == single[0][1]
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_zero_state_stays_zero(self, n):
+        spec = random_spec(random.Random(950 + n), n)
+        zero = QuantumState(2 * n, (F(0),) * 4**n)
+        z = F(-3, 8)
+        assert apply_open_b(spec, z, zero) == zero
+        assert apply_closed_b(spec, z, zero) == zero
+        assert all(block == zero for row in double_row_on_state(spec, z, zero) for block in row)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_bethe_state(self, n):
+        from sixvb.aba import bethe_state, solve_aba
+
+        for seed in (101, 9001):
+            spec = random_spec(random.Random(seed), n)
+            roots = canonical_bethe_roots(spec).roots
+            assert solve_aba(spec).bethe_state == _dense_bethe_state(spec, roots)
+        off_shell = tuple(F(k, 17) - 1 for k in range(1, n + 1))
+        assert bethe_state(spec, off_shell) == _dense_bethe_state(spec, off_shell)
 
 
 class TestDoubleRow:
