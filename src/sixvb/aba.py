@@ -31,17 +31,17 @@ from .lattice import (
 )
 from .monodromy import (
     QuantumState,
+    _Blocks,
+    _combine,
+    _double_row_kernel,
     _from_sparse,
     _open_b,
     _to_sparse,
-    aux_block,
     chain_data,
-    double_row,
     double_row_on_state,
     external_component,
     lambda_value,
     reference_state,
-    shifted_d_block,
     vacuum_eigenvalues,
     xi_value,
 )
@@ -227,35 +227,31 @@ def check_fcr_open(spec: LatticeSpec, x, y) -> bool:
 
     [B(x), B(y)] = 0,
     A(x)B(y)  = h_A B(y)A(x)  + g_A B(x)A(y) + g_D B(x)Dt(y),
-    Dt(x)B(y) = h_D B(y)Dt(x) + k_A B(x)A(y) + k_D B(x)Dt(y).
+    Dt(x)B(y) = h_D B(y)Dt(x) + k_A B(x)A(y) + k_D B(x)Dt(y),
 
-    Dense block products; intended for short chains.
+    with Dt(z) = D(z) - A(z)/(2z+1), checked on every basis vector.
     """
     x, y = rational(x, "x"), rational(y, "y")
-    ux = double_row(spec, x)
-    uy = double_row(spec, y)
-    bx, by = aux_block(ux, 0, 1), aux_block(uy, 0, 1)
-    if bx @ by != by @ bx:
-        return False
-    ax, ay = aux_block(ux, 0, 0), aux_block(uy, 0, 0)
-    dtx = shifted_d_block(ux, x)
-    dty = shifted_d_block(uy, y)
-    bx_ay = bx @ ay
-    bx_dty = bx @ dty
-    rel_a = (
-        ax @ by
-        == (by @ ax).scale(h_a_coeff(x, y))
-        + bx_ay.scale(g_a_coeff(x, y))
-        + bx_dty.scale(g_dt_coeff(x, y))
-    )
-    if not rel_a:
-        return False
-    return (
-        dtx @ by
-        == (by @ dtx).scale(h_dt_coeff(x, y))
-        + bx_ay.scale(k_a_coeff(x, y))
-        + bx_dty.scale(k_dt_coeff(x, y))
-    )
+    if 2 * x + 1 == 0 or 2 * y + 1 == 0:
+        raise PoleError("shifted D block has a pole at z = -1/2")
+    sx, sy = 1 / (2 * x + 1), 1 / (2 * y + 1)
+    h_a, g_a, g_dt = h_a_coeff(x, y), g_a_coeff(x, y), g_dt_coeff(x, y)
+    h_dt, k_a, k_dt = h_dt_coeff(x, y), k_a_coeff(x, y), k_dt_coeff(x, y)
+    ux, uy = _Blocks(_double_row_kernel(spec, x)), _Blocks(_double_row_kernel(spec, y))
+    for j in range(1 << spec.length):
+        e = {j: 1}
+        ax, by = ux(0, 0, e), uy(0, 1, e)
+        if ux(0, 1, by) != uy(0, 1, ux(0, 1, e)):
+            return False
+        dtx = _combine((1, ux(1, 1, e)), (-sx, ax))
+        dty = _combine((1, uy(1, 1, e)), (-sy, uy(0, 0, e)))
+        ax_by, bx_ay, bx_dty = ux(0, 0, by), ux(0, 1, uy(0, 0, e)), ux(0, 1, dty)
+        if ax_by != _combine((h_a, uy(0, 1, ax)), (g_a, bx_ay), (g_dt, bx_dty)):
+            return False
+        dtx_by = _combine((1, ux(1, 1, by)), (-sx, ax_by))
+        if dtx_by != _combine((h_dt, uy(0, 1, dtx)), (k_a, bx_ay), (k_dt, bx_dty)):
+            return False
+    return True
 
 
 def check_b_reflection(spec: LatticeSpec, z) -> bool:
@@ -263,9 +259,12 @@ def check_b_reflection(spec: LatticeSpec, z) -> bool:
     z = rational(z, "z")
     if z == 0 or z == -1:
         raise PoleError("reflection factor z/(z+1) degenerates at z in {0, -1}")
-    lhs = aux_block(double_row(spec, z), 0, 1)
-    rhs = aux_block(double_row(spec, -z - 1), 0, 1).scale(-z / (z + 1))
-    return lhs == rhs
+    lhs, rhs = _Blocks(_double_row_kernel(spec, z)), _Blocks(_double_row_kernel(spec, -z - 1))
+    factor = -z / (z + 1) * rhs.scale
+    return all(
+        _combine((lhs.scale, lhs(0, 1, {j: 1}))) == _combine((factor, rhs(0, 1, {j: 1})))
+        for j in range(1 << spec.length)
+    )
 
 
 def reduction_factor(spec: LatticeSpec, t, extra_roots: Sequence) -> Fraction:

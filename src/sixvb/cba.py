@@ -32,12 +32,13 @@ from .lattice import (
 )
 from .monodromy import (
     QuantumState,
+    _Blocks,
+    _combine,
+    _double_row_kernel,
+    _row_kernel,
     apply_closed_b,
-    aux_block,
     basis_index,
-    double_row,
     reference_state,
-    single_row,
 )
 
 _F0 = Fraction(0)
@@ -335,35 +336,43 @@ def k_closed(x, y) -> Fraction:
 def check_closed_fcr(spec: LatticeSpec, x, y) -> bool:
     """Exchange relations of the single-row blocks as exact operator identities.
 
-    [B(x), B(y)] = 0 and A(x)B(y) = h(y,x) B(y)A(x) - k(y,x) B(x)A(y).
+    [B(x), B(y)] = 0 and A(x)B(y) = h(y,x) B(y)A(x) - k(y,x) B(x)A(y), checked
+    on every basis vector.
     """
     x, y = rational(x, "x"), rational(y, "y")
-    mx = single_row(spec, x, hat=False)
-    my = single_row(spec, y, hat=False)
-    bx, by = aux_block(mx, 0, 1), aux_block(my, 0, 1)
-    if bx @ by != by @ bx:
-        return False
-    ax, ay = aux_block(mx, 0, 0), aux_block(my, 0, 0)
-    return ax @ by == (by @ ax).scale(h_closed(y, x)) - (bx @ ay).scale(k_closed(y, x))
+    h, k = h_closed(y, x), k_closed(y, x)
+    mx, my = _Blocks(_row_kernel(spec, x, False)), _Blocks(_row_kernel(spec, y, False))
+    for j in range(1 << spec.length):
+        e = {j: 1}
+        by = my(0, 1, e)
+        if mx(0, 1, by) != my(0, 1, mx(0, 1, e)):
+            return False
+        if mx(0, 0, by) != _combine((h, my(0, 1, mx(0, 0, e))), (-k, mx(0, 1, my(0, 0, e)))):
+            return False
+    return True
 
 
 def check_b_expansion(spec: LatticeSpec, z) -> bool:
     """Creation block of the double row expanded over single-row blocks.
 
-    Bopen(z) = (-1)^L 2z/(2z+1) [ (q-z-1) B(z) A(-z-1) - (q+z) B(-z-1) A(z) ].
+    Bopen(z) = (-1)^L 2z/(2z+1) [ (q-z-1) B(z) A(-z-1) - (q+z) B(-z-1) A(z) ],
+    checked on every basis vector.
     """
     z = rational(z, "z")
     if 2 * z + 1 == 0:
         raise PoleError("expansion pole at z = -1/2")
     q = spec.boundary_q
-    lhs = aux_block(double_row(spec, z), 0, 1)
-    m_plus = single_row(spec, z, hat=False)
-    m_minus = single_row(spec, -z - 1, hat=False)
-    combo = (aux_block(m_plus, 0, 1) @ aux_block(m_minus, 0, 0)).scale(q - z - 1) - (
-        aux_block(m_minus, 0, 1) @ aux_block(m_plus, 0, 0)
-    ).scale(q + z)
+    u, m_plus = _Blocks(_double_row_kernel(spec, z)), _Blocks(_row_kernel(spec, z, False))
+    m_minus = _Blocks(_row_kernel(spec, -z - 1, False))
     sign = _F1 if spec.length % 2 == 0 else -_F1
-    return lhs == combo.scale(sign * 2 * z / (2 * z + 1))
+    factor = sign * 2 * z / (2 * z + 1) * m_plus.scale * m_minus.scale
+    return all(
+        _combine((u.scale, u(0, 1, {j: 1}))) == _combine(
+            (factor * (q - z - 1), m_plus(0, 1, m_minus(0, 0, {j: 1}))),
+            (-factor * (q + z), m_minus(0, 1, m_plus(0, 0, {j: 1}))),
+        )
+        for j in range(1 << spec.length)
+    )
 
 
 def kappa(spec: LatticeSpec, z) -> Fraction:

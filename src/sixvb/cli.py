@@ -117,6 +117,8 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.draws < 1:
+        return _input_error("--draws must be at least 1")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     results = run_suites(names, seed=args.seed, draws=args.draws)
     print(f"# suites: {', '.join(names)}; draws: {args.draws}; seed: {args.seed}")

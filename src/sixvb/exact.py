@@ -4,8 +4,9 @@ Scalars are ``fractions.Fraction``, which already guarantees the canonical
 form the rest of the package relies on (positive denominator, gcd-reduced
 after every operation).  This module adds the ``"p/q"`` text form used by
 every file format and report, plus one small immutable dense matrix for
-exact linear algebra; a vector is a one-column matrix, and chain states
-are :class:`sixvb.monodromy.QuantumState`.  No floating point appears
+the local identities of :mod:`sixvb.weights` (a vector there is a
+one-column matrix); chain states are
+:class:`sixvb.monodromy.QuantumState`.  No floating point appears
 anywhere: every public function takes its rational arguments through the
 one gate :func:`rational`, which accepts ``int`` and ``Fraction`` only.
 """
@@ -15,7 +16,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -83,12 +83,6 @@ class ExactMatrix:
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
         return cls(tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def diagonal(cls, values: Sequence) -> "ExactMatrix":
-        vals = tuple(rational(x, "diagonal entry") for x in values)
-        n = len(vals)
-        return cls(tuple(tuple(vals[i] if i == j else _ZERO for j in range(n)) for i in range(n)))
 
     def __getitem__(self, key) -> Fraction:
         i, j = key

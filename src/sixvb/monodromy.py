@@ -2,19 +2,17 @@
 
 The chain has L = 2N sites; site 1 owns the most significant position, so a
 product basis state (s_1, ..., s_L) with s_i in {1, 2} sits at index
-``sum((s_i - 1) << (L - i))``.  An operator carrying an auxiliary leg is one
-``ExactMatrix`` of size 2^(L+1) on (auxiliary leg, chain), the auxiliary leg
-most significant as everywhere in the package; ``aux_block(op, r, c)``
-slices out its chain block, (0,0) the A block, (0,1) the creation block B,
-(1,0) the annihilation block C and (1,1) the D block.
+``sum((s_i - 1) << (L - i))``.  An operator with an auxiliary leg has four
+chain blocks (r, c): (0,0) the A block, (0,1) the creation block B, (1,0)
+the annihilation block C and (1,1) the D block.
 
 Every local factor of a monodromy touches one site only, so one primitive,
-a row product on one auxiliary column (a, b) of chain vectors (``_row``,
-and ``_double_row`` for M K Mhat), carries every monodromy action: a
+a row product on one auxiliary column (a, b) of chain vectors (``_row_column``,
+and ``_double_row_column`` for M K Mhat), carries every monodromy action: a
 creation operator is the top slot of the column (0, v), the four blocks on
-a state come from the columns (v, 0) and (0, v), and the dense
-``single_row``/``double_row`` operators are assembled from one column per
-basis vector.
+a state come from the columns (v, 0) and (0, v), and every operator
+identity is checked one basis vector at a time, on the columns that
+``_Blocks`` computes once per operator.
 
 The primitive is fraction-free and sparse.  A chain vector is a pair: a
 dict from index to nonzero ``int``, and one exact ``Fraction`` scale
@@ -23,9 +21,7 @@ lcm of the denominators of z, the inhomogeneities and q, a site factor with
 weights w, w+1 and 1 enters as the integers D w, D w + D and D, and the
 boundary as (D q + D z, D q - D z); each power of D goes into the scale.
 The monodromy conserves the magnon count, so a column stays in few charge
-sectors and only their amplitudes are ever stored.  ``lax_embed`` embeds
-the 4x4 local block of :func:`sixvb.weights.lax_matrix` into the full
-space; it is kept only as an independent reference for tests.
+sectors and only their amplitudes are ever stored.
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .errors import PoleError
-from .exact import ExactMatrix, _strict, rational
+from .exact import _strict, rational
 from .lattice import (
     ExternalConfig,
     LatticeSpec,
@@ -44,7 +40,7 @@ from .lattice import (
     canonical_bethe_roots,
     inhomogeneities,
 )
-from .weights import PERMUTATION, embed_pair, lax_matrix, r_matrix
+from .weights import r_matrix
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -121,20 +117,6 @@ def _from_sparse(length: int, vec: dict, scale: Fraction) -> QuantumState:
     for i, x in vec.items():
         amps[i] = scale * x
     return QuantumState(length, tuple(amps))
-
-
-def states_proportional(u: QuantumState, v: QuantumState) -> bool:
-    """True when u and v span the same ray (either may be scaled arbitrarily)."""
-    if u.length != v.length:
-        return False
-    ua, va = u.amplitudes, v.amplitudes
-    pivot = next((i for i, a in enumerate(ua) if a != 0), None)
-    if pivot is None:
-        return v.is_zero()
-    if va[pivot] == 0:
-        return False
-    c = va[pivot] / ua[pivot]
-    return all(c * a == b for a, b in zip(ua, va))
 
 
 @dataclass(frozen=True)
@@ -274,7 +256,7 @@ def _sites(a, b, chain: ChainData, z: Fraction, d: int, hat: bool):
     return a, b
 
 
-def _row(a, b, chain: ChainData, z: Fraction, hat: bool):
+def _row_column(a, b, chain: ChainData, z: Fraction, hat: bool):
     """Left-multiply an integer column (a, b) by a conjugated row product.
 
     Returns (a', b', f): the product applied to (a, b) is f (a', b').
@@ -284,10 +266,10 @@ def _row(a, b, chain: ChainData, z: Fraction, hat: bool):
     return a, b, Fraction(1, d**chain.length)
 
 
-def _double_row(a, b, chain: ChainData, z: Fraction):
+def _double_row_column(a, b, chain: ChainData, z: Fraction):
     """Left-multiply an integer column (a, b) by the double row M K Mhat.
 
-    Returns (a', b', f) as :func:`_row` does; the boundary enters as the
+    Returns (a', b', f) as :func:`_row_column` does; the boundary enters as the
     integers (Q + Z, Q - Z), the boundary parameter and z scaled by d.
     """
     d = lcm(z.denominator, chain.denominator)
@@ -309,20 +291,30 @@ def _blocks_on_state(apply, state: QuantumState):
     ]
 
 
+def _row_kernel(spec: LatticeSpec, z, hat: bool):
+    """The one-column kernel of the conjugated single row M, or Mhat when ``hat``."""
+    chain, z = chain_data(spec), rational(z, "z")
+    return lambda a, b: _row_column(a, b, chain, z, hat)
+
+
+def _double_row_kernel(spec: LatticeSpec, z):
+    """The one-column kernel of the double row M K Mhat."""
+    chain, z = chain_data(spec), rational(z, "z")
+    return lambda a, b: _double_row_column(a, b, chain, z)
+
+
 def single_row_on_state(spec: LatticeSpec, z, hat: bool, state: QuantumState):
     """Blocks of the conjugated single-row product applied to a state.
 
     Returns a 2x2 nested list ``phi`` with ``phi[r][c]`` the chain vector
     block(r+1, c+1) |state>.
     """
-    chain, z = chain_data(spec), rational(z, "z")
-    return _blocks_on_state(lambda a, b: _row(a, b, chain, z, hat), state)
+    return _blocks_on_state(_row_kernel(spec, z, hat), state)
 
 
 def double_row_on_state(spec: LatticeSpec, z, state: QuantumState):
     """Blocks of the double-row monodromy applied to a state (2x2 nested list)."""
-    chain, z = chain_data(spec), rational(z, "z")
-    return _blocks_on_state(lambda a, b: _double_row(a, b, chain, z), state)
+    return _blocks_on_state(_double_row_kernel(spec, z), state)
 
 
 def _open_b(chain: ChainData, z: Fraction, vec: dict, scale: Fraction):
@@ -331,7 +323,7 @@ def _open_b(chain: ChainData, z: Fraction, vec: dict, scale: Fraction):
     Only the second auxiliary column feeds block (1, 2), so one column is
     tracked.  The content gcd of the result moves into its scale.
     """
-    bv, _, f = _double_row({}, vec, chain, z)
+    bv, _, f = _double_row_column({}, vec, chain, z)
     return _primitive(bv, scale * f)
 
 
@@ -346,58 +338,45 @@ def apply_closed_b(spec: LatticeSpec, z, state: QuantumState) -> QuantumState:
     """Apply the closed-chain (single-row) creation block to a state."""
     chain = chain_data(spec)
     vec, scale = _to_sparse(state.amplitudes)
-    bv, _, f = _row({}, vec, chain, rational(z, "z"), hat=False)
+    bv, _, f = _row_column({}, vec, chain, rational(z, "z"), hat=False)
     return _from_sparse(chain.length, bv, scale * f)
 
 
-# -- dense operators ----------------------------------------------------------
+# -- operator identities, one basis column at a time ---------------------------
 
-def lax_embed(z, site: int, length: int, conjugate: bool = False) -> ExactMatrix:
-    """One local factor on (auxiliary leg, chain), acting on the given site."""
-    if not (1 <= site <= length):
-        raise ValueError(f"site {site} out of range 1..{length}")
-    return embed_pair(lax_matrix(z, conjugate), length + 1, (0, site))
+class _Blocks:
+    """The four chain blocks of one monodromy, given by its one-column kernel.
 
+    Column (c, j) is ``apply`` on e_j in auxiliary slot c (0 top, 1 bottom),
+    computed at most once.  Block (r, c) is ``scale`` times the integer matrix
+    whose column j is row r of column (c, j); ``self(r, c, vec)`` applies that
+    integer matrix to a sparse vector as a combination of its columns.  Where
+    every term of an identity holds one block of each of two monodromies, the
+    scales multiply all terms alike and the integer blocks are compared.
+    """
 
-def aux_block(op: ExactMatrix, r: int, c: int) -> ExactMatrix:
-    """Chain block (r, c) of an operator on (auxiliary leg, chain)."""
-    size = op.rows // 2
-    return ExactMatrix(
-        tuple(row[c * size : (c + 1) * size] for row in op.entries[r * size : (r + 1) * size])
-    )
+    def __init__(self, apply):
+        self._apply = apply
+        self._columns = {}
+        self.scale = apply({}, {})[2]
 
+    def __call__(self, r: int, c: int, vec: dict) -> dict:
+        return _combine(*((x, self._column(c, j)[r]) for j, x in vec.items()))
 
-def _assemble(length: int, apply) -> ExactMatrix:
-    """Dense operator on (auxiliary leg, chain) whose column (c, j) is
-    ``apply`` on the auxiliary column holding e_j in slot c (0 top, 1 bottom)."""
-    size = 1 << length
-    cols = []
-    for c in (0, 1):
-        for j in range(size):
-            top, bottom, f = apply({j: 1}, {}) if c == 0 else apply({}, {j: 1})
-            column = {**top, **{size + i: y for i, y in bottom.items()}}
-            cols.append(_from_sparse(length + 1, column, f).amplitudes)
-    return ExactMatrix(tuple(zip(*cols)))
+    def _column(self, c: int, j: int) -> tuple:
+        key = (c, j)
+        if key not in self._columns:
+            self._columns[key] = self._apply({j: 1}, {}) if c == 0 else self._apply({}, {j: 1})
+        return self._columns[key]
 
 
-def single_row(spec: LatticeSpec, z, hat: bool = False) -> ExactMatrix:
-    """Dense conjugated single-row monodromy (end sites carry conjugate blocks)."""
-    chain, z = chain_data(spec), rational(z, "z")
-    return _assemble(chain.length, lambda a, b: _row(a, b, chain, z, hat))
-
-
-def double_row(spec: LatticeSpec, z) -> ExactMatrix:
-    """Dense double-row monodromy M K Mhat with the dressed boundary matrix."""
-    chain, z = chain_data(spec), rational(z, "z")
-    return _assemble(chain.length, lambda a, b: _double_row(a, b, chain, z))
-
-
-def shifted_d_block(u: ExactMatrix, z) -> ExactMatrix:
-    """Dtilde(z) = D(z) - A(z)/(2z+1) from the double row ``u`` at z."""
-    z = rational(z, "z")
-    if 2 * z + 1 == 0:
-        raise PoleError("shifted D block has a pole at z = -1/2")
-    return aux_block(u, 1, 1) - aux_block(u, 0, 0).scale(_F1 / (2 * z + 1))
+def _combine(*terms) -> dict:
+    """The sparse vector sum(c * vec) over the pairs (c, vec), zeros dropped."""
+    out = {}
+    for c, vec in terms:
+        for i, x in vec.items():
+            out[i] = out.get(i, 0) + c * x
+    return {i: x for i, x in out.items() if x}
 
 
 def check_crossing(spec: LatticeSpec, z) -> bool:
@@ -408,10 +387,12 @@ def check_crossing(spec: LatticeSpec, z) -> bool:
     block: Mhat_{rc} = +-(-1)^L M_{1-c,1-r}, + on the diagonal, - off it.
     """
     z = rational(z, "z")
-    hat, m = single_row(spec, z, hat=True), single_row(spec, -z - 1, hat=False)
+    hat, m = _Blocks(_row_kernel(spec, z, True)), _Blocks(_row_kernel(spec, -z - 1, False))
     sign = 1 if spec.length % 2 == 0 else -1
     return all(
-        aux_block(hat, r, c) == aux_block(m, 1 - c, 1 - r).scale(sign if r == c else -sign)
+        _combine((hat.scale, hat(r, c, {j: 1})))
+        == _combine(((sign if r == c else -sign) * m.scale, m(1 - c, 1 - r, {j: 1})))
+        for j in range(1 << spec.length)
         for r in (0, 1)
         for c in (0, 1)
     )
@@ -421,17 +402,31 @@ def check_reflection_algebra(spec: LatticeSpec, x, y) -> bool:
     """Exchange identity of the double-row monodromy on two auxiliary legs.
 
     R(x-y) U1(x) R(x+y) U2(y) = U2(y) R(x+y) U1(x) R(x-y) on the space
-    (aux leg 1, aux leg 2, chain).  Dense; intended for short chains.
+    (aux leg 1, aux leg 2, chain).  A vector there is four chain vectors,
+    indexed 2 a1 + a2 as the basis of :func:`sixvb.weights.r_matrix`; each
+    side is applied to every basis vector.
     """
     x, y = rational(x, "x"), rational(y, "y")
-    eye = ExactMatrix.identity(1 << spec.length)
-    i2 = ExactMatrix.identity(2)
-    swap = PERMUTATION.tensor(eye)
-    rm = r_matrix(x - y).tensor(eye)
-    rp = r_matrix(x + y).tensor(eye)
-    u1 = swap @ i2.tensor(double_row(spec, x)) @ swap
-    u2 = i2.tensor(double_row(spec, y))
-    return rm @ u1 @ rp @ u2 == u2 @ rp @ u1 @ rm
+    rm, rp = r_matrix(x - y), r_matrix(x + y)
+    u1, u2 = _Blocks(_double_row_kernel(spec, x)), _Blocks(_double_row_kernel(spec, y))
+
+    def r_on(r, vecs):
+        return [_combine(*((r[k, l], vecs[l]) for l in range(4) if r[k, l])) for k in range(4)]
+
+    def u1_on(vecs):
+        return [_combine((1, u1(k >> 1, 0, vecs[k & 1])), (1, u1(k >> 1, 1, vecs[2 + (k & 1)])))
+                for k in range(4)]
+
+    def u2_on(vecs):
+        return [_combine((1, u2(k & 1, 0, vecs[k & 2])), (1, u2(k & 1, 1, vecs[(k & 2) + 1])))
+                for k in range(4)]
+
+    for slot in range(4):
+        for j in range(1 << spec.length):
+            e = [{j: 1} if k == slot else {} for k in range(4)]
+            if r_on(rm, u1_on(r_on(rp, u2_on(e)))) != u2_on(r_on(rp, u1_on(r_on(rm, e)))):
+                return False
+    return True
 
 
 def external_component(state: QuantumState, spec: LatticeSpec, config: ExternalConfig) -> Fraction:

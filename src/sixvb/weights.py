@@ -13,9 +13,9 @@ Every weight is a plain :class:`sixvb.exact.ExactMatrix`: ``r_matrix`` and
 for partition-function normalization, and ``lax_matrix`` the unnormalized
 local block of a monodromy (poles differ between the two, so both are kept
 explicitly).  The site-local kernel in :mod:`sixvb.monodromy` applies the
-same block site by site, and its dense operators are tested against
-``embed_pair(lax_matrix(...))``.  The identity checkers compare matrices;
-vectors enter them as columns of a matrix.
+same block site by site; the tests compare it with products of
+``embed_pair(lax_matrix(...))``.  The identity checkers compare 4x4 and 8x8
+matrices; vectors enter them as columns of a matrix.
 """
 
 from __future__ import annotations

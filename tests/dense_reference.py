@@ -1,0 +1,64 @@
+"""Dense references for the tests: explicit local factors and kernel-built operators.
+
+An operator with an auxiliary leg is one ``ExactMatrix`` of size 2^(L+1) on
+(auxiliary leg, chain), the auxiliary leg most significant; ``aux_block``
+slices out its chain block (r, c).  ``single_row`` and ``double_row``
+assemble that matrix column by column from the site-local kernel of
+:mod:`sixvb.monodromy` (its blocks on each basis vector), so the tests can
+compare it with explicit products of ``lax_embed`` factors.
+"""
+
+from sixvb.exact import ExactMatrix
+from sixvb.monodromy import QuantumState, double_row_on_state, single_row_on_state
+from sixvb.weights import embed_pair, lax_matrix
+
+
+def lax_embed(z, site: int, length: int, conjugate: bool = False) -> ExactMatrix:
+    """One local factor on (auxiliary leg, chain), acting on the given site."""
+    if not (1 <= site <= length):
+        raise ValueError(f"site {site} out of range 1..{length}")
+    return embed_pair(lax_matrix(z, conjugate), length + 1, (0, site))
+
+
+def aux_block(op: ExactMatrix, r: int, c: int) -> ExactMatrix:
+    """Chain block (r, c) of an operator on (auxiliary leg, chain)."""
+    size = op.rows // 2
+    return ExactMatrix(
+        tuple(row[c * size : (c + 1) * size] for row in op.entries[r * size : (r + 1) * size])
+    )
+
+
+def _assemble(length: int, blocks_on) -> ExactMatrix:
+    """The operator whose column (c, j) is (block (0, c) e_j, block (1, c) e_j),
+    with ``blocks_on(state)`` the 2x2 nested list of blocks applied to a state."""
+    size = 1 << length
+    cols = [None] * (2 * size)
+    for j in range(size):
+        blocks = blocks_on(QuantumState(length, tuple(int(i == j) for i in range(size))))
+        for c in (0, 1):
+            cols[c * size + j] = blocks[0][c].amplitudes + blocks[1][c].amplitudes
+    return ExactMatrix(tuple(zip(*cols)))
+
+
+def single_row(spec, z, hat: bool = False) -> ExactMatrix:
+    """Dense conjugated single-row monodromy built by the kernel."""
+    return _assemble(spec.length, lambda state: single_row_on_state(spec, z, hat, state))
+
+
+def double_row(spec, z) -> ExactMatrix:
+    """Dense double-row monodromy M K Mhat built by the kernel."""
+    return _assemble(spec.length, lambda state: double_row_on_state(spec, z, state))
+
+
+def states_proportional(u: QuantumState, v: QuantumState) -> bool:
+    """True when u and v span the same ray (either may be scaled arbitrarily)."""
+    if u.length != v.length:
+        return False
+    ua, va = u.amplitudes, v.amplitudes
+    pivot = next((i for i, a in enumerate(ua) if a != 0), None)
+    if pivot is None:
+        return v.is_zero()
+    if va[pivot] == 0:
+        return False
+    c = va[pivot] / ua[pivot]
+    return all(c * a == b for a, b in zip(ua, va))

@@ -27,8 +27,10 @@ from sixvb.lattice import (
     canonical_bethe_roots,
     reference_config,
 )
-from sixvb.monodromy import external_component, reference_state, states_proportional
+from sixvb.monodromy import external_component, reference_state
 from sixvb.sampling import random_spec, random_z
+
+from dense_reference import states_proportional
 
 
 def line_spec(reflected=False, theta=F(1, 3), q=F(2)):

@@ -184,6 +184,13 @@ class TestVerify:
     def test_weights_suite(self, capsys):
         assert main(["verify", "--suite", "weights", "--draws", "3", "--seed", "1"]) == 0
 
+    @pytest.mark.parametrize("draws", ["0", "-3"])
+    @pytest.mark.parametrize("suite", ["baxter", "invariance"])
+    def test_non_positive_draws_exit_two(self, capsys, suite, draws):
+        assert main(["verify", "--suite", suite, "--draws", draws]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: --draws must be at least 1" in captured.err
+
 
 class TestBench:
     def test_small_table(self, capsys):

@@ -27,16 +27,11 @@ from sixvb.lattice import (
     inhomogeneities,
     reference_config,
 )
-from sixvb.monodromy import (
-    QuantumState,
-    _from_sparse,
-    _to_sparse,
-    aux_block,
-    lax_embed,
-    states_proportional,
-)
+from sixvb.monodromy import QuantumState, _from_sparse, _to_sparse
 from sixvb.sampling import random_ice_config, random_pairing, random_q, random_spec, random_theta
 from sixvb.weights import PERMUTATION, S_MATRIX, embed_pair, k_matrix, r_matrix
+
+from dense_reference import aux_block, lax_embed, states_proportional
 
 
 def line_spec(reflected=False, theta=F(1, 3), q=F(2)):
@@ -86,7 +81,7 @@ class TestElementaryInvariants:
         # The outer reflection matrix acts on the same site the local blocks
         # touch; with it on the other site the relation is false.
         theta, q, z = F(2, 7), F(4, 5), F(1, 5)
-        kaux = ExactMatrix.diagonal((q + z, q - z)).tensor(ExactMatrix.identity(4))
+        kaux = ExactMatrix(((q + z, 0), (0, q - z))).tensor(ExactMatrix.identity(4))
         lhs_op = lax_embed(z - theta, 2, 2) @ kaux @ lax_embed(z + theta, 2, 2)
         rhs_op = lax_embed(z + theta, 2, 2) @ kaux @ lax_embed(z - theta, 2, 2)
         psi_b = boundary_line_invariant(theta, q)

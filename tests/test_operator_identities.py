@@ -1,0 +1,80 @@
+"""The monodromy operator identities on longer chains, and proof that each check can fail.
+
+The draws here are new seeded draws, separate from those of ``sixvb verify``:
+the exchange relations, the creation-block expansion and reflection, and the
+crossing at L = 6, the reflection algebra at L = 4.  Each mutation breaks one
+ingredient of an identity and the check must then return False.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from sixvb import aba, cba, monodromy
+from sixvb.sampling import random_positive_pair, random_spec, random_z
+
+SHIFT = F(1, 7)
+
+
+def _draw(seed, n):
+    rng = random.Random(seed)
+    spec = random_spec(rng, n)
+    x, y = random_positive_pair(rng)
+    return spec, x, y, random_z(rng)
+
+
+CHECKS = {
+    "fcr_open": lambda spec, x, y, z: aba.check_fcr_open(spec, x, y),
+    "fcr_closed": lambda spec, x, y, z: cba.check_closed_fcr(spec, x, y),
+    "b_expansion": lambda spec, x, y, z: cba.check_b_expansion(spec, z),
+    "b_reflection": lambda spec, x, y, z: aba.check_b_reflection(spec, z),
+    "crossing": lambda spec, x, y, z: monodromy.check_crossing(spec, z),
+    "reflection_algebra": lambda spec, x, y, z: monodromy.check_reflection_algebra(spec, x, y),
+}
+
+
+@pytest.mark.parametrize("seed", [6101, 6102])
+@pytest.mark.parametrize(
+    "name", ["fcr_open", "fcr_closed", "b_expansion", "b_reflection", "crossing"]
+)
+def test_identity_at_six_sites(name, seed):
+    assert CHECKS[name](*_draw(seed, 3))
+
+
+@pytest.mark.parametrize("seed", [4101, 4102])
+def test_reflection_algebra_at_four_sites(seed):
+    assert CHECKS["reflection_algebra"](*_draw(seed, 2))
+
+
+def _shifted_coefficient(real):
+    return lambda x, y: real(x, y) + SHIFT
+
+
+def _shifted_double_row_kernel(real):
+    return lambda spec, z: real(spec, z + SHIFT)
+
+
+MUTATIONS = [
+    ("fcr_open", aba, "h_a_coeff", _shifted_coefficient),
+    ("fcr_open", aba, "k_dt_coeff", _shifted_coefficient),
+    ("fcr_closed", cba, "h_closed", _shifted_coefficient),
+    ("b_expansion", cba, "_double_row_kernel", _shifted_double_row_kernel),
+    ("b_reflection", aba, "_double_row_kernel", _shifted_double_row_kernel),
+    # the hat row at z + 1/7 against M(-z-1)
+    ("crossing", monodromy, "_row_kernel",
+     lambda real: lambda spec, z, hat: real(spec, z + SHIFT if hat else z, hat)),
+    ("reflection_algebra", monodromy, "r_matrix", lambda real: lambda theta: real(theta + SHIFT)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, module, member, mutant",
+    MUTATIONS,
+    ids=[f"{name}-{member}" for name, _, member, _ in MUTATIONS],
+)
+def test_mutation_makes_the_check_fail(monkeypatch, name, module, member, mutant):
+    draw = _draw(2401, 2)
+    assert CHECKS[name](*draw)
+    monkeypatch.setattr(module, member, mutant(getattr(module, member)))
+    assert not CHECKS[name](*draw)

@@ -54,10 +54,10 @@ class TestKMatrix:
         assert k_matrix(F(0), F(2)) == ExactMatrix.identity(2)
 
     def test_equal_parameters(self):
-        assert k_matrix(F(2), F(2)) == ExactMatrix.diagonal((1, 0))
+        assert k_matrix(F(2), F(2)) == ExactMatrix(((1, 0), (0, 0)))
 
     def test_example_value(self):
-        assert k_matrix(F(1), F(2)) == ExactMatrix.diagonal((1, F(1, 3)))
+        assert k_matrix(F(1), F(2)) == ExactMatrix(((1, 0), (0, F(1, 3))))
 
     def test_pole(self):
         with pytest.raises(PoleError):
