@@ -34,10 +34,7 @@ from .monodromy import (
     _Blocks,
     _combine,
     _double_row_kernel,
-    _from_sparse,
-    _open_b,
-    _to_sparse,
-    chain_data,
+    apply_open_b,
     double_row_on_state,
     external_component,
     lambda_value,
@@ -46,7 +43,6 @@ from .monodromy import (
     xi_value,
 )
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
@@ -65,13 +61,12 @@ def bethe_state(spec: LatticeSpec, roots: Sequence) -> QuantumState:
     DegenerateSpecError when the state vanishes identically.
     """
     zs = tuple(rational(z, "root") for z in roots)
-    chain = chain_data(spec)
-    vec, scale = _to_sparse(reference_state(spec).amplitudes)
+    state = reference_state(spec)
     for z in reversed(zs):
-        vec, scale = _open_b(chain, z, vec, scale)
-    if not vec:
+        state = apply_open_b(spec, z, state)
+    if state.is_zero():
         raise DegenerateSpecError("creation-operator product annihilated the reference state")
-    return _from_sparse(spec.length, vec, scale)
+    return state
 
 
 def solve_aba(spec: LatticeSpec) -> AbaResult:
@@ -102,9 +97,9 @@ def check_invariance(spec: LatticeSpec, state: QuantumState, z) -> bool:
     blocks = double_row_on_state(spec, z, state)
     if not blocks[0][1].is_zero() or not blocks[1][0].is_zero():
         return False
-    if blocks[0][0] != state.scale(lam * (q + z)):
+    if blocks[0][0] != QuantumState(state.length, state.entries, state.scale * lam * (q + z)):
         return False
-    return blocks[1][1] == state.scale(lam * (q - z))
+    return blocks[1][1] == QuantumState(state.length, state.entries, state.scale * lam * (q - z))
 
 
 def check_baxter(spec: LatticeSpec, z) -> bool:
@@ -314,12 +309,8 @@ def check_reduction(spec: LatticeSpec, m: int, extra_roots: Sequence) -> bool:
     t = theta1 if spec.is_reflected(1) else -theta1
     full = bethe_state(spec, extra + (t,))
 
-    length = spec.length
-    for idx, amp in enumerate(full.amplitudes):
-        pair_hi = (idx >> 1) & 1  # site 2N-1
-        pair_lo = idx & 1  # site 2N
-        if pair_hi != pair_lo and amp != 0:
-            return False
+    if any(((idx >> 1) ^ idx) & 1 for idx in full.entries):  # sites 2N-1 and 2N differ
+        return False
 
     sub = reduced_spec(spec)
     small = bethe_state(sub, extra) if m > 1 else reference_state(sub)
@@ -328,12 +319,6 @@ def check_reduction(spec: LatticeSpec, m: int, extra_roots: Sequence) -> bool:
         if spec.is_reflected(1)
         else line_invariant()
     )
-    phi = local.scale(reduction_factor(spec, t, extra))
-
-    expected = [_F0] * (1 << length)
-    for i, a in enumerate(small.amplitudes):
-        if a:
-            for j, b in enumerate(phi.amplitudes):
-                if b:
-                    expected[(i << 2) | j] = a * b
-    return full.amplitudes == tuple(expected)
+    expected = small.tensor(local)
+    h = reduction_factor(spec, t, extra)
+    return full == QuantumState(expected.length, expected.entries, expected.scale * h)

@@ -262,7 +262,7 @@ def cba_state(spec: LatticeSpec) -> QuantumState:
     length = spec.length
     ends = {c.end for c in spec.chords}
     pref = norm_prefactor(spec, zs)
-    amps = [_F0] * (1 << length)
+    amps = {}
     for positions in itertools.combinations(range(1, length + 1), m):
         val = engine.upsilon(positions)
         if val == 0:
@@ -280,8 +280,8 @@ def cba_state(spec: LatticeSpec) -> QuantumState:
                     sign = -sign
             elif s in xset:
                 states[s - 1] = 2
-        amps[basis_index(states)] += pref * sign * val
-    return QuantumState(length, tuple(amps))
+        amps[basis_index(states)] = sign * val
+    return QuantumState(length, amps, pref)
 
 
 # -- closed-chain wave function ------------------------------------------------
@@ -398,8 +398,7 @@ def check_state_expansion(spec: LatticeSpec, m: int, roots: Sequence) -> bool:
         raise ValueError(f"need {m} roots")
     lhs = bethe_state(spec, zs)
     q = spec.boundary_q
-    length = spec.length
-    total = [_F0] * (1 << length)
+    total = {}
     for bits in range(1 << m):
         sign = _F1 if bin(bits).count("1") % 2 == 0 else -_F1
         images = tuple(-z - 1 if (bits >> i) & 1 else z for i, z in enumerate(zs))
@@ -412,12 +411,10 @@ def check_state_expansion(spec: LatticeSpec, m: int, roots: Sequence) -> bool:
         state = reference_state(spec)
         for w in reversed(images):
             state = apply_closed_b(spec, w, state)
-        for idx, a in enumerate(state.amplitudes):
-            if a:
-                total[idx] += coeff * a
-    pref = norm_prefactor(spec, zs)
-    rhs = QuantumState(length, tuple(pref * a for a in total))
-    return lhs == rhs
+        coeff *= state.scale
+        for idx, x in state.entries.items():
+            total[idx] = total.get(idx, 0) + coeff * x
+    return lhs == QuantumState(spec.length, total, norm_prefactor(spec, zs))
 
 
 def two_reflection_sum(q, zi, zj) -> Fraction:

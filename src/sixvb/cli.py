@@ -49,13 +49,13 @@ def _input_error(message: str) -> int:
 
 
 def _parse_labels(text: str, n: int, what: str) -> tuple:
-    try:
-        labels = tuple(int(part) for part in text.split(","))
-    except ValueError:
+    """Labels from a comma list whose fields, stripped of whitespace, are exactly 1 or 2."""
+    labels = tuple(part.strip() for part in text.split(","))
+    if any(s not in ("1", "2") for s in labels):
         raise SystemExit(_input_error(f"{what} must be a comma list of 1/2, got {text!r}"))
-    if len(labels) != n or any(s not in (1, 2) for s in labels):
+    if len(labels) != n:
         raise SystemExit(_input_error(f"{what} must list {n} labels from {{1,2}}"))
-    return labels
+    return tuple(int(s) for s in labels)
 
 
 def cmd_validate(args) -> int:

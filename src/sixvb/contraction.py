@@ -11,12 +11,12 @@ end point and X = S^{-1} (x) S otherwise.  The overall scalar picked up
 along the way is irrelevant because the partition function is a ratio of
 components.
 
-The weave runs fraction-free on a sparse state: a dict from index to
-nonzero ``int`` and one exact ``Fraction`` scale, the convention of
-:mod:`sixvb.monodromy`.  With D the lcm of the denominators of the
-inhomogeneities, every theta is Theta/D for an integer Theta, so a move
-applies ``Theta P + D X`` to the integers and multiplies the scale by
-1/(Theta + D).  One ``Fraction`` is formed per nonzero output value.
+The weave runs fraction-free on the entries of a
+:class:`sixvb.monodromy.QuantumState`: a dict from index to nonzero
+``int`` and one exact ``Fraction`` scale.  With D the lcm of the
+denominators of the inhomogeneities, every theta is Theta/D for an integer
+Theta, so a move applies ``Theta P + D X`` to the integers and multiplies
+the scale by 1/(Theta + D).
 """
 
 from __future__ import annotations
@@ -37,15 +37,12 @@ from .lattice import (
     is_initial,
     sweep,
 )
-from .monodromy import QuantumState, _from_sparse, external_component
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+from .monodromy import QuantumState, external_component
 
 
 def line_invariant() -> QuantumState:
     """Two-site invariant of a free line: components 1 at (1,1) and (2,2)."""
-    return QuantumState(2, (_F1, _F0, _F0, _F1))
+    return QuantumState(2, {0: 1, 3: 1})
 
 
 def boundary_line_invariant(theta, q) -> QuantumState:
@@ -54,34 +51,26 @@ def boundary_line_invariant(theta, q) -> QuantumState:
     theta, q = rational(theta, "theta"), rational(q, "q")
     if q + theta == 0:
         raise PoleError("reflection weights have a pole at q + theta = 0")
-    return QuantumState(2, (_F1, _F0, _F0, (q - theta) / (q + theta)))
-
-
-def _initial_sparse(spec: LatticeSpec) -> tuple:
-    """The nested-pairing invariant as a pair (dict from index to int, scale).
-
-    Line k occupies sites (2(N-k)+1, 2(N-k)+2), so line N fills the most
-    significant pair and line 1 the least significant one.  A reflected
-    line enters as the integers (r.denominator, r.numerator) at (1,1) and
-    (2,2), r its reflection weight, and 1/r.denominator goes into the scale.
-    """
-    if not is_initial(spec):
-        raise ValueError("initial invariant requires the nested pairing")
-    vec, den = {0: 1}, 1
-    for k in range(spec.n, 0, -1):
-        if spec.is_reflected(k):
-            r = boundary_line_invariant(spec.rapidities[k - 1], spec.boundary_q).amplitudes[3]
-            local = ((0, r.denominator), (3, r.numerator))
-            den *= r.denominator
-        else:
-            local = ((0, 1), (3, 1))
-        vec = {(i << 2) | j: x * y for i, x in vec.items() for j, y in local if y}
-    return vec, Fraction(1, den)
+    return QuantumState(2, {0: 1, 3: (q - theta) / (q + theta)})
 
 
 def initial_invariant(spec: LatticeSpec) -> QuantumState:
-    """Tensor product of two-site invariants for the nested pairing."""
-    return _from_sparse(spec.length, *_initial_sparse(spec))
+    """Tensor product of two-site invariants for the nested pairing.
+
+    Line k occupies sites (2(N-k)+1, 2(N-k)+2), so line N fills the most
+    significant pair and line 1 the least significant one.
+    """
+    if not is_initial(spec):
+        raise ValueError("initial invariant requires the nested pairing")
+    state = QuantumState(0, {0: 1})
+    for k in range(spec.n, 0, -1):
+        local = (
+            boundary_line_invariant(spec.rapidities[k - 1], spec.boundary_q)
+            if spec.is_reflected(k)
+            else line_invariant()
+        )
+        state = state.tensor(local)
+    return state
 
 
 @dataclass(frozen=True)
@@ -193,8 +182,8 @@ def build_invariant(spec: LatticeSpec, plan: Optional[MoveSequence] = None) -> Q
     owner = list(owner)
     length = spec.length
     d = lcm(*(x.denominator for x in v))
-    vec, scale = _initial_sparse(source)
-    den = 1
+    initial = initial_invariant(source)
+    vec, den = initial.entries, 1
 
     for move in plan.moves:
         p = move.position
@@ -210,7 +199,7 @@ def build_invariant(spec: LatticeSpec, plan: Optional[MoveSequence] = None) -> Q
     target_owner, target_v = _endpoint_layout(spec)
     if owner != list(target_owner) or v != list(target_v):
         raise ValueError("move plan did not reach the target pairing")
-    return _from_sparse(length, vec, scale / den)
+    return QuantumState(length, vec, initial.scale / den)
 
 
 def z_direct(spec: LatticeSpec, config: ExternalConfig) -> Fraction:

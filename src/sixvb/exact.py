@@ -5,8 +5,9 @@ form the rest of the package relies on (positive denominator, gcd-reduced
 after every operation).  This module adds the ``"p/q"`` text form used by
 every file format and report, plus one small immutable dense matrix for
 the local identities of :mod:`sixvb.weights` (a vector there is a
-one-column matrix); chain states are
-:class:`sixvb.monodromy.QuantumState`.  No floating point appears
+one-column matrix).  Chain states are not dense: a
+:class:`sixvb.monodromy.QuantumState` is one ``Fraction`` scale times a
+sparse vector of coprime ``int`` entries.  No floating point appears
 anywhere: every public function takes its rational arguments through the
 one gate :func:`rational`, which accepts ``int`` and ``Fraction`` only.
 """

@@ -14,9 +14,10 @@ a state come from the columns (v, 0) and (0, v), and every operator
 identity is checked one basis vector at a time, on the columns that
 ``_Blocks`` computes once per operator.
 
-The primitive is fraction-free and sparse.  A chain vector is a pair: a
-dict from index to nonzero ``int``, and one exact ``Fraction`` scale
-(``_to_sparse`` and ``_from_sparse`` convert at the boundary).  With D the
+The primitive is fraction-free and sparse.  A chain vector is a
+:class:`QuantumState`: a dict from index to nonzero ``int`` and one exact
+``Fraction`` scale, the pair the kernels take and return, so a kernel
+result is a state as it stands.  With D the
 lcm of the denominators of z, the inhomogeneities and q, a site factor with
 weights w, w+1 and 1 enters as the integers D w, D w + D and D, and the
 boundary as (D q + D z, D q - D z); each power of D goes into the scale.
@@ -42,7 +43,6 @@ from .lattice import (
 )
 from .weights import r_matrix
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
@@ -56,67 +56,57 @@ def basis_index(states: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class QuantumState:
-    """Exact vector over the 2^L chain space; amplitudes must be int or Fraction."""
+    """Exact vector over the 2^L chain space: ``scale`` times an integer vector.
+
+    ``entries`` maps a basis index to an int or Fraction amplitude.  The
+    constructor moves the denominators and the content gcd into ``scale``
+    and makes it positive, so afterwards ``entries`` holds the nonzero
+    amplitudes as coprime ints and equal vectors have equal fields; the
+    zero vector is ``{}`` with scale 1.  The kernels read and write this
+    pair directly.
+    """
 
     length: int
-    amplitudes: tuple
+    entries: dict
+    scale: Fraction = 1
 
     def __post_init__(self):
-        _strict(self.length, (int,), "chain length")
-        amps = tuple(
-            a if type(a) is Fraction else rational(a, "amplitude") for a in self.amplitudes
-        )
-        if len(amps) != 1 << self.length:
-            raise ValueError(f"state needs {1 << self.length} amplitudes, got {len(amps)}")
-        object.__setattr__(self, "amplitudes", amps)
+        length = _strict(self.length, (int,), "chain length")
+        if length < 0:
+            raise ValueError(f"chain length must be non-negative, got {length}")
+        den = 1
+        for i, x in _strict(self.entries, (dict,), "state entries").items():
+            if _strict(i, (int,), "basis index") < 0 or i >> length:
+                raise ValueError(f"basis index {i} out of range for {length} sites")
+            if type(x) is not int:
+                den = lcm(den, rational(x, "amplitude").denominator)
+        vec = {i: x.numerator * (den // x.denominator) for i, x in self.entries.items() if x}
+        scale = rational(self.scale, "scale") / den
+        if not vec or not scale:
+            vec, scale = {}, _F1
+        else:
+            g = gcd(*vec.values()) if scale > 0 else -gcd(*vec.values())
+            if g != 1:
+                vec = {i: x // g for i, x in vec.items()}
+                scale *= g
+        object.__setattr__(self, "entries", vec)
+        object.__setattr__(self, "scale", scale)
 
     def component(self, states: Sequence[int]) -> Fraction:
-        return self.amplitudes[basis_index(states)]
-
-    def scale(self, c) -> "QuantumState":
-        c = rational(c, "scale factor")
-        return QuantumState(self.length, tuple(c * a for a in self.amplitudes))
-
-    def __add__(self, other: "QuantumState") -> "QuantumState":
-        if self.length != other.length:
-            raise ValueError("chain length mismatch")
-        return QuantumState(
-            self.length, tuple(a + b for a, b in zip(self.amplitudes, other.amplitudes))
-        )
-
-    def __sub__(self, other: "QuantumState") -> "QuantumState":
-        return self + other.scale(-1)
+        return self.scale * self.entries.get(basis_index(states), 0)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.amplitudes)
+        return not self.entries
 
-
-def _to_sparse(amplitudes) -> tuple:
-    """Amplitudes as a pair (dict from index to nonzero int, Fraction scale).
-
-    The scale is one over the lcm of the denominators, so the amplitudes
-    are ``scale * vec[i]`` (0 where i is absent).
-    """
-    den = lcm(*(a.denominator for a in amplitudes if a))
-    vec = {i: a.numerator * (den // a.denominator) for i, a in enumerate(amplitudes) if a}
-    return vec, Fraction(1, den)
-
-
-def _primitive(vec: dict, scale: Fraction) -> tuple:
-    """The same pair with the content gcd of ``vec`` moved into the scale."""
-    g = gcd(*vec.values())
-    if g > 1:
-        return {i: x // g for i, x in vec.items()}, scale * g
-    return vec, scale
-
-
-def _from_sparse(length: int, vec: dict, scale: Fraction) -> QuantumState:
-    """The exact state ``scale * vec``: one Fraction per nonzero amplitude."""
-    vec, scale = _primitive(vec, scale)
-    amps = [_F0] * (1 << length)
-    for i, x in vec.items():
-        amps[i] = scale * x
-    return QuantumState(length, tuple(amps))
+    def tensor(self, other: "QuantumState") -> "QuantumState":
+        """The product state self (x) other; self owns the most significant sites."""
+        shift = other.length
+        vec = {
+            (i << shift) | j: x * y
+            for i, x in self.entries.items()
+            for j, y in other.entries.items()
+        }
+        return QuantumState(self.length + shift, vec, self.scale * other.scale)
 
 
 @dataclass(frozen=True)
@@ -204,9 +194,7 @@ def reference_state(spec: LatticeSpec) -> QuantumState:
     states = [1] * length
     for chord in spec.chords:
         states[chord.end - 1] = 2
-    amps = [_F0] * (1 << length)
-    amps[basis_index(states)] = _F1 if spec.n % 2 == 0 else -_F1
-    return QuantumState(length, tuple(amps))
+    return QuantumState(length, {basis_index(states): 1 if spec.n % 2 == 0 else -1})
 
 
 # -- sparse integer kernel ----------------------------------------------------
@@ -283,11 +271,10 @@ def _double_row_column(a, b, chain: ChainData, z: Fraction):
 
 def _blocks_on_state(apply, state: QuantumState):
     """``[[A v, B v], [C v, D v]]`` from the two auxiliary columns (v, 0), (0, v)."""
-    vec, scale = _to_sparse(state.amplitudes)
-    (av, cv, f), (bv, dv, _) = apply(vec, {}), apply({}, vec)
+    (av, cv, f), (bv, dv, _) = apply(state.entries, {}), apply({}, state.entries)
     return [
-        [_from_sparse(state.length, x, scale * f) for x in (av, bv)],
-        [_from_sparse(state.length, x, scale * f) for x in (cv, dv)],
+        [QuantumState(state.length, x, state.scale * f) for x in (av, bv)],
+        [QuantumState(state.length, x, state.scale * f) for x in (cv, dv)],
     ]
 
 
@@ -317,29 +304,20 @@ def double_row_on_state(spec: LatticeSpec, z, state: QuantumState):
     return _blocks_on_state(_double_row_kernel(spec, z), state)
 
 
-def _open_b(chain: ChainData, z: Fraction, vec: dict, scale: Fraction):
-    """The creation operator B(z) on the state ``scale * vec``, as a new pair.
+def apply_open_b(spec: LatticeSpec, z, state: QuantumState) -> QuantumState:
+    """Apply the open-chain creation operator at parameter z to a state.
 
     Only the second auxiliary column feeds block (1, 2), so one column is
-    tracked.  The content gcd of the result moves into its scale.
+    tracked.
     """
-    bv, _, f = _double_row_column({}, vec, chain, z)
-    return _primitive(bv, scale * f)
-
-
-def apply_open_b(spec: LatticeSpec, z, state: QuantumState) -> QuantumState:
-    """Apply the open-chain creation operator at parameter z to a state."""
-    chain = chain_data(spec)
-    bv, scale = _open_b(chain, rational(z, "z"), *_to_sparse(state.amplitudes))
-    return _from_sparse(chain.length, bv, scale)
+    bv, _, f = _double_row_column({}, state.entries, chain_data(spec), rational(z, "z"))
+    return QuantumState(spec.length, bv, state.scale * f)
 
 
 def apply_closed_b(spec: LatticeSpec, z, state: QuantumState) -> QuantumState:
     """Apply the closed-chain (single-row) creation block to a state."""
-    chain = chain_data(spec)
-    vec, scale = _to_sparse(state.amplitudes)
-    bv, _, f = _row_column({}, vec, chain, rational(z, "z"), hat=False)
-    return _from_sparse(chain.length, bv, scale * f)
+    bv, _, f = _row_column({}, state.entries, chain_data(spec), rational(z, "z"), hat=False)
+    return QuantumState(spec.length, bv, state.scale * f)
 
 
 # -- operator identities, one basis column at a time ---------------------------

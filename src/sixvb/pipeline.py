@@ -49,6 +49,8 @@ class RunReport:
 def compute_report(
     spec: LatticeSpec, configs: Sequence[ExternalConfig], methods: Sequence[str] = METHODS
 ) -> RunReport:
+    if not methods:
+        raise ValueError(f"no method given; choose from {METHODS}")
     for m in methods:
         if m not in _TABLES:
             raise ValueError(f"unknown method {m!r}; choose from {METHODS}")

@@ -202,13 +202,13 @@ def invariance_suite(seed: int, draws: int) -> List[CheckResult]:
             "aba": aba.solve_aba(spec).bethe_state,
             "cba": cba.cba_state(spec),
         }
-        ok = True
         zs = [random_z(rng) for _ in range(3)]
-        for route, state in states.items():
-            for z in zs:
-                if not aba.check_invariance(spec, state, z):
-                    ok = False
-        result.record(ok, f"spec={spec} z={tuple(map(str, zs))}")
+        failed = tuple(
+            route
+            for route, state in states.items()
+            if not all(aba.check_invariance(spec, state, z) for z in zs)
+        )
+        result.record(not failed, f"spec={spec} z={tuple(map(str, zs))} routes={failed}")
     return [result]
 
 

@@ -1,16 +1,28 @@
-"""Dense references for the tests: explicit local factors and kernel-built operators.
+"""Dense references for the tests: explicit local factors, kernel-built
+operators and the dense amplitudes of a state.
 
 An operator with an auxiliary leg is one ``ExactMatrix`` of size 2^(L+1) on
 (auxiliary leg, chain), the auxiliary leg most significant; ``aux_block``
 slices out its chain block (r, c).  ``single_row`` and ``double_row``
 assemble that matrix column by column from the site-local kernel of
 :mod:`sixvb.monodromy` (its blocks on each basis vector), so the tests can
-compare it with explicit products of ``lax_embed`` factors.
+compare it with explicit products of ``lax_embed`` factors.  ``dense``
+lists the 2^L amplitudes of a sparse state.
 """
+
+from fractions import Fraction
 
 from sixvb.exact import ExactMatrix
 from sixvb.monodromy import QuantumState, double_row_on_state, single_row_on_state
 from sixvb.weights import embed_pair, lax_matrix
+
+
+def dense(state: QuantumState) -> tuple:
+    """All 2^L amplitudes of a state as Fractions, basis index 0 first."""
+    amps = [Fraction(0)] * (1 << state.length)
+    for i, x in state.entries.items():
+        amps[i] = state.scale * x
+    return tuple(amps)
 
 
 def lax_embed(z, site: int, length: int, conjugate: bool = False) -> ExactMatrix:
@@ -34,9 +46,9 @@ def _assemble(length: int, blocks_on) -> ExactMatrix:
     size = 1 << length
     cols = [None] * (2 * size)
     for j in range(size):
-        blocks = blocks_on(QuantumState(length, tuple(int(i == j) for i in range(size))))
+        blocks = blocks_on(QuantumState(length, {j: 1}))
         for c in (0, 1):
-            cols[c * size + j] = blocks[0][c].amplitudes + blocks[1][c].amplitudes
+            cols[c * size + j] = dense(blocks[0][c]) + dense(blocks[1][c])
     return ExactMatrix(tuple(zip(*cols)))
 
 
@@ -54,7 +66,7 @@ def states_proportional(u: QuantumState, v: QuantumState) -> bool:
     """True when u and v span the same ray (either may be scaled arbitrarily)."""
     if u.length != v.length:
         return False
-    ua, va = u.amplitudes, v.amplitudes
+    ua, va = dense(u), dense(v)
     pivot = next((i for i, a in enumerate(ua) if a != 0), None)
     if pivot is None:
         return v.is_zero()

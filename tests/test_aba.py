@@ -30,7 +30,7 @@ from sixvb.lattice import (
 from sixvb.monodromy import external_component, reference_state
 from sixvb.sampling import random_spec, random_z
 
-from dense_reference import states_proportional
+from dense_reference import dense, states_proportional
 
 
 def line_spec(reflected=False, theta=F(1, 3), q=F(2)):
@@ -225,7 +225,7 @@ class TestReduction:
         )
         theta1 = spec.rapidities[0]
         state = bethe_state(spec, (F(5, 193), theta1))
-        for idx, amp in enumerate(state.amplitudes):
+        for idx, amp in enumerate(dense(state)):
             if ((idx >> 1) & 1) != (idx & 1):
                 assert amp == 0
 

@@ -34,7 +34,7 @@ from sixvb.lattice import (
     magnon_positions,
     reference_config,
 )
-from sixvb.monodromy import apply_closed_b, basis_index, reference_state
+from sixvb.monodromy import apply_closed_b, reference_state
 from sixvb.sampling import random_spec, random_z
 
 
@@ -260,7 +260,7 @@ class TestClosedWave:
                         sign = -sign
                 elif site in positions:
                     labels[site - 1] = 2
-            assert state.amplitudes[basis_index(labels)] == sign * phi
+            assert state.component(labels) == sign * phi
 
 
 class TestClosedExchange:

@@ -76,6 +76,8 @@ class TestCompute:
         out = capsys.readouterr().out
         assert "direct=5/7" in out and "aba=5/7" in out and "cba=5/7" in out
         assert "agreement: True" in out
+        assert main(["compute", line_path, "--alpha", " 2 ", "--beta", "2\t"]) == 0
+        assert "direct=5/7" in capsys.readouterr().out
 
     def test_default_reference_config(self, line_path, capsys):
         assert main(["compute", line_path, "--method", "direct"]) == 0
@@ -131,6 +133,9 @@ class TestCompute:
         assert main(["compute", line_path, "--alpha", "3", "--beta", "1"]) == 2
         assert main(["compute", line_path, "--alpha", "1,2", "--beta", "1"]) == 2
         assert main(["compute", line_path, "--alpha", "1"]) == 2
+        for label in ("0_1", "01", "+2", "\uff12"):
+            assert main(["compute", line_path, "--alpha", label, "--beta", "1"]) == 2
+            assert main(["compute", line_path, "--alpha", "2", "--beta", label]) == 2
 
     def test_invalid_spec_exit_two(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -27,11 +27,11 @@ from sixvb.lattice import (
     inhomogeneities,
     reference_config,
 )
-from sixvb.monodromy import QuantumState, _from_sparse, _to_sparse
+from sixvb.monodromy import QuantumState
 from sixvb.sampling import random_ice_config, random_pairing, random_q, random_spec, random_theta
 from sixvb.weights import PERMUTATION, S_MATRIX, embed_pair, k_matrix, r_matrix
 
-from dense_reference import aux_block, lax_embed, states_proportional
+from dense_reference import aux_block, dense, lax_embed, states_proportional
 
 
 def line_spec(reflected=False, theta=F(1, 3), q=F(2)):
@@ -46,14 +46,14 @@ def line_spec(reflected=False, theta=F(1, 3), q=F(2)):
 class TestElementaryInvariants:
     def test_line_components(self):
         li = line_invariant()
-        assert li.amplitudes == (1, 0, 0, 1)
+        assert dense(li) == (1, 0, 0, 1)
 
     def test_line_invariance(self):
         spec = line_spec(theta=F(2, 7), q=F(4, 5))
         assert check_invariance(spec, line_invariant(), F(1, 6))
 
     def test_boundary_line_example(self):
-        assert boundary_line_invariant(F(1), F(2)).amplitudes == (1, 0, 0, F(1, 3))
+        assert dense(boundary_line_invariant(F(1), F(2))) == (1, 0, 0, F(1, 3))
 
     def test_boundary_line_at_zero_rapidity(self):
         assert boundary_line_invariant(F(0), F(2)) == line_invariant()
@@ -68,13 +68,13 @@ class TestElementaryInvariants:
         li = line_invariant()
         dressed = [
             sum(
-                k[a, b] * li.amplitudes[(b << 1) | s]
+                k[a, b] * dense(li)[(b << 1) | s]
                 for b in range(2)
             )
             for a in range(2)
             for s in range(2)
         ]
-        assert tuple(dressed) == boundary_line_invariant(theta, q).amplitudes
+        assert tuple(dressed) == dense(boundary_line_invariant(theta, q))
 
     def test_boundary_exchange_vector_relation(self):
         # Reflected-line invariant intertwines the two half-dressed products.
@@ -89,9 +89,9 @@ class TestElementaryInvariants:
         k2 = ExactMatrix.identity(2).tensor(k_matrix(theta, q))
         for r in range(2):
             for c in range(2):
-                lhs = aux_block(lhs_op, r, c) @ ExactMatrix(tuple((x,) for x in psi_b.amplitudes))
+                lhs = aux_block(lhs_op, r, c) @ ExactMatrix(tuple((x,) for x in dense(psi_b)))
                 rhs = k2 @ (
-                    aux_block(rhs_op, r, c) @ ExactMatrix(tuple((x,) for x in psi_l.amplitudes))
+                    aux_block(rhs_op, r, c) @ ExactMatrix(tuple((x,) for x in dense(psi_l)))
                 )
                 assert lhs == rhs
 
@@ -106,10 +106,10 @@ class TestInitialInvariant:
         )
         # line 2 (reflected, theta_2) occupies sites (1, 2); line 1 sites (3, 4)
         state = initial_invariant(spec)
-        lo = line_invariant().amplitudes
-        hi = boundary_line_invariant(F(3, 11), F(4, 5)).amplitudes
+        lo = dense(line_invariant())
+        hi = dense(boundary_line_invariant(F(3, 11), F(4, 5)))
         want = tuple(a * b for a in hi for b in lo)
-        assert state.amplitudes == want
+        assert dense(state) == want
 
     def test_invariance_of_initial_condition(self):
         init = initial_condition()
@@ -262,11 +262,11 @@ class TestMoveAgainstLiteralProduct:
         length, p, theta = 4, 2, F(5, 17)
         amps = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(1 << length)]
         want = embed_pair(_literal_move(theta, ends), length, (p - 1, p)) @ _column(amps)
-        vec, scale = _to_sparse(amps)
+        state = QuantumState(length, dict(enumerate(amps)))
         d = theta.denominator
         theta_d = theta.numerator
-        out = contraction._apply_move(vec, length, p, theta_d, d, ends[0] != ends[1])
-        assert _column(_from_sparse(length, out, scale / (theta_d + d)).amplitudes) == want
+        out = contraction._apply_move(state.entries, length, p, theta_d, d, ends[0] != ends[1])
+        assert _column(dense(QuantumState(length, out, state.scale / (theta_d + d)))) == want
 
     def test_pole(self):
         with pytest.raises(PoleError, match="theta = -1"):
@@ -282,14 +282,14 @@ class TestMoveAgainstLiteralProduct:
             ends = [False] * spec.length
             for chord in plan.source.chords:
                 ends[chord.end - 1] = True
-            state = _column(initial_invariant(plan.source).amplitudes)
+            state = _column(dense(initial_invariant(plan.source)))
             for move in plan.moves:
                 p = move.position
                 op = _literal_move(v[p] - v[p - 1], (ends[p - 1], ends[p]))
                 state = embed_pair(op, spec.length, (p - 1, p)) @ state
                 ends[p - 1], ends[p] = ends[p], ends[p - 1]
                 v[p - 1], v[p] = v[p], v[p - 1]
-            assert _column(build_invariant(spec, plan).amplitudes) == state
+            assert _column(dense(build_invariant(spec, plan))) == state
 
 
 def _dense_weave(spec, plan) -> QuantumState:
@@ -317,7 +317,7 @@ def _dense_weave(spec, plan) -> QuantumState:
                     amps[j] = sum(op[r, c] * old[c] for c in range(4))
         ends[p - 1], ends[p] = ends[p], ends[p - 1]
         v[p - 1], v[p] = v[p], v[p - 1]
-    return QuantumState(length, tuple(amps))
+    return QuantumState(length, dict(enumerate(amps)))
 
 
 class TestSparseWeaveAgainstDenseReference:

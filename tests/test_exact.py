@@ -129,7 +129,7 @@ class TestRationalGate:
     @pytest.mark.parametrize(
         "call",
         [
-            pytest.param(lambda: QuantumState(1, (1, 0)).scale(0.5), id="state-scale-float"),
+            pytest.param(lambda: QuantumState(1, {0: 1}, 0.5), id="state-scale-float"),
             pytest.param(lambda: BetheRootSet((0.1,)), id="root-set-float"),
             pytest.param(lambda: cba.closed_wave((0.5, "1/3"), (F(1, 4),), (1,)), id="closed-wave"),
             pytest.param(lambda: aba.h_a_coeff(0.5, "1/3"), id="h-a-coeff"),
@@ -153,13 +153,16 @@ class TestRationalGate:
 
 
 class TestIntegerGate:
-    """Chain lengths, root indices and magnon numbers must be ints; a bool is not one."""
+    """Chain lengths, basis indices, root indices and magnon numbers must be
+    ints; a bool is not one."""
 
     @pytest.mark.parametrize(
         "call",
         [
-            pytest.param(lambda: QuantumState(True, (1, 0)), id="state-length-bool"),
-            pytest.param(lambda: QuantumState(1.0, (1, 0)), id="state-length-float"),
+            pytest.param(lambda: QuantumState(True, {0: 1}), id="state-length-bool"),
+            pytest.param(lambda: QuantumState(1.0, {0: 1}), id="state-length-float"),
+            pytest.param(lambda: QuantumState(1, {True: 1}), id="state-index-bool"),
+            pytest.param(lambda: QuantumState(1, {1.0: 1}), id="state-index-float"),
             pytest.param(
                 lambda: cba.WaveEngine((F(1, 3),) * 2, (F(1, 5),), F(2, 7), 2.5), id="engine-length"
             ),

@@ -227,7 +227,7 @@ class TestMagnonsAndIce:
             pytest.param(magnon_positions, id="magnon_positions"),
             pytest.param(ice_rule_satisfied, id="ice_rule_satisfied"),
             pytest.param(
-                lambda spec, config: external_component(QuantumState(2, (0, 1, 0, 0)), spec, config),
+                lambda spec, config: external_component(QuantumState(2, {1: 1}), spec, config),
                 id="external_component",
             ),
         ],

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -35,7 +36,14 @@ from sixvb.monodromy import (
 from sixvb.sampling import random_spec, random_z
 from sixvb.weights import PERMUTATION, S_MATRIX
 
-from dense_reference import aux_block, double_row, lax_embed, single_row, states_proportional
+from dense_reference import (
+    aux_block,
+    dense,
+    double_row,
+    lax_embed,
+    single_row,
+    states_proportional,
+)
 
 
 def line_spec(reflected=False, theta=F(2, 7), q=F(4, 5)):
@@ -64,19 +72,62 @@ class TestBasis:
 
 
 class TestQuantumState:
-    """Amplitudes are kept exact: int becomes Fraction, anything else raises."""
+    """A state is a positive Fraction scale times coprime nonzero ints, so
+    equal vectors have equal fields; amplitudes are int or Fraction only."""
 
     @pytest.mark.parametrize(
-        "amplitudes", [(0.5, "1/3"), ("1", 0), (True, 0)], ids=["float-str", "str", "bool"]
+        "entries", [{0: 0.5, 1: "1/3"}, {0: "1"}, {0: True}], ids=["float-str", "str", "bool"]
     )
-    def test_rejects_non_rational_amplitudes(self, amplitudes):
+    def test_rejects_non_rational_amplitudes(self, entries):
         with pytest.raises(ValueError):
-            QuantumState(1, amplitudes)
+            QuantumState(1, entries)
 
-    def test_int_amplitudes_become_fractions(self):
-        state = QuantumState(1, (1, 0))
-        assert state == QuantumState(1, (F(1), F(0)))
-        assert all(type(a) is F for a in state.amplitudes)
+    @pytest.mark.parametrize(
+        "length, entries",
+        [(1, {2: 1}), (2, {-1: 1}), (0, {1: 1}), (1, (1, 0)), (-1, {})],
+        ids=[
+            "index-past-end",
+            "index-negative",
+            "index-past-empty-chain",
+            "dense-tuple",
+            "negative-length",
+        ],
+    )
+    def test_rejects_malformed_entries(self, length, entries):
+        with pytest.raises(ValueError):
+            QuantumState(length, entries)
+
+    @pytest.mark.parametrize(
+        "entries, scale, same",
+        [
+            ({0: 2, 3: 4}, F(1, 2), {0: 1, 3: 2}),
+            ({0: -1, 3: -2}, -1, {0: 1, 3: 2}),
+            ({0: F(1, 2), 3: 1}, 2, {0: 1, 3: 2}),
+            ({0: 1, 3: F(2)}, 1, {0: F(1), 3: 2}),
+            ({0: 0, 3: 0}, 5, {}),
+            ({0: 1, 3: 2}, 0, {}),
+        ],
+        ids=[
+            "content-into-scale",
+            "negative-scale",
+            "fraction-entries",
+            "int-fraction",
+            "zero-entries",
+            "zero-scale",
+        ],
+    )
+    def test_canonical_form(self, entries, scale, same):
+        state = QuantumState(2, entries, scale)
+        assert state == QuantumState(2, same)
+        assert dense(state) == tuple(scale * F(entries.get(i, 0)) for i in range(4))
+        assert all(type(x) is int and x for x in state.entries.values())
+        assert type(state.scale) is F and state.scale > 0
+        assert math.gcd(*state.entries.values()) == 1 or (state.is_zero() and state.scale == 1)
+
+    def test_fields_after_normalisation(self):
+        state = QuantumState(2, {0: F(-4, 3), 3: 2}, F(-1, 5))
+        assert state.entries == {0: 2, 3: -3} and state.scale == F(2, 15)
+        assert state.component((1, 1)) == F(4, 15) and state.component((2, 1)) == 0
 
 
 class TestLaxEmbed:
@@ -142,7 +193,7 @@ class TestSingleRow:
 
     def test_half_product_eigenvalues_on_line_invariant(self):
         # the two half-products act diagonally on (1,0,0,1)
-        psi = QuantumState(2, (1, 0, 0, 1))
+        psi = QuantumState(2, {0: 1, 3: 1})
         rng = random.Random(3)
         for _ in range(10):
             theta = F(rng.randint(1, 90), 97)
@@ -150,11 +201,11 @@ class TestSingleRow:
             spec = line_spec(theta=theta)
             up = single_row_on_state(spec, z, True, psi)
             lam_up = (z + theta - 1) * (z + theta + 1)
-            assert up[0][0] == psi.scale(lam_up) and up[1][1] == psi.scale(lam_up)
+            assert up[0][0] == up[1][1] == QuantumState(2, {0: lam_up, 3: lam_up})
             assert up[0][1].is_zero() and up[1][0].is_zero()
             down = single_row_on_state(spec, z, False, psi)
             lam_down = (z - theta) * (z - theta + 2)
-            assert down[0][0] == psi.scale(lam_down) and down[1][1] == psi.scale(lam_down)
+            assert down[0][0] == down[1][1] == QuantumState(2, {0: lam_down, 3: lam_down})
             assert down[0][1].is_zero() and down[1][0].is_zero()
 
 
@@ -235,7 +286,7 @@ class TestCreationKernelConsistency:
         rng = random.Random(500 + n)
         spec = random_spec(rng, n)
         state = QuantumState(
-            2 * n, tuple(F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(4**n))
+            2 * n, {i: F(rng.randint(-9, 9), rng.randint(1, 7)) for i in range(4**n)}
         )
         assert state != reference_state(spec) and not state.is_zero()
         for _ in range(2):
@@ -285,32 +336,34 @@ def _dense_double_row(a, b, chain, z):
 
 
 def _dense_blocks(state, apply):
-    amps = list(state.amplitudes)
+    amps = list(dense(state))
     zero = [F(0)] * len(amps)
     (av, cv), (bv, dv) = apply(amps, zero), apply(zero, amps)
     return [
-        [QuantumState(state.length, tuple(av)), QuantumState(state.length, tuple(bv))],
-        [QuantumState(state.length, tuple(cv)), QuantumState(state.length, tuple(dv))],
+        [QuantumState(state.length, dict(enumerate(x))) for x in (av, bv)],
+        [QuantumState(state.length, dict(enumerate(x))) for x in (cv, dv)],
     ]
 
 
 def _dense_bethe_state(spec, roots):
     chain = monodromy.chain_data(spec)
-    amps = list(reference_state(spec).amplitudes)
+    amps = list(dense(reference_state(spec)))
     zero = [F(0)] * len(amps)
     for z in reversed(roots):
         amps, _ = _dense_double_row(zero, amps, chain, z)
-    return QuantumState(spec.length, tuple(amps))
+    return QuantumState(spec.length, dict(enumerate(amps)))
 
 
 def _random_dense_state(rng, length):
     """Mixed denominators, about a third of the entries zero."""
     return QuantumState(
         length,
-        tuple(
-            F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 12, 29))) if rng.random() < 0.7 else F(0)
-            for _ in range(1 << length)
-        ),
+        {
+            i: F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 12, 29)))
+            if rng.random() < 0.7
+            else F(0)
+            for i in range(1 << length)
+        },
     )
 
 
@@ -339,7 +392,7 @@ class TestSparseKernelAgainstDenseReference:
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_zero_state_stays_zero(self, n):
         spec = random_spec(random.Random(950 + n), n)
-        zero = QuantumState(2 * n, (F(0),) * 4**n)
+        zero = QuantumState(2 * n, {})
         z = F(-3, 8)
         assert apply_open_b(spec, z, zero) == zero
         assert apply_closed_b(spec, z, zero) == zero
@@ -380,7 +433,7 @@ class TestDoubleRow:
             omega = reference_state(spec)
             blocks = double_row_on_state(spec, z, omega)
             ev = vacuum_eigenvalues(spec, z)
-            assert blocks[0][0] == omega.scale(ev.alpha_val)
+            assert dense(blocks[0][0]) == tuple(ev.alpha_val * a for a in dense(omega))
             assert blocks[1][0].is_zero()
 
     def test_d_tilde_eigenvalue_on_reference(self):
@@ -389,8 +442,10 @@ class TestDoubleRow:
         omega = reference_state(spec)
         ev = vacuum_eigenvalues(spec, z)
         blocks = double_row_on_state(spec, z, omega)
-        d_shifted = blocks[1][1] - blocks[0][0].scale(F(1) / (2 * z + 1))
-        assert d_shifted == omega.scale(ev.delta_tilde_val)
+        d_shifted = tuple(
+            d - a / (2 * z + 1) for d, a in zip(dense(blocks[1][1]), dense(blocks[0][0]))
+        )
+        assert d_shifted == tuple(ev.delta_tilde_val * a for a in dense(omega))
 
     def test_d_tilde_pole(self):
         with pytest.raises(PoleError, match="shifted D block has a pole at z = -1/2"):
@@ -413,13 +468,13 @@ class TestReferenceState:
     def test_line_reference(self):
         omega = reference_state(line_spec())
         assert omega.component((2, 1)) == -1
-        assert sum(a * a for a in omega.amplitudes) == 1
+        assert sum(a * a for a in dense(omega)) == 1
 
     def test_two_line_sign(self):
         omega = reference_state(crossed_spec())
         # ends at sites 2 and 1: component (2,2,1,1) with sign (-1)^2
         assert omega.component((2, 2, 1, 1)) == 1
-        assert sum(a * a for a in omega.amplitudes) == 1
+        assert sum(a * a for a in dense(omega)) == 1
 
     def test_external_component_contraction(self):
         spec = crossed_spec()
@@ -464,7 +519,7 @@ class TestVacuumEigenvalues:
 
 class TestProportionality:
     def test_zero_and_scaling(self):
-        u = QuantumState(1, (1, 2))
-        assert states_proportional(u, u.scale(F(-7, 3)))
-        assert not states_proportional(u, QuantumState(1, (1, 3)))
-        assert states_proportional(QuantumState(1, (0, 0)), QuantumState(1, (0, 0)))
+        u = QuantumState(1, {0: 1, 1: 2})
+        assert states_proportional(u, QuantumState(1, u.entries, F(-7, 3)))
+        assert not states_proportional(u, QuantumState(1, {0: 1, 1: 3}))
+        assert states_proportional(QuantumState(1, {}), QuantumState(1, {0: 0, 1: 0}))

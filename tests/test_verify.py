@@ -25,6 +25,20 @@ def test_seeded_draws_do_not_depend_on_hash_seed():
     assert outs[0] == outs[1]
 
 
+def test_invariance_failures_name_the_failing_route(monkeypatch):
+    built = []
+    real_state, real_check = cba.cba_state, aba.check_invariance
+    monkeypatch.setattr(cba, "cba_state", lambda spec: built.append(real_state(spec)) or built[-1])
+    monkeypatch.setattr(
+        aba,
+        "check_invariance",
+        lambda spec, state, z: state is not built[-1] and real_check(spec, state, z),
+    )
+    (result,) = verify.invariance_suite(3, 2)
+    assert len(result.failures) == 2
+    assert all("spec=LatticeSpec(" in f and f.endswith(" routes=('cba',)") for f in result.failures)
+
+
 @pytest.mark.parametrize(
     "module, checker, name",
     [
