@@ -36,7 +36,7 @@ from .monodromy import (
     _double_row_kernel,
     apply_open_b,
     double_row_on_state,
-    external_component,
+    external_entry,
     lambda_value,
     reference_state,
     vacuum_eigenvalues,
@@ -82,7 +82,7 @@ def z_aba(spec: LatticeSpec, config: ExternalConfig) -> Fraction:
 
 def z_aba_table(spec: LatticeSpec, configs: Sequence[ExternalConfig]) -> list:
     """Values for many configs from a single state construction."""
-    return sweep(spec, configs, lambda s: partial(external_component, solve_aba(s).bethe_state, s))
+    return sweep(spec, configs, lambda s: partial(external_entry, solve_aba(s).bethe_state, s))
 
 
 def check_invariance(spec: LatticeSpec, state: QuantumState, z) -> bool:

@@ -65,7 +65,7 @@ def cmd_validate(args) -> int:
     except InvalidSpecError as exc:
         violations = exc.violations
     if args.json:
-        print(json.dumps({"ok": not violations, "violations": list(violations)}, indent=2))
+        print(json.dumps({"ok": not violations, "violations": list(violations)}))
     elif violations:
         print("invalid:")
         for v in violations:
@@ -82,6 +82,8 @@ def cmd_compute(args) -> int:
         return _input_error(str(exc))
 
     if args.all_configs:
+        if args.alpha is not None or args.beta is not None:
+            return _input_error("--all-configs cannot be combined with --alpha/--beta")
         configs = list(all_configs(spec.n))
     elif args.alpha is not None or args.beta is not None:
         if args.alpha is None or args.beta is None:
@@ -102,7 +104,7 @@ def cmd_compute(args) -> int:
         return _input_error(f"degenerate computation: {exc}")
 
     if args.json:
-        print(json.dumps(report_to_dict(run), indent=2))
+        print(json.dumps(report_to_dict(run)))
     else:
         for i, config in enumerate(run.configs):
             cells = " ".join(
@@ -167,7 +169,7 @@ def main(argv=None) -> int:
 
     p_validate = sub.add_parser("validate", help="validate a lattice file")
     p_validate.add_argument("spec", help="path to a lattice JSON file")
-    p_validate.add_argument("--json", action="store_true", help="machine-readable output")
+    p_validate.add_argument("--json", action="store_true", help="output one JSON object")
     p_validate.set_defaults(func=cmd_validate)
 
     p_compute = sub.add_parser("compute", help="compute partition-function values")
@@ -183,7 +185,7 @@ def main(argv=None) -> int:
     p_compute.add_argument(
         "--all-configs", action="store_true", help="sweep all 4^N external configurations"
     )
-    p_compute.add_argument("--json", action="store_true", help="machine-readable output")
+    p_compute.add_argument("--json", action="store_true", help="output one JSON object")
     p_compute.set_defaults(func=cmd_compute)
 
     p_verify = sub.add_parser("verify", help="run randomized exact identity suites")

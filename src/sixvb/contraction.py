@@ -37,7 +37,7 @@ from .lattice import (
     is_initial,
     sweep,
 )
-from .monodromy import QuantumState, external_component
+from .monodromy import QuantumState, external_entry
 
 
 def line_invariant() -> QuantumState:
@@ -209,4 +209,4 @@ def z_direct(spec: LatticeSpec, config: ExternalConfig) -> Fraction:
 
 def z_direct_table(spec: LatticeSpec, configs: Sequence[ExternalConfig]) -> list:
     """Values for many configs from a single weave."""
-    return sweep(spec, configs, lambda s: partial(external_component, build_invariant(s), s))
+    return sweep(spec, configs, lambda s: partial(external_entry, build_invariant(s), s))

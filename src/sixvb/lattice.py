@@ -208,8 +208,7 @@ def magnon_positions(spec: LatticeSpec, config: ExternalConfig) -> tuple:
 def ice_rule_satisfied(spec: LatticeSpec, config: ExternalConfig) -> bool:
     """Charge conservation: the magnon count must equal the number of lines."""
     _check_config(spec, config)
-    count = sum(1 for a in config.alpha if a == 2) + sum(1 for b in config.beta if b == 1)
-    return count == spec.n
+    return config.alpha.count(2) + config.beta.count(1) == spec.n
 
 
 def reference_config(n: int) -> ExternalConfig:
@@ -220,25 +219,34 @@ def reference_config(n: int) -> ExternalConfig:
 def sweep(
     spec: LatticeSpec,
     configs: Sequence[ExternalConfig],
-    build_component: Callable[[LatticeSpec], Callable[[ExternalConfig], Fraction]],
+    build_component: Callable[[LatticeSpec], Callable[[ExternalConfig], int | Fraction]],
 ) -> list:
     """Partition-function values of many configs from one route's component.
 
     ``build_component(spec)`` returns the route's unnormalized component as
     a function of the config; it is built once, and only when some config
-    satisfies the ice rule.  Values are normalized to 1 at the reference
-    config, and configs that break the ice rule get 0.  The spec was
-    validated when it was made, so nothing is checked again here.
+    satisfies the ice rule.  The component may be any exact rational up to
+    a factor common to all configs, such as the integer entry of a state
+    without its scale: only its ratio to the reference config counts.
+    The result holds one ``Fraction`` per config, normalized to 1 at the
+    reference config; configs whose component is 0, and configs that break
+    the ice rule, share one ``Fraction(0)``.  The spec was validated when
+    it was made, so nothing is checked again here.
     """
     configs = list(configs)
     allowed = [ice_rule_satisfied(spec, config) for config in configs]
+    zero = Fraction(0)
     if not any(allowed):
-        return [Fraction(0)] * len(allowed)
+        return [zero] * len(allowed)
     component = build_component(spec)
     norm = component(reference_config(spec.n))
     if norm == 0:
         raise DegenerateSpecError("reference component vanished")
-    return [component(c) / norm if ok else Fraction(0) for c, ok in zip(configs, allowed)]
+    values = []
+    for config, ok in zip(configs, allowed):
+        x = component(config) if ok else 0
+        values.append(Fraction(x, norm) if x else zero)
+    return values
 
 
 def all_configs(n: int) -> Iterator[ExternalConfig]:

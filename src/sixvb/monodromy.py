@@ -407,11 +407,17 @@ def check_reflection_algebra(spec: LatticeSpec, x, y) -> bool:
     return True
 
 
-def external_component(state: QuantumState, spec: LatticeSpec, config: ExternalConfig) -> Fraction:
-    """Contraction of a chain state with perimeter labels: alpha at starts, beta at ends."""
+def external_entry(state: QuantumState, spec: LatticeSpec, config: ExternalConfig) -> int:
+    """The integer entry of a chain state at perimeter labels: alpha at
+    starts, beta at ends.  ``state.scale`` times it is the component."""
     _check_config(spec, config)
     states = [0] * spec.length
     for chord, a, b in zip(spec.chords, config.alpha, config.beta):
         states[chord.start - 1] = a
         states[chord.end - 1] = b
-    return state.component(states)
+    return state.entries.get(basis_index(states), 0)
+
+
+def external_component(state: QuantumState, spec: LatticeSpec, config: ExternalConfig) -> Fraction:
+    """Contraction of a chain state with perimeter labels: alpha at starts, beta at ends."""
+    return state.scale * external_entry(state, spec, config)

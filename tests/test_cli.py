@@ -1,12 +1,14 @@
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from sixvb import pipeline
 from sixvb.cli import main
-from sixvb.fixtures import fixture_text
+from sixvb.fixtures import figure_lattice, fixture_text
 from sixvb.exact import parse_rational
+from sixvb.lattice import all_configs
 
 
 @pytest.fixture
@@ -137,6 +139,21 @@ class TestCompute:
             assert main(["compute", line_path, "--alpha", label, "--beta", "1"]) == 2
             assert main(["compute", line_path, "--alpha", "2", "--beta", label]) == 2
 
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            ["--alpha", "2,2", "--beta", "1,1"],
+            ["--alpha", "2,1,1,1", "--beta", "1,1,1,2"],
+            ["--alpha", "2,1,1,1"],
+            ["--beta", "1,1,1,2"],
+        ],
+    )
+    def test_all_configs_with_labels_exit_two(self, figure_path, capsys, labels):
+        assert main(["compute", figure_path, "--all-configs", *labels]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --all-configs cannot be combined with --alpha/--beta" in captured.err
+
     def test_invalid_spec_exit_two(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(
@@ -152,6 +169,42 @@ class TestCompute:
             encoding="utf-8",
         )
         assert main(["compute", str(path)]) == 2
+
+
+class TestJsonLayout:
+    """``--json`` prints one compact JSON object on one line."""
+
+    def test_compute_prints_one_line_of_the_report(self, figure_path, capsys):
+        assert main(["compute", figure_path, "--all-configs", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and out.endswith("\n")
+        printed = json.loads(out)
+        report = pipeline.report_to_dict(
+            pipeline.compute_report(figure_lattice(), list(all_configs(4)))
+        )
+        del printed["timings_s"], report["timings_s"]
+        assert printed == json.loads(json.dumps(report))
+
+    @pytest.mark.parametrize("violation", [False, True])
+    def test_validate_prints_one_line(self, tmp_path, capsys, violation):
+        path = tmp_path / "line.json"
+        line = {"start": 2, "end": 1, "reflected": False, "rapidity": "1" if violation else "1/3"}
+        path.write_text(json.dumps({"n": 1, "lines": [line], "q": "2"}), encoding="utf-8")
+        assert main(["validate", str(path), "--json"]) == int(violation)
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        assert json.loads(out)["ok"] is not violation
+
+    def test_text_output_unchanged(self, line_path, capsys):
+        assert main(["compute", line_path, "--all-configs"]) == 0
+        out = re.sub(r"=\d+\.\d{3}s", "=Ts", capsys.readouterr().out)
+        assert out == (
+            "alpha=1 beta=1  direct=1 aba=1 cba=1\n"
+            "alpha=1 beta=2  direct=0 aba=0 cba=0\n"
+            "alpha=2 beta=1  direct=0 aba=0 cba=0\n"
+            "alpha=2 beta=2  direct=5/7 aba=5/7 cba=5/7\n"
+            "# methods: direct, aba, cba; agreement: True; direct=Ts aba=Ts cba=Ts\n"
+        )
 
 
 class TestStrictInput:

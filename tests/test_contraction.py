@@ -27,7 +27,7 @@ from sixvb.lattice import (
     inhomogeneities,
     reference_config,
 )
-from sixvb.monodromy import QuantumState
+from sixvb.monodromy import QuantumState, external_component
 from sixvb.sampling import random_ice_config, random_pairing, random_q, random_spec, random_theta
 from sixvb.weights import PERMUTATION, S_MATRIX, embed_pair, k_matrix, r_matrix
 
@@ -358,8 +358,6 @@ class TestZDirect:
             assert states_proportional(high, low)
             table_high = z_direct_table(spec, configs)
             # recompute via the alternative plan
-            from sixvb.monodromy import external_component
-
             norm = external_component(low, spec, reference_config(spec.n))
             table_low = [
                 external_component(low, spec, c) / norm
@@ -369,6 +367,45 @@ class TestZDirect:
                 for c in configs
             ]
             assert table_high == table_low
+
+
+READ_OUT_SPECS = ["figure", "initial"] + [f"{seed}-{n}" for seed in (101, 102) for n in range(1, 7)]
+
+
+def _read_out_spec(name: str) -> LatticeSpec:
+    if name == "figure":
+        return figure_lattice()
+    if name == "initial":
+        return initial_condition()
+    seed, n = map(int, name.split("-"))
+    return random_spec(random.Random(seed), n)
+
+
+def _placed_component(state: QuantumState, spec: LatticeSpec, config: ExternalConfig) -> F:
+    """The component at the chain labels: alpha at chord starts, beta at ends."""
+    labels = [0] * spec.length
+    for chord, a, b in zip(spec.chords, config.alpha, config.beta):
+        labels[chord.start - 1], labels[chord.end - 1] = a, b
+    return state.component(labels)
+
+
+@pytest.mark.parametrize("name", READ_OUT_SPECS)
+def test_tables_are_ratios_of_external_components(name):
+    """The integer read-out of ``direct`` and ``aba`` gives the ratio of
+    full components, which ``QuantumState.component`` confirms by label."""
+    spec = _read_out_spec(name)
+    configs = list(all_configs(spec.n))
+    ref = reference_config(spec.n)
+    for table, state in (
+        (z_direct_table, build_invariant(spec)),
+        (z_aba_table, solve_aba(spec).bethe_state),
+    ):
+        components = [external_component(state, spec, c) for c in configs]
+        assert components == [_placed_component(state, spec, c) for c in configs]
+        norm = external_component(state, spec, ref)
+        values = table(spec, configs)
+        assert values == [x / norm for x in components]
+        assert all(type(v) is F for v in values)
 
 
 def _seven_line_spec() -> LatticeSpec:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sixvb.errors import InvalidSpecError
+from sixvb.errors import DegenerateSpecError, InvalidSpecError
 from sixvb.fixtures import figure_lattice
 from sixvb.lattice import (
     Chord,
@@ -22,9 +22,10 @@ from sixvb.lattice import (
     reference_config,
     spec_from_dict,
     spec_to_dict,
+    sweep,
     validate_spec,
 )
-from sixvb.monodromy import QuantumState, external_component
+from sixvb.monodromy import QuantumState, external_component, external_entry
 from sixvb.sampling import random_config, random_spec
 
 
@@ -230,6 +231,10 @@ class TestMagnonsAndIce:
                 lambda spec, config: external_component(QuantumState(2, {1: 1}), spec, config),
                 id="external_component",
             ),
+            pytest.param(
+                lambda spec, config: external_entry(QuantumState(2, {1: 1}), spec, config),
+                id="external_entry",
+            ),
         ],
     )
     def test_config_of_wrong_length_rejected(self, read):
@@ -274,6 +279,45 @@ class TestMagnonsAndIce:
 
     def test_all_configs_count(self):
         assert len(list(all_configs(3))) == 64
+
+
+class TestSweep:
+    """``sweep`` on stand-in components of the one-line lattice, whose
+    configs are the reference (1,1), (2,2), and (1,2), (2,1) that break the
+    ice rule."""
+
+    CONFIGS = [ExternalConfig((a,), (b,)) for a, b in ((1, 1), (1, 2), (2, 1), (2, 2))]
+
+    @staticmethod
+    def route(values):
+        """A route whose component reads ``values`` by (alpha, beta)."""
+        return lambda spec: lambda config: values[config.alpha + config.beta]
+
+    @pytest.mark.parametrize(
+        "values, z22",
+        [
+            pytest.param({(1, 1): 3, (2, 2): 2}, F(2, 3), id="int"),
+            pytest.param({(1, 1): -3, (2, 2): 2}, F(-2, 3), id="negative-int-norm"),
+            pytest.param({(1, 1): F(3, 2), (2, 2): F(1, 4)}, F(1, 6), id="fraction"),
+            pytest.param({(1, 1): 5, (2, 2): 0}, F(0), id="zero"),
+        ],
+    )
+    def test_one_fraction_per_config(self, values, z22):
+        values = {**values, (1, 2): 7, (2, 1): F(5, 3)}
+        got = sweep(line_spec(), self.CONFIGS, self.route(values))
+        assert got == [1, 0, 0, z22]
+        assert all(type(v) is F for v in got)
+
+    def test_ice_breaking_configs_read_zero_without_a_component(self):
+        def route(spec):
+            raise AssertionError("no config satisfies the ice rule")
+
+        got = sweep(line_spec(), self.CONFIGS[1:3], route)
+        assert got == [0, 0] and all(type(v) is F for v in got)
+
+    def test_vanishing_reference_component_raises(self):
+        with pytest.raises(DegenerateSpecError, match="reference component vanished"):
+            sweep(line_spec(), self.CONFIGS, self.route({(1, 1): 0, (2, 2): 2}))
 
 
 class TestJson:
