@@ -34,6 +34,7 @@ from .monodromy import (
     _Blocks,
     _combine,
     _double_row_kernel,
+    _integer_coefficients,
     apply_open_b,
     double_row_on_state,
     external_entry,
@@ -224,27 +225,35 @@ def check_fcr_open(spec: LatticeSpec, x, y) -> bool:
     A(x)B(y)  = h_A B(y)A(x)  + g_A B(x)A(y) + g_D B(x)Dt(y),
     Dt(x)B(y) = h_D B(y)Dt(x) + k_A B(x)A(y) + k_D B(x)Dt(y),
 
-    with Dt(z) = D(z) - A(z)/(2z+1), checked on every basis vector.
+    with Dt(z) = D(z) - A(z)/(2z+1), checked on every basis vector.  With
+    1/(2z+1) = R/P in lowest terms, Dt enters as the integer block
+    T(z) = P D(z) - R A(z) = P Dt(z), and the Dt(x) relation is multiplied
+    through by P_x, so every vector compared is an integer vector.
     """
     x, y = rational(x, "x"), rational(y, "y")
     if 2 * x + 1 == 0 or 2 * y + 1 == 0:
         raise PoleError("shifted D block has a pole at z = -1/2")
     sx, sy = 1 / (2 * x + 1), 1 / (2 * y + 1)
-    h_a, g_a, g_dt = h_a_coeff(x, y), g_a_coeff(x, y), g_dt_coeff(x, y)
-    h_dt, k_a, k_dt = h_dt_coeff(x, y), k_a_coeff(x, y), k_dt_coeff(x, y)
+    (rx, px), (ry, py) = (sx.numerator, sx.denominator), (sy.numerator, sy.denominator)
+    a_lhs, h_a, g_a, g_dt = _integer_coefficients(
+        _F1, h_a_coeff(x, y), g_a_coeff(x, y), g_dt_coeff(x, y) / py
+    )
+    t_lhs, h_dt, k_a, k_dt = _integer_coefficients(
+        _F1, h_dt_coeff(x, y), px * k_a_coeff(x, y), px * k_dt_coeff(x, y) / py
+    )
     ux, uy = _Blocks(_double_row_kernel(spec, x)), _Blocks(_double_row_kernel(spec, y))
     for j in range(1 << spec.length):
         e = {j: 1}
-        ax, by = ux(0, 0, e), uy(0, 1, e)
+        ax, ay, by = ux(0, 0, e), uy(0, 0, e), uy(0, 1, e)
         if ux(0, 1, by) != uy(0, 1, ux(0, 1, e)):
             return False
-        dtx = _combine((1, ux(1, 1, e)), (-sx, ax))
-        dty = _combine((1, uy(1, 1, e)), (-sy, uy(0, 0, e)))
-        ax_by, bx_ay, bx_dty = ux(0, 0, by), ux(0, 1, uy(0, 0, e)), ux(0, 1, dty)
-        if ax_by != _combine((h_a, uy(0, 1, ax)), (g_a, bx_ay), (g_dt, bx_dty)):
+        tx = _combine((px, ux(1, 1, e)), (-rx, ax))
+        ty = _combine((py, uy(1, 1, e)), (-ry, ay))
+        ax_by, bx_ay, bx_ty = ux(0, 0, by), ux(0, 1, ay), ux(0, 1, ty)
+        if _combine((a_lhs, ax_by)) != _combine((h_a, uy(0, 1, ax)), (g_a, bx_ay), (g_dt, bx_ty)):
             return False
-        dtx_by = _combine((1, ux(1, 1, by)), (-sx, ax_by))
-        if dtx_by != _combine((h_dt, uy(0, 1, dtx)), (k_a, bx_ay), (k_dt, bx_dty)):
+        tx_by = _combine((px, ux(1, 1, by)), (-rx, ax_by))
+        if _combine((t_lhs, tx_by)) != _combine((h_dt, uy(0, 1, tx)), (k_a, bx_ay), (k_dt, bx_ty)):
             return False
     return True
 
@@ -255,9 +264,9 @@ def check_b_reflection(spec: LatticeSpec, z) -> bool:
     if z == 0 or z == -1:
         raise PoleError("reflection factor z/(z+1) degenerates at z in {0, -1}")
     lhs, rhs = _Blocks(_double_row_kernel(spec, z)), _Blocks(_double_row_kernel(spec, -z - 1))
-    factor = -z / (z + 1) * rhs.scale
+    c_lhs, c_rhs = _integer_coefficients(lhs.scale, -z / (z + 1) * rhs.scale)
     return all(
-        _combine((lhs.scale, lhs(0, 1, {j: 1}))) == _combine((factor, rhs(0, 1, {j: 1})))
+        _combine((c_lhs, lhs(0, 1, {j: 1}))) == _combine((c_rhs, rhs(0, 1, {j: 1})))
         for j in range(1 << spec.length)
     )
 

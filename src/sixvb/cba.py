@@ -35,6 +35,7 @@ from .monodromy import (
     _Blocks,
     _combine,
     _double_row_kernel,
+    _integer_coefficients,
     _row_kernel,
     apply_closed_b,
     basis_index,
@@ -340,14 +341,15 @@ def check_closed_fcr(spec: LatticeSpec, x, y) -> bool:
     on every basis vector.
     """
     x, y = rational(x, "x"), rational(y, "y")
-    h, k = h_closed(y, x), k_closed(y, x)
+    lhs, h, k = _integer_coefficients(_F1, h_closed(y, x), k_closed(y, x))
     mx, my = _Blocks(_row_kernel(spec, x, False)), _Blocks(_row_kernel(spec, y, False))
     for j in range(1 << spec.length):
         e = {j: 1}
         by = my(0, 1, e)
         if mx(0, 1, by) != my(0, 1, mx(0, 1, e)):
             return False
-        if mx(0, 0, by) != _combine((h, my(0, 1, mx(0, 0, e))), (-k, mx(0, 1, my(0, 0, e)))):
+        ax_by = _combine((lhs, mx(0, 0, by)))
+        if ax_by != _combine((h, my(0, 1, mx(0, 0, e))), (-k, mx(0, 1, my(0, 0, e)))):
             return False
     return True
 
@@ -366,10 +368,11 @@ def check_b_expansion(spec: LatticeSpec, z) -> bool:
     m_minus = _Blocks(_row_kernel(spec, -z - 1, False))
     sign = _F1 if spec.length % 2 == 0 else -_F1
     factor = sign * 2 * z / (2 * z + 1) * m_plus.scale * m_minus.scale
+    c_u, c_plus, c_minus = _integer_coefficients(u.scale, factor * (q - z - 1), -factor * (q + z))
     return all(
-        _combine((u.scale, u(0, 1, {j: 1}))) == _combine(
-            (factor * (q - z - 1), m_plus(0, 1, m_minus(0, 0, {j: 1}))),
-            (-factor * (q + z), m_minus(0, 1, m_plus(0, 0, {j: 1}))),
+        _combine((c_u, u(0, 1, {j: 1}))) == _combine(
+            (c_plus, m_plus(0, 1, m_minus(0, 0, {j: 1}))),
+            (c_minus, m_minus(0, 1, m_plus(0, 0, {j: 1}))),
         )
         for j in range(1 << spec.length)
     )
@@ -398,7 +401,7 @@ def check_state_expansion(spec: LatticeSpec, m: int, roots: Sequence) -> bool:
         raise ValueError(f"need {m} roots")
     lhs = bethe_state(spec, zs)
     q = spec.boundary_q
-    total = {}
+    coeffs, states = [], []
     for bits in range(1 << m):
         sign = _F1 if bin(bits).count("1") % 2 == 0 else -_F1
         images = tuple(-z - 1 if (bits >> i) & 1 else z for i, z in enumerate(zs))
@@ -411,10 +414,11 @@ def check_state_expansion(spec: LatticeSpec, m: int, roots: Sequence) -> bool:
         state = reference_state(spec)
         for w in reversed(images):
             state = apply_closed_b(spec, w, state)
-        coeff *= state.scale
-        for idx, x in state.entries.items():
-            total[idx] = total.get(idx, 0) + coeff * x
-    return lhs == QuantumState(spec.length, total, norm_prefactor(spec, zs))
+        coeffs.append(coeff * state.scale)
+        states.append(state.entries)
+    pref = norm_prefactor(spec, zs)
+    c_lhs, *c_terms = _integer_coefficients(lhs.scale, *(pref * c for c in coeffs))
+    return _combine((c_lhs, lhs.entries)) == _combine(*zip(c_terms, states))
 
 
 def two_reflection_sum(q, zi, zj) -> Fraction:

@@ -137,7 +137,10 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.nmax < 1 or args.nmax > 6:
-        return _input_error("--nmax must lie in 1..6 (state dimension 2^(2N))")
+        return _input_error(
+            "--nmax must lie in 1..6 (the seeded draw has one prime rapidity denominator"
+            " per line, and six of them)"
+        )
     rng = random.Random(args.seed)
     rows = []
     for n in range(1, args.nmax + 1):

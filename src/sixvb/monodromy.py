@@ -7,11 +7,12 @@ chain blocks (r, c): (0,0) the A block, (0,1) the creation block B, (1,0)
 the annihilation block C and (1,1) the D block.
 
 Every local factor of a monodromy touches one site only, so one primitive,
-a row product on one auxiliary column (a, b) of chain vectors (``_row_column``,
-and ``_double_row_column`` for M K Mhat), carries every monodromy action: a
-creation operator is the top slot of the column (0, v), the four blocks on
-a state come from the columns (v, 0) and (0, v), and every operator
-identity is checked one basis vector at a time, on the columns that
+a row product on one auxiliary column (a, b) of chain vectors, carries every
+monodromy action.  Its kernels are built by ``_row_kernel`` (M or Mhat) and
+``_double_row_kernel`` (M K Mhat), which compute the site integers once per
+(spec, z): a creation operator is the top slot of the column (0, v), the
+four blocks on a state come from the columns (v, 0) and (0, v), and every
+operator identity is checked one basis vector at a time, on the columns that
 ``_Blocks`` computes once per operator.
 
 The primitive is fraction-free and sparse.  A chain vector is a
@@ -22,7 +23,10 @@ lcm of the denominators of z, the inhomogeneities and q, a site factor with
 weights w, w+1 and 1 enters as the integers D w, D w + D and D, and the
 boundary as (D q + D z, D q - D z); each power of D goes into the scale.
 The monodromy conserves the magnon count, so a column stays in few charge
-sectors and only their amplitudes are ever stored.
+sectors and only their amplitudes are ever stored.  The identities are
+compared as integer vectors too: the rational coefficients of one identity
+are brought to ints by one common positive factor
+(``_integer_coefficients``).
 """
 
 from __future__ import annotations
@@ -232,41 +236,56 @@ def _lax_column(a, b, mask, w, d, conjugate):
     return {i: x for i, x in a2.items() if x}, {i: y for i, y in b2.items() if y}
 
 
-def _sites(a, b, chain: ChainData, z: Fraction, d: int, hat: bool):
-    """d^L times a conjugated row product on an integer column; d z and d v are integers."""
+def _site_weights(chain: ChainData, zd: int, d: int, hat: bool) -> tuple:
+    """(mask, weight, conjugate) for each site in the row's order, the weight scaled by d."""
     length = chain.length
-    zd = int(z * d)
-    for site in range(1, length + 1) if hat else range(length, 0, -1):
-        vd = int(chain.v[site - 1] * d)
-        a, b = _lax_column(
-            a, b, 1 << (length - site), zd + vd if hat else zd - vd, d, chain.conjugate[site - 1]
-        )
+    order = range(1, length + 1) if hat else range(length, 0, -1)
+    sign = 1 if hat else -1
+    return tuple(
+        (1 << (length - s), zd + sign * int(chain.v[s - 1] * d), chain.conjugate[s - 1])
+        for s in order
+    )
+
+
+def _run_sites(a, b, sites, d):
+    for mask, w, conjugate in sites:
+        a, b = _lax_column(a, b, mask, w, d, conjugate)
     return a, b
 
 
-def _row_column(a, b, chain: ChainData, z: Fraction, hat: bool):
-    """Left-multiply an integer column (a, b) by a conjugated row product.
+def _row_kernel(spec: LatticeSpec, z, hat: bool):
+    """The one-column kernel of the conjugated single row M, or Mhat when ``hat``.
 
-    Returns (a', b', f): the product applied to (a, b) is f (a', b').
+    The kernel maps an integer column (a, b) to (a', b', f): the row applied
+    to (a, b) is f (a', b').  d, the site weights and f are fixed per (spec, z).
     """
+    chain, z = chain_data(spec), rational(z, "z")
     d = lcm(z.denominator, chain.denominator)
-    a, b = _sites(a, b, chain, z, d, hat)
-    return a, b, Fraction(1, d**chain.length)
+    sites = _site_weights(chain, int(z * d), d, hat)
+    scale = Fraction(1, d**chain.length)
+    return lambda a, b: (*_run_sites(a, b, sites, d), scale)
 
 
-def _double_row_column(a, b, chain: ChainData, z: Fraction):
-    """Left-multiply an integer column (a, b) by the double row M K Mhat.
+def _double_row_kernel(spec: LatticeSpec, z):
+    """The one-column kernel of the double row M K Mhat, as :func:`_row_kernel`.
 
-    Returns (a', b', f) as :func:`_row_column` does; the boundary enters as the
-    integers (Q + Z, Q - Z), the boundary parameter and z scaled by d.
+    The boundary enters as the integers (Q + Z, Q - Z), the boundary
+    parameter and z scaled by d.
     """
+    chain, z = chain_data(spec), rational(z, "z")
     d = lcm(z.denominator, chain.denominator)
-    a, b = _sites(a, b, chain, z, d, hat=True)
     qd, zd = int(chain.q * d), int(z * d)
-    a = {i: (qd + zd) * x for i, x in a.items()} if qd + zd else {}
-    b = {i: (qd - zd) * y for i, y in b.items()} if qd - zd else {}
-    a, b = _sites(a, b, chain, z, d, hat=False)
-    return a, b, Fraction(1, d ** (2 * chain.length + 1))
+    hat_sites, sites = _site_weights(chain, zd, d, True), _site_weights(chain, zd, d, False)
+    top, bottom = qd + zd, qd - zd
+    scale = Fraction(1, d ** (2 * chain.length + 1))
+
+    def apply(a, b):
+        a, b = _run_sites(a, b, hat_sites, d)
+        a = {i: top * x for i, x in a.items()} if top else {}
+        b = {i: bottom * y for i, y in b.items()} if bottom else {}
+        return (*_run_sites(a, b, sites, d), scale)
+
+    return apply
 
 
 def _blocks_on_state(apply, state: QuantumState):
@@ -276,18 +295,6 @@ def _blocks_on_state(apply, state: QuantumState):
         [QuantumState(state.length, x, state.scale * f) for x in (av, bv)],
         [QuantumState(state.length, x, state.scale * f) for x in (cv, dv)],
     ]
-
-
-def _row_kernel(spec: LatticeSpec, z, hat: bool):
-    """The one-column kernel of the conjugated single row M, or Mhat when ``hat``."""
-    chain, z = chain_data(spec), rational(z, "z")
-    return lambda a, b: _row_column(a, b, chain, z, hat)
-
-
-def _double_row_kernel(spec: LatticeSpec, z):
-    """The one-column kernel of the double row M K Mhat."""
-    chain, z = chain_data(spec), rational(z, "z")
-    return lambda a, b: _double_row_column(a, b, chain, z)
 
 
 def single_row_on_state(spec: LatticeSpec, z, hat: bool, state: QuantumState):
@@ -310,13 +317,13 @@ def apply_open_b(spec: LatticeSpec, z, state: QuantumState) -> QuantumState:
     Only the second auxiliary column feeds block (1, 2), so one column is
     tracked.
     """
-    bv, _, f = _double_row_column({}, state.entries, chain_data(spec), rational(z, "z"))
+    bv, _, f = _double_row_kernel(spec, z)({}, state.entries)
     return QuantumState(spec.length, bv, state.scale * f)
 
 
 def apply_closed_b(spec: LatticeSpec, z, state: QuantumState) -> QuantumState:
     """Apply the closed-chain (single-row) creation block to a state."""
-    bv, _, f = _row_column({}, state.entries, chain_data(spec), rational(z, "z"), hat=False)
+    bv, _, f = _row_kernel(spec, z, False)({}, state.entries)
     return QuantumState(spec.length, bv, state.scale * f)
 
 
@@ -330,7 +337,10 @@ class _Blocks:
     whose column j is row r of column (c, j); ``self(r, c, vec)`` applies that
     integer matrix to a sparse vector as a combination of its columns.  Where
     every term of an identity holds one block of each of two monodromies, the
-    scales multiply all terms alike and the integer blocks are compared.
+    scales multiply all terms alike and the integer blocks are compared.  The
+    other rational coefficients of an identity, scales included where they
+    differ between terms, are brought to ints by one common factor per
+    identity (``_integer_coefficients``), so every vector compared holds ints.
     """
 
     def __init__(self, apply):
@@ -357,6 +367,16 @@ def _combine(*terms) -> dict:
     return {i: x for i, x in out.items() if x}
 
 
+def _integer_coefficients(*coeffs) -> tuple:
+    """The rational coefficients of one identity times the lcm of their denominators.
+
+    Every term is scaled by the same positive integer, so the identity holds
+    with the returned ints iff it holds with ``coeffs``.
+    """
+    den = lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (den // c.denominator) for c in coeffs)
+
+
 def check_crossing(spec: LatticeSpec, z) -> bool:
     """The two single-row products are auxiliary transposes of each other.
 
@@ -367,9 +387,10 @@ def check_crossing(spec: LatticeSpec, z) -> bool:
     z = rational(z, "z")
     hat, m = _Blocks(_row_kernel(spec, z, True)), _Blocks(_row_kernel(spec, -z - 1, False))
     sign = 1 if spec.length % 2 == 0 else -1
+    c_hat, c_m = _integer_coefficients(hat.scale, sign * m.scale)
     return all(
-        _combine((hat.scale, hat(r, c, {j: 1})))
-        == _combine(((sign if r == c else -sign) * m.scale, m(1 - c, 1 - r, {j: 1})))
+        _combine((c_hat, hat(r, c, {j: 1})))
+        == _combine((c_m if r == c else -c_m, m(1 - c, 1 - r, {j: 1})))
         for j in range(1 << spec.length)
         for r in (0, 1)
         for c in (0, 1)
@@ -385,11 +406,17 @@ def check_reflection_algebra(spec: LatticeSpec, x, y) -> bool:
     side is applied to every basis vector.
     """
     x, y = rational(x, "x"), rational(y, "y")
-    rm, rp = r_matrix(x - y), r_matrix(x + y)
+
+    def integer_rows(theta):
+        # one factor for all 16 entries: each side holds one copy of the matrix
+        flat = _integer_coefficients(*(w for row in r_matrix(theta).entries for w in row))
+        return [flat[k:k + 4] for k in range(0, 16, 4)]
+
+    rm, rp = integer_rows(x - y), integer_rows(x + y)
     u1, u2 = _Blocks(_double_row_kernel(spec, x)), _Blocks(_double_row_kernel(spec, y))
 
     def r_on(r, vecs):
-        return [_combine(*((r[k, l], vecs[l]) for l in range(4) if r[k, l])) for k in range(4)]
+        return [_combine(*((r[k][l], vecs[l]) for l in range(4) if r[k][l])) for k in range(4)]
 
     def u1_on(vecs):
         return [_combine((1, u1(k >> 1, 0, vecs[k & 1])), (1, u1(k >> 1, 1, vecs[2 + (k & 1)])))

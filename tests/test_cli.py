@@ -258,3 +258,6 @@ class TestBench:
 
     def test_guard(self, capsys):
         assert main(["bench", "--nmax", "7"]) == 2
+        err = capsys.readouterr().err
+        assert "--nmax must lie in 1..6" in err and "prime rapidity denominator per line" in err
+        assert "2^(2N)" not in err

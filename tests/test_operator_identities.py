@@ -2,8 +2,9 @@
 
 The draws here are new seeded draws, separate from those of ``sixvb verify``:
 the exchange relations, the creation-block expansion and reflection, and the
-crossing at L = 6, the reflection algebra at L = 4.  Each mutation breaks one
-ingredient of an identity and the check must then return False.
+crossing at L = 6 and at L = 8, the reflection algebra at L = 4.  Each
+mutation breaks one ingredient of an identity, a coefficient or a kernel,
+and the check must then return False.
 """
 
 import random
@@ -31,15 +32,21 @@ CHECKS = {
     "b_reflection": lambda spec, x, y, z: aba.check_b_reflection(spec, z),
     "crossing": lambda spec, x, y, z: monodromy.check_crossing(spec, z),
     "reflection_algebra": lambda spec, x, y, z: monodromy.check_reflection_algebra(spec, x, y),
+    "state_expansion": lambda spec, x, y, z: cba.check_state_expansion(spec, 2, (x, y)),
 }
+
+COLUMN_CHECKS = ["fcr_open", "fcr_closed", "b_expansion", "b_reflection", "crossing"]
 
 
 @pytest.mark.parametrize("seed", [6101, 6102])
-@pytest.mark.parametrize(
-    "name", ["fcr_open", "fcr_closed", "b_expansion", "b_reflection", "crossing"]
-)
+@pytest.mark.parametrize("name", COLUMN_CHECKS)
 def test_identity_at_six_sites(name, seed):
     assert CHECKS[name](*_draw(seed, 3))
+
+
+@pytest.mark.parametrize("name", COLUMN_CHECKS)
+def test_identity_at_eight_sites(name):
+    assert CHECKS[name](*_draw(813, 4))
 
 
 @pytest.mark.parametrize("seed", [4101, 4102])
@@ -57,8 +64,15 @@ def _shifted_double_row_kernel(real):
 
 MUTATIONS = [
     ("fcr_open", aba, "h_a_coeff", _shifted_coefficient),
+    ("fcr_open", aba, "g_a_coeff", _shifted_coefficient),
+    ("fcr_open", aba, "g_dt_coeff", _shifted_coefficient),
+    ("fcr_open", aba, "h_dt_coeff", _shifted_coefficient),
+    ("fcr_open", aba, "k_a_coeff", _shifted_coefficient),
     ("fcr_open", aba, "k_dt_coeff", _shifted_coefficient),
     ("fcr_closed", cba, "h_closed", _shifted_coefficient),
+    ("fcr_closed", cba, "k_closed", _shifted_coefficient),
+    ("state_expansion", cba, "h_closed", _shifted_coefficient),
+    ("state_expansion", cba, "kappa", _shifted_coefficient),  # kappa(spec, z) + 1/7
     ("b_expansion", cba, "_double_row_kernel", _shifted_double_row_kernel),
     ("b_reflection", aba, "_double_row_kernel", _shifted_double_row_kernel),
     # the hat row at z + 1/7 against M(-z-1)
@@ -78,3 +92,13 @@ def test_mutation_makes_the_check_fail(monkeypatch, name, module, member, mutant
     assert CHECKS[name](*draw)
     monkeypatch.setattr(module, member, mutant(getattr(module, member)))
     assert not CHECKS[name](*draw)
+
+
+def test_integer_coefficients_share_one_positive_factor():
+    coeffs = (F(3, 4), F(-5, 6), 0, 7, F(0), F(-2))
+    ints = monodromy._integer_coefficients(*coeffs)
+    assert ints == (9, -10, 0, 84, 0, -24)
+    assert all(type(c) is int for c in ints)
+    assert all(c * 12 == i for c, i in zip(coeffs, ints))  # 12 = lcm(4, 6)
+    assert monodromy._integer_coefficients(2, F(-3), 0) == (2, -3, 0)
+    assert monodromy._integer_coefficients(F(0), 0) == (0, 0)
