@@ -21,9 +21,10 @@ from .lattice import (
     validate_spec,
 )
 from .monodromy import QuantumState, reference_state
-from .aba import bethe_state, z_aba
-from .cba import wave_function, z_cba
-from .contraction import build_invariant, z_direct
+from .aba import bethe_state
+from .cba import wave_function
+from .contraction import build_invariant
+from .pipeline import compute_report
 
 __version__ = "0.1.0"
 
@@ -41,6 +42,7 @@ __all__ = [
     "bethe_state",
     "build_invariant",
     "canonical_bethe_roots",
+    "compute_report",
     "format_rational",
     "ice_rule_satisfied",
     "inhomogeneities",
@@ -51,8 +53,5 @@ __all__ = [
     "reference_state",
     "validate_spec",
     "wave_function",
-    "z_aba",
-    "z_cba",
-    "z_direct",
     "__version__",
 ]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Optional, Sequence
 
 from .contraction import boundary_line_invariant, line_invariant
@@ -22,12 +21,10 @@ from .exact import _strict, rational
 from .lattice import (
     BetheRootSet,
     Chord,
-    ExternalConfig,
     LatticeSpec,
     canonical_bethe_roots,
     inhomogeneities,
     q_function,
-    sweep,
 )
 from .monodromy import (
     QuantumState,
@@ -37,7 +34,6 @@ from .monodromy import (
     _integer_coefficients,
     apply_open_b,
     double_row_on_state,
-    external_entry,
     lambda_value,
     reference_state,
     vacuum_eigenvalues,
@@ -74,16 +70,6 @@ def solve_aba(spec: LatticeSpec) -> AbaResult:
     """Half-filled Bethe state at the canonical roots."""
     roots = canonical_bethe_roots(spec)
     return AbaResult(bethe_state=bethe_state(spec, roots.roots), roots=roots)
-
-
-def z_aba(spec: LatticeSpec, config: ExternalConfig) -> Fraction:
-    """Partition function from the creation-operator representation."""
-    return z_aba_table(spec, [config])[0]
-
-
-def z_aba_table(spec: LatticeSpec, configs: Sequence[ExternalConfig]) -> list:
-    """Values for many configs from a single state construction."""
-    return sweep(spec, configs, lambda s: partial(external_entry, solve_aba(s).bethe_state, s))
 
 
 def check_invariance(spec: LatticeSpec, state: QuantumState, z) -> bool:

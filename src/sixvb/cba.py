@@ -21,14 +21,12 @@ from typing import Dict, Sequence, Tuple
 from .errors import PoleError
 from .exact import _strict, rational
 from .lattice import (
-    ExternalConfig,
     LatticeSpec,
     canonical_bethe_roots,
-    ice_rule_satisfied,
+    end_mask,
+    ice_indices,
     inhomogeneities,
-    magnon_positions,
-    reference_config,
-    sweep,
+    magnon_sites,
 )
 from .monodromy import (
     QuantumState,
@@ -38,7 +36,6 @@ from .monodromy import (
     _integer_coefficients,
     _row_kernel,
     apply_closed_b,
-    basis_index,
     reference_state,
 )
 
@@ -209,33 +206,23 @@ def spec_wave_engine(spec: LatticeSpec) -> WaveEngine:
     return WaveEngine(inhomogeneities(spec), zs, spec.boundary_q, spec.length)
 
 
-def _beta_sign(config: ExternalConfig) -> Fraction:
-    flips = sum(1 for b in config.beta if b == 2)
-    return _F1 if flips % 2 == 0 else -_F1
+def wave_components(spec: LatticeSpec, keys) -> dict:
+    """Chain entries ``{index: component}`` of the wave sum at the given
+    ice-rule basis indices and at the reference index 0.
 
-
-def z_cba(spec: LatticeSpec, config: ExternalConfig) -> Fraction:
-    """Partition function from the coordinate wave function."""
-    return z_cba_table(spec, [config])[0]
-
-
-def z_cba_table(spec: LatticeSpec, configs: Sequence[ExternalConfig]) -> list:
-    """Values for many configs from one shared engine.
-
-    The engine first meets the wanted position sets, the reference set
-    included, in lexicographic order, so its DP walks their prefix trie once.
+    The component at index k is the wave sum at the magnon sites of k, with
+    sign -1 when an odd number of end sites hold label 2.  The engine meets
+    the position sets in lexicographic order, so its DP walks their prefix
+    trie once.  Zero components are left out.
     """
-    configs = list(configs)
-
-    def wave_component(spec: LatticeSpec):
-        engine = spec_wave_engine(spec)
-        wanted = {magnon_positions(spec, c) for c in configs if ice_rule_satisfied(spec, c)}
-        wanted.add(magnon_positions(spec, reference_config(spec.n)))
-        for x in sorted(wanted):
-            engine.upsilon(x)
-        return lambda config: _beta_sign(config) * engine.upsilon(magnon_positions(spec, config))
-
-    return sweep(spec, configs, wave_component)
+    engine = spec_wave_engine(spec)
+    mask = end_mask(spec)
+    out = {}
+    for x, k in sorted((magnon_sites(spec, k), k) for k in {*keys, 0}):
+        value = engine.upsilon(x)
+        if value:
+            out[k] = -value if (k & mask).bit_count() % 2 else value
+    return out
 
 
 def norm_prefactor(spec: LatticeSpec, roots: Sequence) -> Fraction:
@@ -257,32 +244,10 @@ def cba_state(spec: LatticeSpec) -> QuantumState:
     Matches the creation-operator construction exactly, including the
     normalization prefactor and the end-site rotations.
     """
-    engine = spec_wave_engine(spec)
-    zs = engine.roots
-    m = len(zs)
-    length = spec.length
-    ends = {c.end for c in spec.chords}
-    pref = norm_prefactor(spec, zs)
-    amps = {}
-    for positions in itertools.combinations(range(1, length + 1), m):
-        val = engine.upsilon(positions)
-        if val == 0:
-            continue
-        states = [1] * length
-        sign = _F1
-        xset = set(positions)
-        for s in range(1, length + 1):
-            if s in ends:
-                # end-site rotation: |1> -> -|2>, |2> -> |1>
-                if s in xset:
-                    states[s - 1] = 1
-                else:
-                    states[s - 1] = 2
-                    sign = -sign
-            elif s in xset:
-                states[s - 1] = 2
-        amps[basis_index(states)] = sign * val
-    return QuantumState(length, amps, pref)
+    roots = canonical_bethe_roots(spec).roots
+    return QuantumState(
+        spec.length, wave_components(spec, ice_indices(spec)), norm_prefactor(spec, roots)
+    )
 
 
 # -- closed-chain wave function ------------------------------------------------

@@ -23,21 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import lcm
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import PoleError
 from .exact import rational
-from .lattice import (
-    ExternalConfig,
-    LatticeSpec,
-    inhomogeneities,
-    initial_spec,
-    is_initial,
-    sweep,
-)
-from .monodromy import QuantumState, external_entry
+from .lattice import LatticeSpec, inhomogeneities, initial_spec, is_initial
+from .monodromy import QuantumState
 
 
 def line_invariant() -> QuantumState:
@@ -201,12 +193,3 @@ def build_invariant(spec: LatticeSpec, plan: Optional[MoveSequence] = None) -> Q
         raise ValueError("move plan did not reach the target pairing")
     return QuantumState(length, vec, initial.scale / den)
 
-
-def z_direct(spec: LatticeSpec, config: ExternalConfig) -> Fraction:
-    """Partition function read off the woven invariant state."""
-    return z_direct_table(spec, [config])[0]
-
-
-def z_direct_table(spec: LatticeSpec, configs: Sequence[ExternalConfig]) -> list:
-    """Values for many configs from a single weave."""
-    return sweep(spec, configs, lambda s: partial(external_entry, build_invariant(s), s))

@@ -5,8 +5,10 @@ perimeter points 1..2N, a subset of lines that bounce off the reflecting
 diameter, one rapidity per line and a boundary parameter q.  This module
 owns validation (run once, when a ``LatticeSpec`` is made), the
 lattice-to-chain dictionary (inhomogeneities), the exactly-known Bethe
-roots and Q-function, and the magnon bookkeeping that links external edge
-states to chain sites.
+roots and Q-function, and the one map from external edge states to the
+chain: a config is read as the chain basis index of its labels placed at
+the chord ends (``config_index``), and every route returns its chain
+entries by that index (``sweep``).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import DegenerateSpecError, InvalidSpecError
 from .exact import _strict, format_rational, parse_rational, rational
@@ -197,12 +199,44 @@ def _check_config(spec: LatticeSpec, config: ExternalConfig) -> None:
         raise ValueError(f"config labels must have length {spec.n}")
 
 
+def end_mask(spec: LatticeSpec) -> int:
+    """Chain basis index bits of the end sites; site s is bit L - s."""
+    return sum(1 << (spec.length - c.end) for c in spec.chords)
+
+
+def config_index(spec: LatticeSpec, config: ExternalConfig) -> int:
+    """Chain basis index of the perimeter labels: alpha at starts, beta at ends.
+
+    Label 2 sets the site's bit, so the reference config has index 0 and the
+    magnons of index k are the set bits of ``k ^ end_mask(spec)``.
+    """
+    _check_config(spec, config)
+    length = spec.length
+    index = 0
+    for chord, a, b in zip(spec.chords, config.alpha, config.beta):
+        index |= (a - 1) << (length - chord.start) | (b - 1) << (length - chord.end)
+    return index
+
+
+def magnon_sites(spec: LatticeSpec, index: int) -> tuple:
+    """Sites carrying a magnon in a chain basis index, ascending: the set
+    bits of ``index ^ end_mask(spec)``."""
+    bits, length = index ^ end_mask(spec), spec.length
+    return tuple(s for s in range(1, length + 1) if bits >> (length - s) & 1)
+
+
+def ice_indices(spec: LatticeSpec) -> list:
+    """Every chain basis index with N magnons, the C(2N, N) ice-rule configs."""
+    mask = end_mask(spec)
+    return [
+        mask ^ sum(1 << b for b in bits)
+        for bits in itertools.combinations(range(spec.length), spec.n)
+    ]
+
+
 def magnon_positions(spec: LatticeSpec, config: ExternalConfig) -> tuple:
     """Sites carrying a magnon: starts with alpha=2 plus ends with beta=1."""
-    _check_config(spec, config)
-    positions = {c.start for c, a in zip(spec.chords, config.alpha) if a == 2}
-    positions |= {c.end for c, b in zip(spec.chords, config.beta) if b == 1}
-    return tuple(sorted(positions))
+    return magnon_sites(spec, config_index(spec, config))
 
 
 def ice_rule_satisfied(spec: LatticeSpec, config: ExternalConfig) -> bool:
@@ -219,32 +253,35 @@ def reference_config(n: int) -> ExternalConfig:
 def sweep(
     spec: LatticeSpec,
     configs: Sequence[ExternalConfig],
-    build_component: Callable[[LatticeSpec], Callable[[ExternalConfig], int | Fraction]],
+    route: Callable[[LatticeSpec, list], Mapping[int, int | Fraction]],
 ) -> list:
-    """Partition-function values of many configs from one route's component.
+    """Partition-function values of many configs from one route's chain entries.
 
-    ``build_component(spec)`` returns the route's unnormalized component as
-    a function of the config; it is built once, and only when some config
-    satisfies the ice rule.  The component may be any exact rational up to
-    a factor common to all configs, such as the integer entry of a state
-    without its scale: only its ratio to the reference config counts.
-    The result holds one ``Fraction`` per config, normalized to 1 at the
-    reference config; configs whose component is 0, and configs that break
-    the ice rule, share one ``Fraction(0)``.  The spec was validated when
-    it was made, so nothing is checked again here.
+    Each config that satisfies the ice rule is read once as its
+    ``config_index``.  ``route(spec, keys)`` is called once with those
+    indices, and only when there is one; it returns a mapping from chain
+    index to component holding at least the nonzero components among
+    ``keys`` and at index 0, the reference config.  A component may be any
+    exact rational up to a factor common to all indices, such as the
+    integer entry of a state without its scale: only its ratio to the
+    reference component counts.  The result holds one ``Fraction`` per
+    config, normalized to 1 at the reference config; configs whose
+    component is 0, and configs that break the ice rule, share one
+    ``Fraction(0)``.  The spec was validated when it was made, so nothing
+    is checked again here.
     """
-    configs = list(configs)
-    allowed = [ice_rule_satisfied(spec, config) for config in configs]
+    keys = [config_index(spec, c) if ice_rule_satisfied(spec, c) else None for c in configs]
     zero = Fraction(0)
-    if not any(allowed):
-        return [zero] * len(allowed)
-    component = build_component(spec)
-    norm = component(reference_config(spec.n))
+    allowed = [k for k in keys if k is not None]
+    if not allowed:
+        return [zero] * len(keys)
+    table = route(spec, allowed)
+    norm = table.get(0, 0)
     if norm == 0:
         raise DegenerateSpecError("reference component vanished")
     values = []
-    for config, ok in zip(configs, allowed):
-        x = component(config) if ok else 0
+    for k in keys:
+        x = 0 if k is None else table.get(k, 0)
         values.append(Fraction(x, norm) if x else zero)
     return values
 

@@ -41,8 +41,9 @@ from .exact import _strict, rational
 from .lattice import (
     ExternalConfig,
     LatticeSpec,
-    _check_config,
     canonical_bethe_roots,
+    config_index,
+    end_mask,
     inhomogeneities,
 )
 from .weights import r_matrix
@@ -194,11 +195,7 @@ def reference_state(spec: LatticeSpec) -> QuantumState:
 
     Each end-site rotation sends |1> to -|2>, so the overall sign is (-1)^N.
     """
-    length = spec.length
-    states = [1] * length
-    for chord in spec.chords:
-        states[chord.end - 1] = 2
-    return QuantumState(length, {basis_index(states): 1 if spec.n % 2 == 0 else -1})
+    return QuantumState(spec.length, {end_mask(spec): 1 if spec.n % 2 == 0 else -1})
 
 
 # -- sparse integer kernel ----------------------------------------------------
@@ -434,17 +431,6 @@ def check_reflection_algebra(spec: LatticeSpec, x, y) -> bool:
     return True
 
 
-def external_entry(state: QuantumState, spec: LatticeSpec, config: ExternalConfig) -> int:
-    """The integer entry of a chain state at perimeter labels: alpha at
-    starts, beta at ends.  ``state.scale`` times it is the component."""
-    _check_config(spec, config)
-    states = [0] * spec.length
-    for chord, a, b in zip(spec.chords, config.alpha, config.beta):
-        states[chord.start - 1] = a
-        states[chord.end - 1] = b
-    return state.entries.get(basis_index(states), 0)
-
-
 def external_component(state: QuantumState, spec: LatticeSpec, config: ExternalConfig) -> Fraction:
     """Contraction of a chain state with perimeter labels: alpha at starts, beta at ends."""
-    return state.scale * external_entry(state, spec, config)
+    return state.scale * state.entries.get(config_index(spec, config), 0)

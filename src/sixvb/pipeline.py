@@ -8,30 +8,33 @@ serialize as "p/q" strings so a parsed report reproduces the exact values.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence
 
-from .aba import z_aba_table
-from .cba import z_cba_table
-from .contraction import z_direct_table
+from .aba import solve_aba
+from .cba import wave_components
+from .contraction import build_invariant
 from .exact import format_rational
-from .lattice import ExternalConfig, LatticeSpec, config_to_dict, spec_to_dict
+from .lattice import ExternalConfig, LatticeSpec, config_to_dict, spec_to_dict, sweep
 
-METHODS = ("direct", "aba", "cba")
-MAX_DISAGREEMENTS = 10
-
-_TABLES = {
-    "direct": z_direct_table,
-    "aba": z_aba_table,
-    "cba": z_cba_table,
+# Each route maps (spec, ice-rule chain indices) to chain entries {index: component}.
+ROUTES = {
+    "direct": lambda spec, keys: build_invariant(spec).entries,
+    "aba": lambda spec, keys: solve_aba(spec).bethe_state.entries,
+    "cba": wave_components,
 }
+METHODS = tuple(ROUTES)
+MAX_DISAGREEMENTS = 10
 
 
 def spec_digest(spec: LatticeSpec) -> str:
+    # Deferred: ``import sixvb`` loads this module for ``compute_report``,
+    # and hashlib and json would add about 8 ms to it.
+    import hashlib
+    import json
+
     canonical = json.dumps(spec_to_dict(spec), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -52,14 +55,14 @@ def compute_report(
     if not methods:
         raise ValueError(f"no method given; choose from {METHODS}")
     for m in methods:
-        if m not in _TABLES:
+        if m not in ROUTES:
             raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
     configs = list(configs)
     values: Dict[str, List[Fraction]] = {}
     timings: Dict[str, float] = {}
     for method in methods:
         start = time.perf_counter()
-        values[method] = _TABLES[method](spec, configs)
+        values[method] = sweep(spec, configs, ROUTES[method])
         timings[method] = time.perf_counter() - start
 
     first = values[methods[0]]

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .lattice import Chord, ExternalConfig, LatticeSpec, initial_pairing
+from .lattice import Chord, ExternalConfig, LatticeSpec, ice_rule_satisfied, initial_pairing
 
 _THETA_DENOMS = (7, 11, 13, 17, 19, 23)
 _Q_DENOM = 29
@@ -82,8 +82,6 @@ def random_config(rng: random.Random, n: int) -> ExternalConfig:
 
 def random_ice_config(rng: random.Random, spec: LatticeSpec) -> ExternalConfig:
     """A random configuration with the conserved magnon count."""
-    from .lattice import ice_rule_satisfied
-
     while True:
         config = random_config(rng, spec.n)
         if ice_rule_satisfied(spec, config):

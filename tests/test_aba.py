@@ -14,8 +14,6 @@ from sixvb.aba import (
     solve_aba,
     unwanted_terms,
     unwanted_terms_from_fcr,
-    z_aba,
-    z_aba_table,
 )
 from sixvb.errors import PoleError
 from sixvb.fixtures import figure_lattice
@@ -26,8 +24,10 @@ from sixvb.lattice import (
     all_configs,
     canonical_bethe_roots,
     reference_config,
+    sweep,
 )
 from sixvb.monodromy import external_component, reference_state
+from sixvb.pipeline import ROUTES
 from sixvb.sampling import random_spec, random_z
 
 from dense_reference import dense, states_proportional
@@ -77,14 +77,15 @@ class TestBetheState:
 class TestZAba:
     def test_reference_normalization(self):
         for spec in (line_spec(), crossed_spec(), figure_lattice()):
-            assert z_aba(spec, reference_config(spec.n)) == 1
+            assert sweep(spec, [reference_config(spec.n)], ROUTES["aba"]) == [1]
 
     def test_reflected_line_value(self):
-        assert z_aba(line_spec(reflected=True), ExternalConfig((2,), (2,))) == F(5, 7)
+        spec = line_spec(reflected=True)
+        assert sweep(spec, [ExternalConfig((2,), (2,))], ROUTES["aba"]) == [F(5, 7)]
 
     def test_zero_on_ice_violation(self):
-        assert z_aba(line_spec(), ExternalConfig((1,), (2,))) == 0
-        assert z_aba(crossed_spec(), ExternalConfig((2, 2), (1, 1))) == 0
+        assert sweep(line_spec(), [ExternalConfig((1,), (2,))], ROUTES["aba"]) == [0]
+        assert sweep(crossed_spec(), [ExternalConfig((2, 2), (1, 1))], ROUTES["aba"]) == [0]
 
     def test_reflected_root_branch_gives_same_values(self):
         spec = crossed_spec(frozenset({1}))
@@ -250,6 +251,6 @@ class TestTables:
     def test_table_matches_single_calls(self):
         spec = crossed_spec()
         configs = list(all_configs(2))
-        table = z_aba_table(spec, configs)
+        table = sweep(spec, configs, ROUTES["aba"])
         for config, value in zip(configs, table):
-            assert z_aba(spec, config) == value
+            assert sweep(spec, [config], ROUTES["aba"]) == [value]

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from sixvb.aba import solve_aba, z_aba_table
+from sixvb.aba import solve_aba
 from sixvb.cba import (
     WaveEngine,
     amplitude,
@@ -18,10 +18,7 @@ from sixvb.cba import (
     two_reflection_sum,
     wave_function,
     wave_part,
-    z_cba,
-    z_cba_table,
 )
-from sixvb.contraction import z_direct_table
 from sixvb.errors import PoleError
 from sixvb.fixtures import figure_lattice
 from sixvb.lattice import (
@@ -33,8 +30,10 @@ from sixvb.lattice import (
     inhomogeneities,
     magnon_positions,
     reference_config,
+    sweep,
 )
 from sixvb.monodromy import apply_closed_b, reference_state
+from sixvb.pipeline import ROUTES
 from sixvb.sampling import random_spec, random_z
 
 
@@ -307,13 +306,14 @@ class TestStateExpansion:
 class TestZCba:
     def test_reference_normalization(self):
         for spec in (line_spec(), crossed_spec(), figure_lattice()):
-            assert z_cba(spec, reference_config(spec.n)) == 1
+            assert sweep(spec, [reference_config(spec.n)], ROUTES["cba"]) == [1]
 
     def test_reflected_line_value(self):
-        assert z_cba(line_spec(reflected=True), ExternalConfig((2,), (2,))) == F(5, 7)
+        spec = line_spec(reflected=True)
+        assert sweep(spec, [ExternalConfig((2,), (2,))], ROUTES["cba"]) == [F(5, 7)]
 
     def test_zero_on_ice_violation(self):
-        assert z_cba(line_spec(), ExternalConfig((1,), (2,))) == 0
+        assert sweep(line_spec(), [ExternalConfig((1,), (2,))], ROUTES["cba"]) == [0]
 
     def test_state_assembly_matches_creation_route(self):
         for spec in (line_spec(), crossed_spec(), crossed_spec(frozenset({1, 2}))):
@@ -322,12 +322,13 @@ class TestZCba:
     def test_cross_method_six_lines(self):
         spec = random_spec(random.Random(101), 6)
         configs = list(all_configs(6))
-        assert z_cba_table(spec, configs) == z_direct_table(spec, configs)
+        assert sweep(spec, configs, ROUTES["cba"]) == sweep(spec, configs, ROUTES["direct"])
 
     def test_cross_method_small_lattices(self):
         rng = random.Random(37)
         for _ in range(4):
             spec = random_spec(rng, rng.choice((1, 2)))
             configs = list(all_configs(spec.n))
-            assert z_cba_table(spec, configs) == z_aba_table(spec, configs)
-            assert z_cba_table(spec, configs) == z_direct_table(spec, configs)
+            cba = sweep(spec, configs, ROUTES["cba"])
+            assert cba == sweep(spec, configs, ROUTES["aba"])
+            assert cba == sweep(spec, configs, ROUTES["direct"])

@@ -100,21 +100,35 @@ class TestCompute:
         assert data["agreement"] is True
         assert len(data["configs"]) == 256
 
+    def test_empty_lattice_is_its_own_reference(self, tmp_path, capsys):
+        """With no lines the one config is the reference, chain index 0."""
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"n": 0, "lines": [], "q": "1/3"}), encoding="utf-8")
+        assert main(["validate", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["compute", str(path), "--all-configs", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["configs"] == [
+            {"alpha": [], "beta": [], "z": {"direct": "1", "aba": "1", "cba": "1"}}
+        ]
+        assert data["agreement"] is True
+
     def test_agreement_lists_no_disagreements(self, line_path, capsys):
         assert main(["compute", line_path, "--all-configs", "--json"]) == 0
         assert "disagreements" not in json.loads(capsys.readouterr().out)
 
     @staticmethod
     def perturb_aba(monkeypatch, indices):
-        real = pipeline._TABLES["aba"]
+        real = pipeline.sweep
 
-        def perturbed(spec, configs):
-            values = real(spec, configs)
-            for i in indices:
-                values[i] += 1
+        def perturbed(spec, configs, route):
+            values = real(spec, configs, route)
+            if route is pipeline.ROUTES["aba"]:
+                for i in indices:
+                    values[i] += 1
             return values
 
-        monkeypatch.setitem(pipeline._TABLES, "aba", perturbed)
+        monkeypatch.setattr(pipeline, "sweep", perturbed)
 
     def test_disagreement_lists_every_route_value(self, line_path, monkeypatch, capsys):
         self.perturb_aba(monkeypatch, [3])

@@ -3,8 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from sixvb.aba import check_invariance, solve_aba, z_aba_table
-from sixvb.cba import z_cba_table
+from sixvb.aba import check_invariance, solve_aba
 from sixvb import contraction
 from sixvb.contraction import (
     Move,
@@ -13,8 +12,6 @@ from sixvb.contraction import (
     initial_invariant,
     line_invariant,
     plan_moves,
-    z_direct,
-    z_direct_table,
 )
 from sixvb.errors import PoleError
 from sixvb.exact import ExactMatrix
@@ -26,8 +23,10 @@ from sixvb.lattice import (
     all_configs,
     inhomogeneities,
     reference_config,
+    sweep,
 )
 from sixvb.monodromy import QuantumState, external_component
+from sixvb.pipeline import ROUTES
 from sixvb.sampling import random_ice_config, random_pairing, random_q, random_spec, random_theta
 from sixvb.weights import PERMUTATION, S_MATRIX, embed_pair, k_matrix, r_matrix
 
@@ -123,7 +122,7 @@ class TestInitialInvariant:
 
     def test_reference_normalization(self):
         init = initial_condition()
-        assert z_direct(init, reference_config(4)) == 1
+        assert sweep(init, [reference_config(4)], ROUTES["direct"]) == [1]
 
     def test_all_configs_against_reflection_weight_oracle(self):
         # For the nested pairing the lattice definition factorizes line by
@@ -144,9 +143,8 @@ class TestInitialInvariant:
                         t = spec.rapidities[k - 1]
                         weight *= (spec.boundary_q - t) / (spec.boundary_q + t)
                 want.append(weight)
-            assert z_direct_table(spec, configs) == want
-            assert z_aba_table(spec, configs) == want
-            assert z_cba_table(spec, configs) == want
+            for route in ROUTES.values():
+                assert sweep(spec, configs, route) == want
 
 
 class TestMovePlanning:
@@ -340,13 +338,14 @@ class TestSparseWeaveAgainstDenseReference:
 class TestZDirect:
     def test_reference_normalization(self):
         for spec in (line_spec(), figure_lattice()):
-            assert z_direct(spec, reference_config(spec.n)) == 1
+            assert sweep(spec, [reference_config(spec.n)], ROUTES["direct"]) == [1]
 
     def test_ice_violation(self):
-        assert z_direct(line_spec(), ExternalConfig((1,), (2,))) == 0
+        assert sweep(line_spec(), [ExternalConfig((1,), (2,))], ROUTES["direct"]) == [0]
 
     def test_reflected_line_value(self):
-        assert z_direct(line_spec(reflected=True), ExternalConfig((2,), (2,))) == F(5, 7)
+        spec = line_spec(reflected=True)
+        assert sweep(spec, [ExternalConfig((2,), (2,))], ROUTES["direct"]) == [F(5, 7)]
 
     def test_route_independence(self):
         rng = random.Random(47)
@@ -356,7 +355,7 @@ class TestZDirect:
             high = build_invariant(spec, plan_moves(spec))
             low = build_invariant(spec, plan_moves(spec, lowest_first=True))
             assert states_proportional(high, low)
-            table_high = z_direct_table(spec, configs)
+            table_high = sweep(spec, configs, ROUTES["direct"])
             # recompute via the alternative plan
             norm = external_component(low, spec, reference_config(spec.n))
             table_low = [
@@ -396,14 +395,14 @@ def test_tables_are_ratios_of_external_components(name):
     spec = _read_out_spec(name)
     configs = list(all_configs(spec.n))
     ref = reference_config(spec.n)
-    for table, state in (
-        (z_direct_table, build_invariant(spec)),
-        (z_aba_table, solve_aba(spec).bethe_state),
+    for route, state in (
+        (ROUTES["direct"], build_invariant(spec)),
+        (ROUTES["aba"], solve_aba(spec).bethe_state),
     ):
         components = [external_component(state, spec, c) for c in configs]
         assert components == [_placed_component(state, spec, c) for c in configs]
         norm = external_component(state, spec, ref)
-        values = table(spec, configs)
+        values = sweep(spec, configs, route)
         assert values == [x / norm for x in components]
         assert all(type(v) is F for v in values)
 
@@ -430,10 +429,10 @@ def _seven_line_spec() -> LatticeSpec:
 def test_three_routes_agree_at_seven_lines():
     spec = _seven_line_spec()
     configs = list(all_configs(spec.n))
-    direct = z_direct_table(spec, configs)
+    direct = sweep(spec, configs, ROUTES["direct"])
     assert len(direct) == 16384 and any(x not in (0, 1) for x in direct)
-    assert z_aba_table(spec, configs) == direct
+    assert sweep(spec, configs, ROUTES["aba"]) == direct
     rng = random.Random(7)
     sample = [random_ice_config(rng, spec) for _ in range(100)]
     index = {config: i for i, config in enumerate(configs)}
-    assert z_cba_table(spec, sample) == [direct[index[config]] for config in sample]
+    assert sweep(spec, sample, ROUTES["cba"]) == [direct[index[config]] for config in sample]

@@ -1,10 +1,13 @@
+import ast
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sixvb import lattice
 from sixvb.errors import DegenerateSpecError, InvalidSpecError
 from sixvb.fixtures import figure_lattice
 from sixvb.lattice import (
@@ -13,7 +16,10 @@ from sixvb.lattice import (
     LatticeSpec,
     all_configs,
     canonical_bethe_roots,
+    config_index,
     config_to_dict,
+    end_mask,
+    ice_indices,
     ice_rule_satisfied,
     inhomogeneities,
     initial_spec,
@@ -25,7 +31,7 @@ from sixvb.lattice import (
     sweep,
     validate_spec,
 )
-from sixvb.monodromy import QuantumState, external_component, external_entry
+from sixvb.monodromy import QuantumState, basis_index, external_component
 from sixvb.sampling import random_config, random_spec
 
 
@@ -231,10 +237,7 @@ class TestMagnonsAndIce:
                 lambda spec, config: external_component(QuantumState(2, {1: 1}), spec, config),
                 id="external_component",
             ),
-            pytest.param(
-                lambda spec, config: external_entry(QuantumState(2, {1: 1}), spec, config),
-                id="external_entry",
-            ),
+            pytest.param(config_index, id="config_index"),
         ],
     )
     def test_config_of_wrong_length_rejected(self, read):
@@ -281,17 +284,81 @@ class TestMagnonsAndIce:
         assert len(list(all_configs(3))) == 64
 
 
+class TestConfigIndex:
+    """A config is read once as the chain basis index of its placed labels."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            pytest.param(figure_lattice(), id="figure"),
+            pytest.param(random_spec(random.Random(41), 4), id="random-41"),
+        ],
+    )
+    def test_index_magnons_and_ice_rule_agree(self, spec):
+        mask, length = end_mask(spec), spec.length
+        ice = []
+        for config in all_configs(spec.n):
+            labels = [0] * length
+            for chord, a, b in zip(spec.chords, config.alpha, config.beta):
+                labels[chord.start - 1], labels[chord.end - 1] = a, b
+            k = config_index(spec, config)
+            assert k == basis_index(labels)
+            bits = k ^ mask
+            assert magnon_positions(spec, config) == tuple(
+                s for s in range(1, length + 1) if bits >> (length - s) & 1
+            )
+            assert ice_rule_satisfied(spec, config) == (bits.bit_count() == spec.n)
+            if ice_rule_satisfied(spec, config):
+                ice.append(k)
+        assert config_index(spec, reference_config(spec.n)) == 0
+        assert sorted(ice_indices(spec)) == sorted(ice)
+
+
+def _label_reads(tree) -> list:
+    """Line numbers of every ``.alpha`` or ``.beta`` attribute read."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("alpha", "beta")
+    ]
+
+
+def test_only_lattice_maps_config_labels():
+    """Inside the package only ``lattice`` reads the labels of a config
+    (and ``cli``, which prints them), so the config-to-site mapping has one
+    home."""
+    assert _label_reads(ast.parse("c.alpha\nx = c.beta[0]\nc.alpha_val")) == [1, 2]
+    src = Path(lattice.__file__).parent
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        if path.name in ("lattice.py", "cli.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += [f"{path.relative_to(src)}:{line}" for line in _label_reads(tree)]
+    assert offenders == []
+
+
 class TestSweep:
-    """``sweep`` on stand-in components of the one-line lattice, whose
-    configs are the reference (1,1), (2,2), and (1,2), (2,1) that break the
-    ice rule."""
+    """``sweep`` on stand-in routes of the one-line lattice, whose configs
+    are the reference (1,1) at chain index 0, (2,2) at index 3, and (1,2),
+    (2,1) that break the ice rule."""
 
     CONFIGS = [ExternalConfig((a,), (b,)) for a, b in ((1, 1), (1, 2), (2, 1), (2, 2))]
 
     @staticmethod
-    def route(values):
-        """A route whose component reads ``values`` by (alpha, beta)."""
-        return lambda spec: lambda config: values[config.alpha + config.beta]
+    def route(values, calls=None):
+        """A route whose entries are ``values``, given by (alpha, beta);
+        each call's keys are appended to ``calls``."""
+        table = {
+            config_index(line_spec(), ExternalConfig((a,), (b,))): x for (a, b), x in values.items()
+        }
+
+        def route(spec, keys):
+            if calls is not None:
+                calls.append(list(keys))
+            return table
+
+        return route
 
     @pytest.mark.parametrize(
         "values, z22",
@@ -304,12 +371,14 @@ class TestSweep:
     )
     def test_one_fraction_per_config(self, values, z22):
         values = {**values, (1, 2): 7, (2, 1): F(5, 3)}
-        got = sweep(line_spec(), self.CONFIGS, self.route(values))
+        calls = []
+        got = sweep(line_spec(), self.CONFIGS, self.route(values, calls))
         assert got == [1, 0, 0, z22]
         assert all(type(v) is F for v in got)
+        assert calls == [[0, 3]]
 
     def test_ice_breaking_configs_read_zero_without_a_component(self):
-        def route(spec):
+        def route(spec, keys):
             raise AssertionError("no config satisfies the ice rule")
 
         got = sweep(line_spec(), self.CONFIGS[1:3], route)
