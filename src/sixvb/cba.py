@@ -4,17 +4,22 @@ The wave function is a sum over all root permutations and root reflections
 (z -> -z - 1) of an amplitude factor times one wave factor per magnon
 position.  The amplitude is a product of pair factors, so the 2^N * N! terms
 are summed by a subset DP over the 3^N partial states (roots placed, their
-reflections), taking the positions in increasing order.  Evaluating it at
-the canonical roots and the positions read off an external configuration
-reproduces the partition function up to an explicit sign.  The translation
-identities between this picture and the creation-operator one
-(creation-block expansion over single-row blocks, reflection-sum expansion
-of the state) are verified here as exact operator and state identities.
-"""
+reflections), taking the positions in increasing order.  The DP runs on
+Python ints: each wave factor and each pair factor is scaled by its own
+denominators (those of its root, of the inhomogeneities and of q), and
+since every term holds each root once and each root pair once, one exact
+integer ``WaveEngine.denominator``, common to all terms, turns the DP total
+back into the wave sum.  Evaluating it at the canonical roots and the
+positions read off an external configuration reproduces the partition
+function up to an explicit sign.  The translation identities between this
+picture and the creation-operator one (creation-block expansion over
+single-row blocks, reflection-sum expansion of the state) are verified here
+as exact operator and state identities."""
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
@@ -86,24 +91,72 @@ def wave_part(x: int, z, v: Sequence, q) -> Fraction:
     return out
 
 
+def _scaled_h(a: int, da: int, b: int, db: int) -> int:
+    """h(x, y) = (x - y)(x + y + 1) at x = a/da, y = b/db, times (da db)^2."""
+    return (a * db - b * da) * (a * db + b * da + da * db)
+
+
+def _wave_column(big_w: int, dw: int, v: Sequence[Fraction], q: Fraction) -> list:
+    """Phi(W/d, x) of ``WaveEngine`` at the sites x = 1..len(v), from prefix
+    and suffix products."""
+    q_num, e_q = q.numerator, q.denominator
+    lead = q_num * dw - big_w * e_q - e_q * dw
+    if len(v) % 2:
+        lead = -lead
+    for vj in v:
+        lead *= big_w * vj.denominator + vj.numerator * dw
+    after = [1] * len(v)  # entry j: prod over the sites past site j + 1
+    for j in range(len(v) - 1, 0, -1):
+        after[j - 1] = after[j] * (big_w * v[j].denominator - v[j].numerator * dw)
+    column = []
+    for vj, rest in zip(v, after):
+        ej = vj.denominator
+        column.append(lead * rest * ej)
+        lead *= big_w * ej - vj.numerator * dw + dw * ej
+    return column
+
+
 class WaveEngine:
-    """The reflection-and-permutation wave sum, evaluated as a subset DP.
+    """The reflection-and-permutation wave sum, evaluated as a subset DP on ints.
 
     The sum runs over the 2^m reflections and m! orderings of the roots: a
     term assigns the images w_1..w_m of an ordering to the positions
     x_1 < ... < x_m and is (-1)^{reflections} amplitude(w) prod_i
     phi(w_i, x_i).  Taking the positions in increasing order, a DP state is
     the set of images placed so far, a bitmask over the 2m images
-    (z_j, -z_j - 1) with at most one image per root, so there are 3^m
-    states.  Placing image b at site x multiplies by phi(b, x) and by
-    (-1)^{b reflected} prod_{a placed} f(a, b); that second factor does not
-    depend on the positions and is cached per (state, b), phi per (image,
-    site).  Terms with a vanishing wave factor are skipped: at the
-    canonical roots many wave factors vanish, which prunes the states
-    reached.  The engine keeps the DP levels of the last position set
-    it evaluated, so a set resumes from the level of its common prefix with
-    that one: sets met in lexicographic order walk their prefix trie depth
-    first.
+    (z_k, -z_k - 1) with at most one image per root, so there are 3^m
+    states.  Placing image b at site x multiplies by Phi(b, x) and by
+    (-1)^{b reflected} prod_{a placed} g(a, b); that second factor does not
+    depend on the positions and is cached per (state, b).
+
+    Every factor is an int, scaled by its own denominators.  With
+    z_k = Z_k/d_k, both images (Z_k/d_k and (-Z_k - d_k)/d_k) share d_k;
+    with v_j = V_j/e_j and q = Q/e_q, the wave table holds, for an image
+    w = W/d at every site x,
+
+        Phi(w, x) = (-1)^L (Q d - W e_q - e_q d) prod_j (W e_j + V_j d)
+                    prod_{j<x} (W e_j - V_j d + d e_j)
+                    prod_{j>x} (W e_j - V_j d) e_x
+                  = phi(w, x) e_q d^{2L} prod_j e_j^2,
+
+    built once from prefix and suffix products.  The pair factor is
+    f(a, b) = h(a + 1, b) / h(a, b) with h(a, b) = (a - b)(a + b + 1).  For
+    images a = A/d_k and b = B/d_l of roots k != l, h(a, b) (d_k d_l)^2 is
+    c_kl for k < l and -c_kl for k > l, whichever images they are, with
+    c_kl = (Z_k d_l - Z_l d_k)(Z_k d_l + Z_l d_k + d_k d_l); so
+    f(a, b) = g(a, b) / c_kl with the integer
+    g(a, b) = +-(A d_l - B d_k + d_k d_l)(A d_l + B d_k + 2 d_k d_l).  Each
+    term holds every root once and every root pair once, so the DP total T
+    at a position set is the wave sum times the one integer
+
+        denominator = prod_{k<l} c_kl (e_q prod_j e_j^2)^m prod_k d_k^{2L}.
+
+    A pole (some c_kl = 0) raises at construction.  Terms with a vanishing
+    wave factor are skipped: at the canonical roots many wave factors
+    vanish, which prunes the states reached.  The engine keeps the DP
+    levels of the last position set it evaluated, so a set resumes from the
+    level of its common prefix with that one: sets met in lexicographic
+    order walk their prefix trie depth first.
     """
 
     def __init__(self, v: Sequence, roots: Sequence, q, length: int):
@@ -111,47 +164,62 @@ class WaveEngine:
         self.roots = tuple(rational(z, "root") for z in roots)
         self.q = rational(q, "q")
         self.length = _strict(length, (int,), "chain length")
-        # image 2j is z_j and image 2j + 1 its reflection -z_j - 1
-        self._images = tuple(w for z in self.roots for w in (z, -z - 1))
-        # Every pair of images of distinct roots meets in some term of the
-        # sum, so a pole anywhere in it raises here.
-        self._pair = [
-            [pair_factor(a, b) if i >> 1 != j >> 1 else None for j, b in enumerate(self._images)]
-            for i, a in enumerate(self._images)
-        ]
-        self._steps: Dict[int, Tuple[Tuple[int, Fraction], ...]] = {}
-        self._phi: Dict[int, Tuple[Fraction, ...]] = {}
-        self._upsilon: Dict[Tuple[int, ...], Fraction] = {}
+        if self.length != len(self.v):
+            raise ValueError(
+                f"chain length {self.length} differs from the {len(self.v)} inhomogeneities"
+            )
+        m = len(self.roots)
+        d = [z.denominator for z in self.roots]
+        # image 2k is z_k and image 2k + 1 its reflection -z_k - 1, both over d_k
+        nums = [w for z in self.roots for w in (z.numerator, -z.numerator - z.denominator)]
+        pairs = 1  # prod_{k<l} c_kl
+        for k, l in itertools.combinations(range(m), 2):
+            c = _scaled_h(nums[2 * k], d[k], nums[2 * l], d[l])
+            if not c:
+                raise PoleError(
+                    f"amplitude pole for the root pair ({self.roots[k]}, {self.roots[l]})"
+                )
+            pairs *= c
+        self._pair = [[None] * (2 * m) for _ in range(2 * m)]
+        for a, b in itertools.permutations(range(2 * m), 2):
+            k, l = a >> 1, b >> 1
+            if k != l:
+                g = _scaled_h(nums[a] + d[k], d[k], nums[b], d[l])
+                self._pair[a][b] = g if k < l else -g
+        # row x - 1 holds Phi at site x for every image
+        self._phi = tuple(
+            zip(*(_wave_column(nums[w], d[w >> 1], self.v, self.q) for w in range(2 * m)))
+        )
+        sites = self.q.denominator * math.prod(x.denominator ** 2 for x in self.v)
+        self.denominator = (
+            pairs * sites ** m * math.prod(dk ** (2 * self.length) for dk in d)
+        )
+        self._steps: Dict[int, Tuple[Tuple[int, int], ...]] = {}
+        self._totals: Dict[Tuple[int, ...], int] = {}
         self._prefix: Tuple[int, ...] = ()
-        self._levels = [{0: _F1}]
+        self._levels = [{0: 1}]
 
-    def _steps_from(self, state: int) -> Tuple[Tuple[int, Fraction], ...]:
-        """(b, (-1)^{b reflected} prod_{a in state} f(a, b)) for every image b
+    def _steps_from(self, state: int) -> Tuple[Tuple[int, int], ...]:
+        """(b, (-1)^{b reflected} prod_{a in state} g(a, b)) for every image b
         of a root not yet placed."""
         steps = self._steps.get(state)
         if steps is None:
-            placed = [a for a in range(len(self._images)) if state >> a & 1]
+            placed = [a for a in range(len(self._pair)) if state >> a & 1]
             steps = []
-            for b in range(len(self._images)):
+            for b in range(len(self._pair)):
                 if state >> (b & ~1) & 3:
                     continue
-                factor = -_F1 if b & 1 else _F1
+                factor = -1 if b & 1 else 1
                 for a in placed:
                     factor *= self._pair[a][b]
                 steps.append((b, factor))
             steps = self._steps[state] = tuple(steps)
         return steps
 
-    def _phi_at(self, site: int) -> Tuple[Fraction, ...]:
-        row = self._phi.get(site)
-        if row is None:
-            row = self._phi[site] = tuple(wave_part(site, w, self.v, self.q) for w in self._images)
-        return row
-
-    def _advance(self, level: Dict[int, Fraction], site: int) -> Dict[int, Fraction]:
+    def _advance(self, level: Dict[int, int], site: int) -> Dict[int, int]:
         """The DP level after placing one more image at ``site``."""
-        phi = self._phi_at(site)
-        out: Dict[int, Fraction] = {}
+        phi = self._phi[site - 1]
+        out: Dict[int, int] = {}
         for state, value in level.items():
             for b, factor in self._steps_from(state):
                 if not phi[b]:
@@ -161,8 +229,8 @@ class WaveEngine:
                 out[key] = out[key] + term if key in out else term
         return out
 
-    def upsilon(self, positions: Sequence[int]) -> Fraction:
-        """The wave sum at the given positions."""
+    def total(self, positions: Sequence[int]) -> int:
+        """The wave sum at the given positions times ``denominator``."""
         x = tuple(positions)
         if any(type(p) is not int for p in x):
             raise ValueError(f"magnon positions must be integers, got {x}")
@@ -174,7 +242,7 @@ class WaveEngine:
             raise ValueError("magnon positions must be strictly increasing")
         if x and not (1 <= x[0] and x[-1] <= self.length):
             raise ValueError(f"magnon positions must lie in 1..{self.length}")
-        cached = self._upsilon.get(x)
+        cached = self._totals.get(x)
         if cached is not None:
             return cached
         # Keep the levels shared with the last set; the full level is summed, not kept.
@@ -189,9 +257,12 @@ class WaveEngine:
             levels.append(self._advance(levels[-1], site))
         self._prefix = x[:-1]
         last = self._advance(levels[-1], x[-1]) if x else levels[0]
-        total = sum(last.values(), _F0)
-        self._upsilon[x] = total
+        total = self._totals[x] = sum(last.values())
         return total
+
+    def upsilon(self, positions: Sequence[int]) -> Fraction:
+        """The wave sum at the given positions."""
+        return Fraction(self.total(positions), self.denominator)
 
 
 def wave_function(spec: LatticeSpec, roots: Sequence, x: Sequence[int]) -> Fraction:
@@ -210,16 +281,20 @@ def wave_components(spec: LatticeSpec, keys) -> dict:
     """Chain entries ``{index: component}`` of the wave sum at the given
     ice-rule basis indices and at the reference index 0.
 
-    The component at index k is the wave sum at the magnon sites of k, with
+    The component at index k is the engine's integer ``total`` at the
+    magnon sites of k, the wave sum times the engine's ``denominator``, with
     sign -1 when an odd number of end sites hold label 2.  The engine meets
     the position sets in lexicographic order, so its DP walks their prefix
     trie once.  Zero components are left out.
     """
-    engine = spec_wave_engine(spec)
+    return _wave_entries(spec_wave_engine(spec), spec, keys)
+
+
+def _wave_entries(engine: WaveEngine, spec: LatticeSpec, keys) -> dict:
     mask = end_mask(spec)
     out = {}
     for x, k in sorted((magnon_sites(spec, k), k) for k in {*keys, 0}):
-        value = engine.upsilon(x)
+        value = engine.total(x)
         if value:
             out[k] = -value if (k & mask).bit_count() % 2 else value
     return out
@@ -241,13 +316,13 @@ def cba_state(spec: LatticeSpec) -> QuantumState:
     """Assemble the Bethe state at the canonical roots from wave values over
     all position sets.
 
-    Matches the creation-operator construction exactly, including the
-    normalization prefactor and the end-site rotations.
+    The entries are the engine's integer totals over all ice indices and the
+    scale is the normalization prefactor over the engine's ``denominator``,
+    so the state matches the creation-operator construction exactly.
     """
-    roots = canonical_bethe_roots(spec).roots
-    return QuantumState(
-        spec.length, wave_components(spec, ice_indices(spec)), norm_prefactor(spec, roots)
-    )
+    engine = spec_wave_engine(spec)
+    scale = norm_prefactor(spec, engine.roots) / engine.denominator
+    return QuantumState(spec.length, _wave_entries(engine, spec, ice_indices(spec)), scale)
 
 
 # -- closed-chain wave function ------------------------------------------------

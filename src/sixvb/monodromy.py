@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
 
 from .errors import PoleError
 from .exact import _strict, rational
@@ -49,14 +48,6 @@ from .lattice import (
 from .weights import r_matrix
 
 _F1 = Fraction(1)
-
-
-def basis_index(states: Sequence[int]) -> int:
-    """Index of the product basis state (s_1, ..., s_L), site 1 most significant."""
-    idx = 0
-    for s in states:
-        idx = (idx << 1) | (s - 1)
-    return idx
 
 
 @dataclass(frozen=True)
@@ -96,9 +87,6 @@ class QuantumState:
                 scale *= g
         object.__setattr__(self, "entries", vec)
         object.__setattr__(self, "scale", scale)
-
-    def component(self, states: Sequence[int]) -> Fraction:
-        return self.scale * self.entries.get(basis_index(states), 0)
 
     def is_zero(self) -> bool:
         return not self.entries

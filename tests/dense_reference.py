@@ -7,14 +7,31 @@ slices out its chain block (r, c).  ``single_row`` and ``double_row``
 assemble that matrix column by column from the site-local kernel of
 :mod:`sixvb.monodromy` (its blocks on each basis vector), so the tests can
 compare it with explicit products of ``lax_embed`` factors.  ``dense``
-lists the 2^L amplitudes of a sparse state.
+lists the 2^L amplitudes of a sparse state, and ``component`` reads one of
+them by its site labels (``basis_index``).  ``wide_spec`` draws lattices
+past the six lines that ``random_spec`` covers.
 """
 
 from fractions import Fraction
 
 from sixvb.exact import ExactMatrix
+from sixvb.lattice import LatticeSpec
 from sixvb.monodromy import QuantumState, double_row_on_state, single_row_on_state
+from sixvb.sampling import random_pairing, random_q, random_theta
 from sixvb.weights import embed_pair, lax_matrix
+
+
+def basis_index(states) -> int:
+    """Index of the product basis state (s_1, ..., s_L), site 1 most significant."""
+    idx = 0
+    for s in states:
+        idx = (idx << 1) | (s - 1)
+    return idx
+
+
+def component(state: QuantumState, states) -> Fraction:
+    """The amplitude of a state at the site labels (s_1, ..., s_L)."""
+    return state.scale * state.entries.get(basis_index(states), 0)
 
 
 def dense(state: QuantumState) -> tuple:
@@ -74,3 +91,20 @@ def states_proportional(u: QuantumState, v: QuantumState) -> bool:
         return False
     c = va[pivot] / ua[pivot]
     return all(c * a == b for a, b in zip(ua, va))
+
+
+def wide_spec(rng, n: int) -> LatticeSpec:
+    """An N <= 12 lattice drawn like ``random_spec``, whose draws stop at six lines.
+
+    The rapidity denominators are primes coprime to the boundary's 29, so
+    the genericity conditions hold for the same reason as in ``sampling``.
+    """
+    reflected = frozenset(k for k in range(1, n + 1) if rng.random() < 0.5)
+    chords = random_pairing(rng, n)
+    denoms = rng.sample((7, 11, 13, 17, 19, 23, 31, 37, 41, 43, 47, 53), n)
+    return LatticeSpec(
+        chords=chords,
+        reflected=reflected,
+        rapidities=tuple(random_theta(rng, d) for d in denoms),
+        boundary_q=random_q(rng),
+    )

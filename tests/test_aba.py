@@ -30,7 +30,7 @@ from sixvb.monodromy import external_component, reference_state
 from sixvb.pipeline import ROUTES
 from sixvb.sampling import random_spec, random_z
 
-from dense_reference import dense, states_proportional
+from dense_reference import component, dense, states_proportional
 
 
 def line_spec(reflected=False, theta=F(1, 3), q=F(2)):
@@ -55,13 +55,13 @@ class TestBetheState:
     def test_line_state_is_line_invariant_ray(self):
         spec = line_spec()
         state = solve_aba(spec).bethe_state
-        assert state.component((1, 2)) == 0 and state.component((2, 1)) == 0
-        assert state.component((1, 1)) == state.component((2, 2)) != 0
+        assert component(state, (1, 2)) == 0 and component(state, (2, 1)) == 0
+        assert component(state, (1, 1)) == component(state, (2, 2)) != 0
 
     def test_reflected_line_component_ratio(self):
         spec = line_spec(reflected=True)  # theta=1/3, q=2
         state = solve_aba(spec).bethe_state
-        assert state.component((2, 2)) / state.component((1, 1)) == F(5, 7)
+        assert component(state, (2, 2)) / component(state, (1, 1)) == F(5, 7)
 
     def test_root_order_irrelevant(self):
         spec = crossed_spec()

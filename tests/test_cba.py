@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,7 @@ from sixvb.cba import (
     closed_wave,
     spec_wave_engine,
     two_reflection_sum,
+    wave_components,
     wave_function,
     wave_part,
 )
@@ -27,6 +29,7 @@ from sixvb.lattice import (
     LatticeSpec,
     all_configs,
     canonical_bethe_roots,
+    ice_indices,
     inhomogeneities,
     magnon_positions,
     reference_config,
@@ -34,7 +37,9 @@ from sixvb.lattice import (
 )
 from sixvb.monodromy import apply_closed_b, reference_state
 from sixvb.pipeline import ROUTES
-from sixvb.sampling import random_spec, random_z
+from sixvb.sampling import random_ice_config, random_spec, random_z
+
+from dense_reference import component, wide_spec
 
 
 def line_spec(reflected=False, theta=F(1, 3), q=F(2)):
@@ -196,6 +201,17 @@ class TestWaveFunction:
         with pytest.raises(PoleError):
             wave_function(crossed_spec(), pair(F(5, 193)), (1, 2))
 
+    @pytest.mark.parametrize("third", [lambda z: z, lambda z: -z - 1])
+    def test_pole_between_outer_roots_raises_at_construction(self, third):
+        z, v = F(5, 193), inhomogeneities(figure_lattice())
+        roots = (z, F(31, 193), third(z))
+        with pytest.raises(PoleError, match=re.escape(f"root pair ({z}, {third(z)})")):
+            WaveEngine(v, roots, F(4, 5), len(v))
+
+    def test_length_must_match_the_inhomogeneities(self):
+        with pytest.raises(ValueError, match="chain length 3"):
+            WaveEngine((F(1, 3), F(-2, 3)), (F(1, 5),), F(2, 7), 3)
+
     @pytest.mark.parametrize("roots", [(0.1, F(1, 3)), ("1/5", F(1, 3)), (True, F(1, 3))])
     def test_non_rational_roots_rejected(self, roots):
         with pytest.raises(ValueError):
@@ -259,7 +275,7 @@ class TestClosedWave:
                         sign = -sign
                 elif site in positions:
                     labels[site - 1] = 2
-            assert state.component(labels) == sign * phi
+            assert component(state, labels) == sign * phi
 
 
 class TestClosedExchange:
@@ -316,8 +332,15 @@ class TestZCba:
         assert sweep(line_spec(), [ExternalConfig((1,), (2,))], ROUTES["cba"]) == [0]
 
     def test_state_assembly_matches_creation_route(self):
-        for spec in (line_spec(), crossed_spec(), crossed_spec(frozenset({1, 2}))):
+        specs = [line_spec(), crossed_spec(), crossed_spec(frozenset({1, 2})), figure_lattice()]
+        specs += [random_spec(random.Random(300 + n), n) for n in (3, 4, 5)]
+        for spec in specs:
             assert cba_state(spec) == solve_aba(spec).bethe_state
+
+    def test_components_are_ints(self):
+        for spec in (figure_lattice(), random_spec(random.Random(105), 5)):
+            entries = wave_components(spec, ice_indices(spec))
+            assert 0 in entries and all(type(x) is int for x in entries.values())
 
     def test_cross_method_six_lines(self):
         spec = random_spec(random.Random(101), 6)
@@ -332,3 +355,11 @@ class TestZCba:
             cba = sweep(spec, configs, ROUTES["cba"])
             assert cba == sweep(spec, configs, ROUTES["aba"])
             assert cba == sweep(spec, configs, ROUTES["direct"])
+
+    def test_cross_method_eight_lines(self):
+        spec = wide_spec(random.Random(109), 8)
+        rng = random.Random(8)
+        sample = [random_ice_config(rng, spec) for _ in range(100)]
+        cba = sweep(spec, sample, ROUTES["cba"])
+        assert any(x not in (0, 1) for x in cba)
+        assert cba == sweep(spec, sample, ROUTES["direct"])

@@ -27,10 +27,10 @@ from sixvb.lattice import (
 )
 from sixvb.monodromy import QuantumState, external_component
 from sixvb.pipeline import ROUTES
-from sixvb.sampling import random_ice_config, random_pairing, random_q, random_spec, random_theta
+from sixvb.sampling import random_ice_config, random_spec
 from sixvb.weights import PERMUTATION, S_MATRIX, embed_pair, k_matrix, r_matrix
 
-from dense_reference import aux_block, dense, lax_embed, states_proportional
+from dense_reference import aux_block, component, dense, lax_embed, states_proportional, wide_spec
 
 
 def line_spec(reflected=False, theta=F(1, 3), q=F(2)):
@@ -385,13 +385,13 @@ def _placed_component(state: QuantumState, spec: LatticeSpec, config: ExternalCo
     labels = [0] * spec.length
     for chord, a, b in zip(spec.chords, config.alpha, config.beta):
         labels[chord.start - 1], labels[chord.end - 1] = a, b
-    return state.component(labels)
+    return component(state, labels)
 
 
 @pytest.mark.parametrize("name", READ_OUT_SPECS)
 def test_tables_are_ratios_of_external_components(name):
     """The integer read-out of ``direct`` and ``aba`` gives the ratio of
-    full components, which ``QuantumState.component`` confirms by label."""
+    full components, which ``dense_reference.component`` confirms by label."""
     spec = _read_out_spec(name)
     configs = list(all_configs(spec.n))
     ref = reference_config(spec.n)
@@ -407,27 +407,8 @@ def test_tables_are_ratios_of_external_components(name):
         assert all(type(v) is F for v in values)
 
 
-def _seven_line_spec() -> LatticeSpec:
-    """An N=7 lattice drawn like ``random_spec``, whose draws stop at six lines.
-
-    The rapidity denominators are primes coprime to the boundary's 29, so
-    the genericity conditions hold for the same reason as in ``sampling``.
-    """
-    rng = random.Random(108)
-    n = 7
-    reflected = frozenset(k for k in range(1, n + 1) if rng.random() < 0.5)
-    chords = random_pairing(rng, n)
-    denoms = rng.sample((7, 11, 13, 17, 19, 23, 31, 37, 41, 43, 47, 53), n)
-    return LatticeSpec(
-        chords=chords,
-        reflected=reflected,
-        rapidities=tuple(random_theta(rng, d) for d in denoms),
-        boundary_q=random_q(rng),
-    )
-
-
 def test_three_routes_agree_at_seven_lines():
-    spec = _seven_line_spec()
+    spec = wide_spec(random.Random(108), 7)
     configs = list(all_configs(spec.n))
     direct = sweep(spec, configs, ROUTES["direct"])
     assert len(direct) == 16384 and any(x not in (0, 1) for x in direct)

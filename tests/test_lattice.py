@@ -31,8 +31,10 @@ from sixvb.lattice import (
     sweep,
     validate_spec,
 )
-from sixvb.monodromy import QuantumState, basis_index, external_component
+from sixvb.monodromy import QuantumState, external_component
 from sixvb.sampling import random_config, random_spec
+
+from dense_reference import basis_index
 
 
 def line_spec(reflected=False, theta=F(1, 3), q=F(2)):

@@ -20,7 +20,6 @@ from sixvb.monodromy import (
     QuantumState,
     apply_closed_b,
     apply_open_b,
-    basis_index,
     check_crossing,
     check_reflection_algebra,
     double_row_on_state,
@@ -38,6 +37,8 @@ from sixvb.weights import PERMUTATION, S_MATRIX
 
 from dense_reference import (
     aux_block,
+    basis_index,
+    component,
     dense,
     double_row,
     lax_embed,
@@ -127,7 +128,7 @@ class TestQuantumState:
     def test_fields_after_normalisation(self):
         state = QuantumState(2, {0: F(-4, 3), 3: 2}, F(-1, 5))
         assert state.entries == {0: 2, 3: -3} and state.scale == F(2, 15)
-        assert state.component((1, 1)) == F(4, 15) and state.component((2, 1)) == 0
+        assert component(state, (1, 1)) == F(4, 15) and component(state, (2, 1)) == 0
 
 
 class TestLaxEmbed:
@@ -467,13 +468,13 @@ class TestDoubleRow:
 class TestReferenceState:
     def test_line_reference(self):
         omega = reference_state(line_spec())
-        assert omega.component((2, 1)) == -1
+        assert component(omega, (2, 1)) == -1
         assert sum(a * a for a in dense(omega)) == 1
 
     def test_two_line_sign(self):
         omega = reference_state(crossed_spec())
         # ends at sites 2 and 1: component (2,2,1,1) with sign (-1)^2
-        assert omega.component((2, 2, 1, 1)) == 1
+        assert component(omega, (2, 2, 1, 1)) == 1
         assert sum(a * a for a in dense(omega)) == 1
 
     def test_external_component_contraction(self):
