@@ -242,6 +242,11 @@ class WaveEngine:
             raise ValueError("magnon positions must be strictly increasing")
         if x and not (1 <= x[0] and x[-1] <= self.length):
             raise ValueError(f"magnon positions must lie in 1..{self.length}")
+        return self._total(x)
+
+    def _total(self, x: Tuple[int, ...]) -> int:
+        """``total`` at a tuple of positions already known to be valid, as
+        the magnon sites of a chain index are."""
         cached = self._totals.get(x)
         if cached is not None:
             return cached
@@ -294,7 +299,7 @@ def _wave_entries(engine: WaveEngine, spec: LatticeSpec, keys) -> dict:
     mask = end_mask(spec)
     out = {}
     for x, k in sorted((magnon_sites(spec, k), k) for k in {*keys, 0}):
-        value = engine.total(x)
+        value = engine._total(x)
         if value:
             out[k] = -value if (k & mask).bit_count() % 2 else value
     return out

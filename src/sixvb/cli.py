@@ -13,7 +13,6 @@ import random
 import sys
 
 from .errors import DegenerateSpecError, InvalidSpecError, PoleError
-from .exact import format_rational
 from .lattice import (
     ExternalConfig,
     LatticeSpec,
@@ -21,7 +20,7 @@ from .lattice import (
     reference_config,
     spec_from_dict,
 )
-from .pipeline import METHODS, compute_report, report_to_dict
+from .pipeline import METHODS, compute_report, report_to_dict, value_cells
 from .sampling import random_ice_config, random_spec
 from .verify import SUITES, run_suites
 
@@ -106,10 +105,8 @@ def cmd_compute(args) -> int:
     if args.json:
         print(json.dumps(report_to_dict(run)))
     else:
-        for i, config in enumerate(run.configs):
-            cells = " ".join(
-                f"{m}={format_rational(run.values[m][i])}" for m in run.methods
-            )
+        for config, cell in zip(run.configs, value_cells(run)):
+            cells = " ".join(f"{m}={x}" for m, x in cell.items())
             print(f"alpha={','.join(map(str, config.alpha))} beta={','.join(map(str, config.beta))}  {cells}")
         times = " ".join(f"{m}={run.timings[m]:.3f}s" for m in run.methods)
         print(f"# methods: {', '.join(run.methods)}; agreement: {run.agreement}; {times}")
@@ -146,10 +143,10 @@ def cmd_bench(args) -> int:
     for n in range(1, args.nmax + 1):
         spec = random_spec(rng, n)
         config = random_ice_config(rng, spec)
-        run = compute_report(spec, [reference_config(n), config], METHODS)
-        rows.append((n, run.timings))
+        rows.append((n, compute_report(spec, [reference_config(n), config], METHODS)))
     print(f"{'N':>2} {'L':>3} {'direct':>10} {'aba':>10} {'cba':>10}   (seconds; one sweep of 2 configs)")
-    for n, t in rows:
+    for n, run in rows:
+        t = run.timings
         print(
             f"{n:>2} {2 * n:>3} {t['direct']:>10.4f} {t['aba']:>10.4f} {t['cba']:>10.4f}"
         )
@@ -157,6 +154,10 @@ def cmd_bench(args) -> int:
         "# direct and aba hold only the ice-rule sector of a 2^(2N)-amplitude state"
         " while building it; the cba DP has up to 3^N states"
     )
+    disagree = [str(n) for n, run in rows if not run.agreement]
+    if disagree:
+        print(f"# the routes disagree at N = {', '.join(disagree)}")
+        return EXIT_FAILED
     return EXIT_OK
 
 

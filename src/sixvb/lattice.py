@@ -257,20 +257,38 @@ def sweep(
 ) -> list:
     """Partition-function values of many configs from one route's chain entries.
 
-    Each config that satisfies the ice rule is read once as its
-    ``config_index``.  ``route(spec, keys)`` is called once with those
-    indices, and only when there is one; it returns a mapping from chain
-    index to component holding at least the nonzero components among
-    ``keys`` and at index 0, the reference config.  A component may be any
-    exact rational up to a factor common to all indices, such as the
-    integer entry of a state without its scale: only its ratio to the
-    reference component counts.  The result holds one ``Fraction`` per
-    config, normalized to 1 at the reference config; configs whose
-    component is 0, and configs that break the ice rule, share one
-    ``Fraction(0)``.  The spec was validated when it was made, so nothing
+    Each config is read in one pass: every distinct alpha (or beta) tuple is
+    looked up once for its bits of the ``config_index`` and its count of
+    label 2, so a config obeys the ice rule iff its two counts are equal and
+    its index is the or of its two bit sets.  A config whose labels do not
+    have length N raises ``ValueError``.  ``route(spec, keys)`` is called
+    once with the indices of the ice-rule configs, and only when there is
+    one; it returns a mapping from chain index to component holding at least
+    the nonzero components among ``keys`` and at index 0, the reference
+    config.  A component may be any exact rational up to a factor common to
+    all indices, such as the integer entry of a state without its scale:
+    only its ratio to the reference component counts.  The result holds one
+    ``Fraction`` per config, normalized to 1 at the reference config;
+    configs whose component is 0, and configs that break the ice rule, share
+    one ``Fraction(0)``.  The spec was validated when it was made, so nothing
     is checked again here.
     """
-    keys = [config_index(spec, c) if ice_rule_satisfied(spec, c) else None for c in configs]
+    n, length = spec.n, spec.length
+    start_bits = [length - c.start for c in spec.chords]
+    end_bits = [length - c.end for c in spec.chords]
+    starts, ends = {}, {}  # labels -> (index bits, count of label 2)
+
+    def read(labels, bits, seen):
+        if len(labels) != n:
+            raise ValueError(f"config labels must have length {n}")
+        seen[labels] = out = (sum((s - 1) << b for s, b in zip(labels, bits)), labels.count(2))
+        return out
+
+    keys = []
+    for c in configs:
+        a = starts.get(c.alpha) or read(c.alpha, start_bits, starts)
+        b = ends.get(c.beta) or read(c.beta, end_bits, ends)
+        keys.append(a[0] | b[0] if a[1] == b[1] else None)
     zero = Fraction(0)
     allowed = [k for k in keys if k is not None]
     if not allowed:
@@ -287,10 +305,20 @@ def sweep(
 
 
 def all_configs(n: int) -> Iterator[ExternalConfig]:
-    """All 4^N external configurations in lexicographic (alpha, beta) order."""
-    for alpha in itertools.product((1, 2), repeat=n):
-        for beta in itertools.product((1, 2), repeat=n):
-            yield ExternalConfig(alpha, beta)
+    """All 4^N external configurations in lexicographic (alpha, beta) order.
+
+    The 2^N label tuples are built once and shared.  Every config is valid
+    by construction, so the label check of ``ExternalConfig`` is skipped:
+    its fields are set directly.
+    """
+    labels = list(itertools.product((1, 2), repeat=n))
+    new = object.__new__
+    for alpha in labels:
+        for beta in labels:
+            config = new(ExternalConfig)
+            fields = config.__dict__
+            fields["alpha"], fields["beta"] = alpha, beta
+            yield config
 
 
 def initial_pairing(n: int) -> tuple:
@@ -347,5 +375,12 @@ def spec_from_dict(data: dict) -> LatticeSpec:
     return LatticeSpec(chords=chords, reflected=reflected, rapidities=rapidities, boundary_q=q)
 
 
-def config_to_dict(config: ExternalConfig) -> dict:
-    return {"alpha": list(config.alpha), "beta": list(config.beta)}
+def config_rows(configs: Sequence[ExternalConfig]) -> list:
+    """The JSON form of each config, one new dict per config; equal label
+    tuples share one list."""
+    lists = {}
+
+    def as_list(labels):
+        return lists.get(labels) or lists.setdefault(labels, list(labels))
+
+    return [{"alpha": as_list(c.alpha), "beta": as_list(c.beta)} for c in configs]

@@ -192,33 +192,42 @@ def _lax_column(a, b, mask, w, d, conjugate):
     """Apply d times one local factor to an integer column (a, b).
 
     The factor's weights are w/d, w/d + 1 and 1, so its entries scaled by d
-    are the integers w, w + d and d; ``mask`` is the bit of the site.  Zero
-    entries are dropped.
+    are the integers w, w + d and d; ``mask`` is the bit of the site.  An
+    entry of a whose site bit is ``pair`` mixes with the entry of b at the
+    partner index (site bit flipped) by [[w, e], [e, w]]; every other entry
+    is multiplied by w + d.  Each output entry is formed once, and only the
+    entries that can vanish (a mixed pair, or a product with w or w + d
+    zero) are tested for zero.
     """
     wd = w + d
-    if conjugate:
-        a2 = {i: (wd if i & mask else w) * x for i, x in a.items()}
-        b2 = {i: (w if i & mask else wd) * y for i, y in b.items()}
-        for i, y in b.items():
-            if i & mask:
-                j = i ^ mask
-                a2[j] = a2.get(j, 0) - d * y
-        for i, x in a.items():
-            if not i & mask:
-                j = i | mask
-                b2[j] = b2.get(j, 0) - d * x
-    else:
-        a2 = {i: (w if i & mask else wd) * x for i, x in a.items()}
-        b2 = {i: (wd if i & mask else w) * y for i, y in b.items()}
-        for i, y in b.items():
-            if not i & mask:
-                j = i | mask
-                a2[j] = a2.get(j, 0) + d * y
-        for i, x in a.items():
-            if i & mask:
-                j = i ^ mask
-                b2[j] = b2.get(j, 0) + d * x
-    return {i: x for i, x in a2.items() if x}, {i: y for i, y in b2.items() if y}
+    pair, e = (0, -d) if conjugate else (mask, d)
+    a2, b2 = {}, {}
+    for i, x in a.items():
+        if i & mask != pair:
+            if wd:
+                a2[i] = wd * x
+            continue
+        j = i ^ mask
+        y = b.get(j)
+        if y is None:
+            if w:
+                a2[i] = w * x
+            b2[j] = e * x
+        else:
+            u, v = w * x + e * y, w * y + e * x
+            if u:
+                a2[i] = u
+            if v:
+                b2[j] = v
+    for j, y in b.items():
+        if j & mask == pair:
+            if wd:
+                b2[j] = wd * y
+        elif j ^ mask not in a:
+            if w:
+                b2[j] = w * y
+            a2[j ^ mask] = e * y
+    return a2, b2
 
 
 def _site_weights(chain: ChainData, zd: int, d: int, hat: bool) -> tuple:

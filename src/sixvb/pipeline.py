@@ -16,8 +16,7 @@ from typing import Dict, List, Sequence
 from .aba import solve_aba
 from .cba import wave_components
 from .contraction import build_invariant
-from .exact import format_rational
-from .lattice import ExternalConfig, LatticeSpec, config_to_dict, spec_to_dict, sweep
+from .lattice import ExternalConfig, LatticeSpec, config_rows, spec_to_dict, sweep
 
 # Each route maps (spec, ice-rule chain indices) to chain entries {index: component}.
 ROUTES = {
@@ -77,14 +76,23 @@ def compute_report(
     )
 
 
+def value_cells(report: RunReport) -> list:
+    """``{method: "p/q"}`` for each config, methods in report order: zero
+    values share one "0", and each nonzero value, a ``Fraction`` already,
+    is printed by ``str``."""
+    cells = [{} for _ in report.configs]
+    for m in report.methods:
+        for cell, x in zip(cells, report.values[m]):
+            cell[m] = str(x) if x else "0"
+    return cells
+
+
 def report_to_dict(report: RunReport) -> dict:
     """JSON form of a report; when the methods disagree it also lists the
     first ``MAX_DISAGREEMENTS`` configs whose values differ."""
-    rows = []
-    for i, config in enumerate(report.configs):
-        row = config_to_dict(config)
-        row["z"] = {m: format_rational(report.values[m][i]) for m in report.methods}
-        rows.append(row)
+    rows = config_rows(report.configs)
+    for row, cell in zip(rows, value_cells(report)):
+        row["z"] = cell
     out = {
         "spec_digest": report.spec_digest,
         "methods": list(report.methods),

@@ -270,6 +270,24 @@ class TestBench:
         out = capsys.readouterr().out
         assert "direct" in out and out.count("\n") >= 3
 
+    def test_disagreement_exits_one_and_names_n(self, capsys, monkeypatch):
+        """A route that is off by the reference component on every other
+        key of the N=2 sweep makes that row disagree."""
+        cba = pipeline.ROUTES["cba"]
+
+        def perturbed(spec, keys):
+            table = dict(cba(spec, keys))
+            if spec.n == 2:
+                for k in keys:
+                    if k:
+                        table[k] = table.get(k, 0) + table[0]
+            return table
+
+        monkeypatch.setitem(pipeline.ROUTES, "cba", perturbed)
+        assert main(["bench", "--nmax", "3"]) == 1
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == "# the routes disagree at N = 2"
+
     def test_guard(self, capsys):
         assert main(["bench", "--nmax", "7"]) == 2
         err = capsys.readouterr().err

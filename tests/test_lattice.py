@@ -1,4 +1,5 @@
 import ast
+import itertools
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -17,7 +18,7 @@ from sixvb.lattice import (
     all_configs,
     canonical_bethe_roots,
     config_index,
-    config_to_dict,
+    config_rows,
     end_mask,
     ice_indices,
     ice_rule_satisfied,
@@ -31,6 +32,7 @@ from sixvb.lattice import (
     sweep,
     validate_spec,
 )
+from sixvb.contraction import build_invariant
 from sixvb.monodromy import QuantumState, external_component
 from sixvb.sampling import random_config, random_spec
 
@@ -285,6 +287,24 @@ class TestMagnonsAndIce:
     def test_all_configs_count(self):
         assert len(list(all_configs(3))) == 64
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_all_configs_equal_strictly_built_configs(self, n):
+        """``all_configs`` skips the label check; its configs still equal,
+        in order, those that pass it."""
+        labels = [tuple(t) for t in itertools.product((1, 2), repeat=n)]
+        strict = [ExternalConfig(a, b) for a in labels for b in labels]
+        got = list(all_configs(n))
+        assert got == strict
+        assert all(type(c) is ExternalConfig for c in got)
+        assert [hash(c) for c in got] == [hash(c) for c in strict]
+
+    @pytest.mark.parametrize("label", [0, 3, True, "1"])
+    def test_config_constructor_stays_strict(self, label):
+        with pytest.raises(ValueError, match="state labels"):
+            ExternalConfig((1, label), (1, 2))
+        with pytest.raises(ValueError, match="state labels"):
+            ExternalConfig((1, 2), (label, 1))
+
 
 class TestConfigIndex:
     """A config is read once as the chain basis index of its placed labels."""
@@ -386,6 +406,30 @@ class TestSweep:
         got = sweep(line_spec(), self.CONFIGS[1:3], route)
         assert got == [0, 0] and all(type(v) is F for v in got)
 
+    @pytest.mark.parametrize(
+        "configs",
+        [
+            pytest.param([ExternalConfig((1, 2), (1, 1))], id="alpha-first"),
+            pytest.param([ExternalConfig((1,), (2, 2))], id="beta-first"),
+            pytest.param([ExternalConfig((1,), (1,)), ExternalConfig((2,), ())], id="after-valid"),
+        ],
+    )
+    def test_config_of_wrong_length_rejected(self, configs):
+        with pytest.raises(ValueError, match="length 1"):
+            sweep(line_spec(), configs, self.route({(1, 1): 3, (2, 2): 2}))
+
+    def test_equal_label_tuples_read_alike(self):
+        """Label tuples are looked up by value: a config built from new tuple
+        objects equal to those seen reads the same value."""
+        fig = figure_lattice()
+        configs = list(all_configs(fig.n))
+        fresh = [ExternalConfig(tuple(list(c.alpha)), tuple(list(c.beta))) for c in configs]
+        assert all(f.alpha is not c.alpha for f, c in zip(fresh, configs))
+        table = build_invariant(fig).entries
+        values = sweep(fig, configs + fresh, lambda spec, keys: table)
+        assert values[: len(configs)] == values[len(configs):]
+        assert any(values)
+
     def test_vanishing_reference_component_raises(self):
         with pytest.raises(DegenerateSpecError, match="reference component vanished"):
             sweep(line_spec(), self.CONFIGS, self.route({(1, 1): 0, (2, 2): 2}))
@@ -398,7 +442,7 @@ class TestJson:
 
     def test_config_round_trip(self):
         cfg = ExternalConfig((2, 1), (1, 2))
-        assert config_to_dict(cfg) == {"alpha": [2, 1], "beta": [1, 2]}
+        assert config_rows([cfg]) == [{"alpha": [2, 1], "beta": [1, 2]}]
 
     def test_initial_spec_keeps_parameters(self):
         fig = figure_lattice()

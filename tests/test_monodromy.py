@@ -411,6 +411,61 @@ class TestSparseKernelAgainstDenseReference:
         assert bethe_state(spec, off_shell) == _dense_bethe_state(spec, off_shell)
 
 
+class TestLaxColumnEdges:
+    """The one-pass site step ``_lax_column`` against the dense reference
+    where an entry can vanish: at the unscaled weights w = 0 and w = -1
+    (scaled, w = 0 and w = -d) and where a mixed pair cancels.  The result
+    must hold no zero entry."""
+
+    LENGTH = 3
+
+    def check(self, a, b, site, w, d, conjugate):
+        """The kernel equals d times the dense step at weight w/d; returns
+        the dense step's number of zero entries from nonzero input pairs."""
+        size = 1 << self.LENGTH
+        mask = 1 << (self.LENGTH - site)
+        a2, b2 = monodromy._lax_column(a, b, mask, w, d, conjugate)
+        assert all(a2.values()) and all(b2.values())
+        da, db = _dense_lax_column(
+            [F(a.get(i, 0)) for i in range(size)],
+            [F(b.get(i, 0)) for i in range(size)],
+            self.LENGTH, site, F(w, d), conjugate,
+        )
+        assert a2 == {i: d * x for i, x in enumerate(da) if x}
+        assert b2 == {i: d * y for i, y in enumerate(db) if y}
+        return sum(1 for x in da + db if not x)
+
+    @pytest.mark.parametrize("conjugate", [False, True])
+    @pytest.mark.parametrize("d", [1, 6])
+    @pytest.mark.parametrize("unscaled", [0, -1], ids=["w=0", "w=-d"])
+    def test_vanishing_weight(self, unscaled, d, conjugate):
+        rng = random.Random(77 + d)
+        for _ in range(20):
+            a, b = ({i: rng.choice((-3, -1, 2, 5)) for i in range(1 << self.LENGTH)
+                     if rng.random() < 0.5} for _ in "ab")
+            self.check(a, b, rng.randint(1, self.LENGTH), unscaled * d, d, conjugate)
+
+    @pytest.mark.parametrize("conjugate", [False, True])
+    @pytest.mark.parametrize("d", [1, 6])
+    @pytest.mark.parametrize("unscaled", [1, 2, -3])
+    def test_cancelling_pairs(self, unscaled, d, conjugate):
+        """Every a entry that mixes is paired with the b entry that makes its
+        own output vanish: w x + e y = 0, with e = -d (conjugate) or d."""
+        w, e = unscaled * d, -d if conjugate else d
+        size = 1 << self.LENGTH
+        for site in range(1, self.LENGTH + 1):
+            mask = 1 << (self.LENGTH - site)
+            pair = 0 if conjugate else mask
+            a, b = {}, {}
+            for i in range(size):
+                k = i % 5 - 2 or 3
+                if i & mask == pair:
+                    a[i], b[i ^ mask] = e * k, -w * k
+                else:
+                    a[i] = k
+            assert self.check(a, b, site, w, d, conjugate) >= size // 2
+
+
 class TestDoubleRow:
     def test_line_monodromy_explicit_factorization(self):
         spec = line_spec()
