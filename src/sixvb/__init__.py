@@ -22,7 +22,6 @@ from .lattice import (
 )
 from .monodromy import QuantumState, reference_state
 from .aba import bethe_state
-from .cba import wave_function
 from .contraction import build_invariant
 from .pipeline import compute_report
 
@@ -52,6 +51,5 @@ __all__ = [
     "reference_config",
     "reference_state",
     "validate_spec",
-    "wave_function",
     "__version__",
 ]

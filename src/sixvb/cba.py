@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
 from .errors import PoleError
-from .exact import _strict, rational
+from .exact import rational
 from .lattice import (
     LatticeSpec,
     canonical_bethe_roots,
@@ -46,49 +46,6 @@ from .monodromy import (
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-
-
-def pair_factor(a, b) -> Fraction:
-    """Amplitude factor of root a ordered before root b.
-
-    (a - b + 1)(a + b + 2) / ((a - b)(a + b + 1)).
-    """
-    a, b = rational(a, "a"), rational(b, "b")
-    den = (a - b) * (a + b + 1)
-    if den == 0:
-        raise PoleError(f"amplitude pole for the root pair ({a}, {b})")
-    return (a - b + 1) * (a + b + 2) / den
-
-
-def amplitude(ordered_roots: Sequence) -> Fraction:
-    """Scattering amplitude of an ordered root tuple: prod_{k<l} f(z_k, z_l)
-    with f the ``pair_factor``."""
-    zs = list(ordered_roots)
-    out = _F1
-    for k, a in enumerate(zs):
-        for b in zs[k + 1:]:
-            out *= pair_factor(a, b)
-    return out
-
-
-def wave_part(x: int, z, v: Sequence, q) -> Fraction:
-    """One-magnon wave factor at site x for root value z on the L = len(v) sites.
-
-    (-1)^L (q - z - 1) prod_j (z + v_j) prod_{j<x} (z - v_j + 1)
-    prod_{j>x} (z - v_j).
-    """
-    z, q = rational(z, "z"), rational(q, "q")
-    v = tuple(rational(vj, "inhomogeneity") for vj in v)
-    length = len(v)
-    sign = _F1 if length % 2 == 0 else -_F1
-    out = sign * (q - z - 1)
-    for vj in v:
-        out *= z + vj
-    for j in range(1, x):
-        out *= z - v[j - 1] + 1
-    for j in range(x + 1, length + 1):
-        out *= z - v[j - 1]
-    return out
 
 
 def _scaled_h(a: int, da: int, b: int, db: int) -> int:
@@ -159,15 +116,10 @@ class WaveEngine:
     order walk their prefix trie depth first.
     """
 
-    def __init__(self, v: Sequence, roots: Sequence, q, length: int):
+    def __init__(self, v: Sequence, roots: Sequence, q):
         self.v = tuple(rational(x, "inhomogeneity") for x in v)
         self.roots = tuple(rational(z, "root") for z in roots)
         self.q = rational(q, "q")
-        self.length = _strict(length, (int,), "chain length")
-        if self.length != len(self.v):
-            raise ValueError(
-                f"chain length {self.length} differs from the {len(self.v)} inhomogeneities"
-            )
         m = len(self.roots)
         d = [z.denominator for z in self.roots]
         # image 2k is z_k and image 2k + 1 its reflection -z_k - 1, both over d_k
@@ -192,10 +144,9 @@ class WaveEngine:
         )
         sites = self.q.denominator * math.prod(x.denominator ** 2 for x in self.v)
         self.denominator = (
-            pairs * sites ** m * math.prod(dk ** (2 * self.length) for dk in d)
+            pairs * sites ** m * math.prod(dk ** (2 * len(self.v)) for dk in d)
         )
         self._steps: Dict[int, Tuple[Tuple[int, int], ...]] = {}
-        self._totals: Dict[Tuple[int, ...], int] = {}
         self._prefix: Tuple[int, ...] = ()
         self._levels = [{0: 1}]
 
@@ -240,16 +191,13 @@ class WaveEngine:
             )
         if any(a >= b for a, b in zip(x, x[1:])):
             raise ValueError("magnon positions must be strictly increasing")
-        if x and not (1 <= x[0] and x[-1] <= self.length):
-            raise ValueError(f"magnon positions must lie in 1..{self.length}")
+        if x and not (1 <= x[0] and x[-1] <= len(self.v)):
+            raise ValueError(f"magnon positions must lie in 1..{len(self.v)}")
         return self._total(x)
 
     def _total(self, x: Tuple[int, ...]) -> int:
         """``total`` at a tuple of positions already known to be valid, as
         the magnon sites of a chain index are."""
-        cached = self._totals.get(x)
-        if cached is not None:
-            return cached
         # Keep the levels shared with the last set; the full level is summed, not kept.
         shared = 0
         for a, b in zip(self._prefix, x[:-1]):
@@ -262,24 +210,17 @@ class WaveEngine:
             levels.append(self._advance(levels[-1], site))
         self._prefix = x[:-1]
         last = self._advance(levels[-1], x[-1]) if x else levels[0]
-        total = self._totals[x] = sum(last.values())
-        return total
+        return sum(last.values())
 
     def upsilon(self, positions: Sequence[int]) -> Fraction:
         """The wave sum at the given positions."""
         return Fraction(self.total(positions), self.denominator)
 
 
-def wave_function(spec: LatticeSpec, roots: Sequence, x: Sequence[int]) -> Fraction:
-    """Wave sum for a lattice instance at explicit roots and positions."""
-    engine = WaveEngine(inhomogeneities(spec), roots, spec.boundary_q, spec.length)
-    return engine.upsilon(tuple(x))
-
-
 def spec_wave_engine(spec: LatticeSpec) -> WaveEngine:
     """Engine at the canonical roots of an instance."""
     zs = canonical_bethe_roots(spec).roots
-    return WaveEngine(inhomogeneities(spec), zs, spec.boundary_q, spec.length)
+    return WaveEngine(inhomogeneities(spec), zs, spec.boundary_q)
 
 
 def wave_components(spec: LatticeSpec, keys) -> dict:
@@ -305,12 +246,11 @@ def _wave_entries(engine: WaveEngine, spec: LatticeSpec, keys) -> dict:
     return out
 
 
-def norm_prefactor(spec: LatticeSpec, roots: Sequence) -> Fraction:
-    """(-1)^{mL} prod_i 2 z_i / (2 z_i + 1)."""
-    zs = tuple(rational(z, "root") for z in roots)
-    m = len(zs)
-    out = _F1 if (m * spec.length) % 2 == 0 else -_F1
-    for z in zs:
+def norm_prefactor(roots: Sequence) -> Fraction:
+    """prod_i 2 z_i / (2 z_i + 1)."""
+    out = _F1
+    for z in roots:
+        z = rational(z, "root")
         if 2 * z + 1 == 0:
             raise PoleError("normalization pole at root -1/2")
         out *= 2 * z / (2 * z + 1)
@@ -326,44 +266,11 @@ def cba_state(spec: LatticeSpec) -> QuantumState:
     so the state matches the creation-operator construction exactly.
     """
     engine = spec_wave_engine(spec)
-    scale = norm_prefactor(spec, engine.roots) / engine.denominator
+    scale = norm_prefactor(engine.roots) / engine.denominator
     return QuantumState(spec.length, _wave_entries(engine, spec, ice_indices(spec)), scale)
 
 
-# -- closed-chain wave function ------------------------------------------------
-
-def closed_wave(v: Sequence, z: Sequence, x: Sequence[int]) -> Fraction:
-    """Permutation-only wave sum of the closed chain.
-
-    Amplitude prod_{k<l} (z_k - z_l + 1)/(z_k - z_l); wave factors
-    prod_{j<x}(z - v_j + 1) prod_{j>x}(z - v_j).
-    """
-    vs = tuple(rational(t, "inhomogeneity") for t in v)
-    zs = tuple(rational(t, "root") for t in z)
-    xs = tuple(x)
-    if any(type(p) is not int for p in xs):
-        raise ValueError(f"magnon positions must be integers, got {xs}")
-    if len(xs) != len(zs):
-        raise ValueError("one position per root required")
-    length = len(vs)
-    total = _F0
-    for perm in itertools.permutations(zs):
-        amp = _F1
-        for k in range(len(perm)):
-            for l in range(k + 1, len(perm)):
-                den = perm[k] - perm[l]
-                if den == 0:
-                    raise PoleError("coincident roots in closed-chain amplitude")
-                amp *= (den + 1) / den
-        term = amp
-        for xi, zi in zip(xs, perm):
-            for j in range(1, xi):
-                term *= zi - vs[j - 1] + 1
-            for j in range(xi + 1, length + 1):
-                term *= zi - vs[j - 1]
-        total += term
-    return total
-
+# -- closed-chain exchange and expansion identities ---------------------------
 
 def h_closed(x, y) -> Fraction:
     x, y = rational(x, "x"), rational(y, "y")
@@ -402,7 +309,7 @@ def check_closed_fcr(spec: LatticeSpec, x, y) -> bool:
 def check_b_expansion(spec: LatticeSpec, z) -> bool:
     """Creation block of the double row expanded over single-row blocks.
 
-    Bopen(z) = (-1)^L 2z/(2z+1) [ (q-z-1) B(z) A(-z-1) - (q+z) B(-z-1) A(z) ],
+    Bopen(z) = 2z/(2z+1) [ (q-z-1) B(z) A(-z-1) - (q+z) B(-z-1) A(z) ],
     checked on every basis vector.
     """
     z = rational(z, "z")
@@ -411,8 +318,7 @@ def check_b_expansion(spec: LatticeSpec, z) -> bool:
     q = spec.boundary_q
     u, m_plus = _Blocks(_double_row_kernel(spec, z)), _Blocks(_row_kernel(spec, z, False))
     m_minus = _Blocks(_row_kernel(spec, -z - 1, False))
-    sign = _F1 if spec.length % 2 == 0 else -_F1
-    factor = sign * 2 * z / (2 * z + 1) * m_plus.scale * m_minus.scale
+    factor = 2 * z / (2 * z + 1) * m_plus.scale * m_minus.scale
     c_u, c_plus, c_minus = _integer_coefficients(u.scale, factor * (q - z - 1), -factor * (q + z))
     return all(
         _combine((c_u, u(0, 1, {j: 1}))) == _combine(
@@ -461,7 +367,7 @@ def check_state_expansion(spec: LatticeSpec, m: int, roots: Sequence) -> bool:
             state = apply_closed_b(spec, w, state)
         coeffs.append(coeff * state.scale)
         states.append(state.entries)
-    pref = norm_prefactor(spec, zs)
+    pref = norm_prefactor(zs)
     c_lhs, *c_terms = _integer_coefficients(lhs.scale, *(pref * c for c in coeffs))
     return _combine((c_lhs, lhs.entries)) == _combine(*zip(c_terms, states))
 

@@ -1,10 +1,12 @@
 """Chain-space operators for the open chain with a reflecting end.
 
-The chain has L = 2N sites; site 1 owns the most significant position, so a
-product basis state (s_1, ..., s_L) with s_i in {1, 2} sits at index
-``sum((s_i - 1) << (L - i))``.  An operator with an auxiliary leg has four
-chain blocks (r, c): (0,0) the A block, (0,1) the creation block B, (1,0)
-the annihilation block C and (1,1) the D block.
+The chain has L = 2N sites, an even number, so every sign (-1)^L of the
+general crossing, expansion and normalisation formulas is 1 here and is left
+out.  Site 1 owns the most significant position, so a product basis state
+(s_1, ..., s_L) with s_i in {1, 2} sits at index ``sum((s_i - 1) << (L - i))``.
+An operator with an auxiliary leg has four chain blocks (r, c): (0,0) the A
+block, (0,1) the creation block B, (1,0) the annihilation block C and (1,1)
+the D block.
 
 Every local factor of a monodromy touches one site only, so one primitive,
 a row product on one auxiliary column (a, b) of chain vectors, carries every
@@ -282,27 +284,16 @@ def _double_row_kernel(spec: LatticeSpec, z):
     return apply
 
 
-def _blocks_on_state(apply, state: QuantumState):
-    """``[[A v, B v], [C v, D v]]`` from the two auxiliary columns (v, 0), (0, v)."""
+def double_row_on_state(spec: LatticeSpec, z, state: QuantumState):
+    """Blocks of the double-row monodromy applied to a state: the 2x2 nested
+    list ``[[A v, B v], [C v, D v]]`` from the two auxiliary columns (v, 0)
+    and (0, v)."""
+    apply = _double_row_kernel(spec, z)
     (av, cv, f), (bv, dv, _) = apply(state.entries, {}), apply({}, state.entries)
     return [
         [QuantumState(state.length, x, state.scale * f) for x in (av, bv)],
         [QuantumState(state.length, x, state.scale * f) for x in (cv, dv)],
     ]
-
-
-def single_row_on_state(spec: LatticeSpec, z, hat: bool, state: QuantumState):
-    """Blocks of the conjugated single-row product applied to a state.
-
-    Returns a 2x2 nested list ``phi`` with ``phi[r][c]`` the chain vector
-    block(r+1, c+1) |state>.
-    """
-    return _blocks_on_state(_row_kernel(spec, z, hat), state)
-
-
-def double_row_on_state(spec: LatticeSpec, z, state: QuantumState):
-    """Blocks of the double-row monodromy applied to a state (2x2 nested list)."""
-    return _blocks_on_state(_double_row_kernel(spec, z), state)
 
 
 def apply_open_b(spec: LatticeSpec, z, state: QuantumState) -> QuantumState:
@@ -374,14 +365,13 @@ def _integer_coefficients(*coeffs) -> tuple:
 def check_crossing(spec: LatticeSpec, z) -> bool:
     """The two single-row products are auxiliary transposes of each other.
 
-    Mhat(z)^{t_a} = (-1)^L S M(-z-1) S^{-1} with the transpose and the
-    similarity both taken in the auxiliary space; S^{-1} = -S.  Block by
-    block: Mhat_{rc} = +-(-1)^L M_{1-c,1-r}, + on the diagonal, - off it.
+    Mhat(z)^{t_a} = S M(-z-1) S^{-1} with the transpose and the similarity
+    both taken in the auxiliary space; S^{-1} = -S.  Block by block:
+    Mhat_{rc} = +-M_{1-c,1-r}, + on the diagonal, - off it.
     """
     z = rational(z, "z")
     hat, m = _Blocks(_row_kernel(spec, z, True)), _Blocks(_row_kernel(spec, -z - 1, False))
-    sign = 1 if spec.length % 2 == 0 else -1
-    c_hat, c_m = _integer_coefficients(hat.scale, sign * m.scale)
+    c_hat, c_m = _integer_coefficients(hat.scale, m.scale)
     return all(
         _combine((c_hat, hat(r, c, {j: 1})))
         == _combine((c_m if r == c else -c_m, m(1 - c, 1 - r, {j: 1})))

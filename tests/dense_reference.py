@@ -1,5 +1,5 @@
 """Dense references for the tests: explicit local factors, kernel-built
-operators and the dense amplitudes of a state.
+operators, the dense amplitudes of a state and the literal wave formulas.
 
 An operator with an auxiliary leg is one ``ExactMatrix`` of size 2^(L+1) on
 (auxiliary leg, chain), the auxiliary leg most significant; ``aux_block``
@@ -10,15 +10,27 @@ compare it with explicit products of ``lax_embed`` factors.  ``dense``
 lists the 2^L amplitudes of a sparse state, and ``component`` reads one of
 them by its site labels (``basis_index``).  ``wide_spec`` draws lattices
 past the six lines that ``random_spec`` covers.
+
+The wave formulas are the per-term definitions behind ``cba.WaveEngine``:
+the pair factor and amplitude of an ordered root tuple, the one-magnon wave
+factor ``wave_part``, the open-chain wave sum at explicit roots
+(``wave_function``, through the engine) and the permutation-only sum of the
+closed chain (``closed_wave``).
 """
 
+import itertools
 from fractions import Fraction
 
-from sixvb.exact import ExactMatrix
-from sixvb.lattice import LatticeSpec
-from sixvb.monodromy import QuantumState, double_row_on_state, single_row_on_state
+from sixvb.cba import WaveEngine
+from sixvb.errors import PoleError
+from sixvb.exact import ExactMatrix, rational
+from sixvb.lattice import LatticeSpec, inhomogeneities
+from sixvb.monodromy import QuantumState, _row_kernel, double_row_on_state
 from sixvb.sampling import random_pairing, random_q, random_theta
 from sixvb.weights import embed_pair, lax_matrix
+
+_F0 = Fraction(0)
+_F1 = Fraction(1)
 
 
 def basis_index(states) -> int:
@@ -69,6 +81,20 @@ def _assemble(length: int, blocks_on) -> ExactMatrix:
     return ExactMatrix(tuple(zip(*cols)))
 
 
+def single_row_on_state(spec: LatticeSpec, z, hat: bool, state: QuantumState):
+    """Blocks of the conjugated single-row product applied to a state.
+
+    Returns a 2x2 nested list ``phi`` with ``phi[r][c]`` the chain vector
+    block(r+1, c+1) |state>, from the two auxiliary columns (v, 0), (0, v).
+    """
+    apply = _row_kernel(spec, z, hat)
+    (av, cv, f), (bv, dv, _) = apply(state.entries, {}), apply({}, state.entries)
+    return [
+        [QuantumState(state.length, x, state.scale * f) for x in (av, bv)],
+        [QuantumState(state.length, x, state.scale * f) for x in (cv, dv)],
+    ]
+
+
 def single_row(spec, z, hat: bool = False) -> ExactMatrix:
     """Dense conjugated single-row monodromy built by the kernel."""
     return _assemble(spec.length, lambda state: single_row_on_state(spec, z, hat, state))
@@ -108,3 +134,87 @@ def wide_spec(rng, n: int) -> LatticeSpec:
         rapidities=tuple(random_theta(rng, d) for d in denoms),
         boundary_q=random_q(rng),
     )
+
+
+# -- literal wave formulas -----------------------------------------------------
+
+def pair_factor(a, b) -> Fraction:
+    """Amplitude factor of root a ordered before root b.
+
+    (a - b + 1)(a + b + 2) / ((a - b)(a + b + 1)).
+    """
+    a, b = rational(a, "a"), rational(b, "b")
+    den = (a - b) * (a + b + 1)
+    if den == 0:
+        raise PoleError(f"amplitude pole for the root pair ({a}, {b})")
+    return (a - b + 1) * (a + b + 2) / den
+
+
+def amplitude(ordered_roots) -> Fraction:
+    """Scattering amplitude of an ordered root tuple: prod_{k<l} f(z_k, z_l)
+    with f the ``pair_factor``."""
+    zs = list(ordered_roots)
+    out = _F1
+    for k, a in enumerate(zs):
+        for b in zs[k + 1:]:
+            out *= pair_factor(a, b)
+    return out
+
+
+def wave_part(x: int, z, v, q) -> Fraction:
+    """One-magnon wave factor at site x for root value z on the L = len(v) sites.
+
+    (-1)^L (q - z - 1) prod_j (z + v_j) prod_{j<x} (z - v_j + 1)
+    prod_{j>x} (z - v_j).
+    """
+    z, q = rational(z, "z"), rational(q, "q")
+    v = tuple(rational(vj, "inhomogeneity") for vj in v)
+    length = len(v)
+    sign = _F1 if length % 2 == 0 else -_F1
+    out = sign * (q - z - 1)
+    for vj in v:
+        out *= z + vj
+    for j in range(1, x):
+        out *= z - v[j - 1] + 1
+    for j in range(x + 1, length + 1):
+        out *= z - v[j - 1]
+    return out
+
+
+def wave_function(spec: LatticeSpec, roots, x) -> Fraction:
+    """Wave sum for a lattice instance at explicit roots and positions."""
+    engine = WaveEngine(inhomogeneities(spec), roots, spec.boundary_q)
+    return engine.upsilon(tuple(x))
+
+
+def closed_wave(v, z, x) -> Fraction:
+    """Permutation-only wave sum of the closed chain.
+
+    Amplitude prod_{k<l} (z_k - z_l + 1)/(z_k - z_l); wave factors
+    prod_{j<x}(z - v_j + 1) prod_{j>x}(z - v_j).
+    """
+    vs = tuple(rational(t, "inhomogeneity") for t in v)
+    zs = tuple(rational(t, "root") for t in z)
+    xs = tuple(x)
+    if any(type(p) is not int for p in xs):
+        raise ValueError(f"magnon positions must be integers, got {xs}")
+    if len(xs) != len(zs):
+        raise ValueError("one position per root required")
+    length = len(vs)
+    total = _F0
+    for perm in itertools.permutations(zs):
+        amp = _F1
+        for k in range(len(perm)):
+            for l in range(k + 1, len(perm)):
+                den = perm[k] - perm[l]
+                if den == 0:
+                    raise PoleError("coincident roots in closed-chain amplitude")
+                amp *= (den + 1) / den
+        term = amp
+        for xi, zi in zip(xs, perm):
+            for j in range(1, xi):
+                term *= zi - vs[j - 1] + 1
+            for j in range(xi + 1, length + 1):
+                term *= zi - vs[j - 1]
+        total += term
+    return total

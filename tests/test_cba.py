@@ -9,17 +9,13 @@ import pytest
 from sixvb.aba import solve_aba
 from sixvb.cba import (
     WaveEngine,
-    amplitude,
     cba_state,
     check_b_expansion,
     check_closed_fcr,
     check_state_expansion,
-    closed_wave,
     spec_wave_engine,
     two_reflection_sum,
     wave_components,
-    wave_function,
-    wave_part,
 )
 from sixvb.errors import PoleError
 from sixvb.fixtures import figure_lattice
@@ -39,7 +35,14 @@ from sixvb.monodromy import apply_closed_b, reference_state
 from sixvb.pipeline import ROUTES
 from sixvb.sampling import random_ice_config, random_spec, random_z
 
-from dense_reference import component, wide_spec
+from dense_reference import (
+    amplitude,
+    closed_wave,
+    component,
+    wave_function,
+    wave_part,
+    wide_spec,
+)
 
 
 def line_spec(reflected=False, theta=F(1, 3), q=F(2)):
@@ -133,7 +136,7 @@ class TestWavePart:
 class TestWaveFunction:
     def test_empty_magnon_set(self):
         spec = line_spec()
-        engine = WaveEngine(inhomogeneities(spec), (), spec.boundary_q, 2)
+        engine = WaveEngine(inhomogeneities(spec), (), spec.boundary_q)
         assert engine.upsilon(()) == 1
 
     def test_single_magnon_expansion(self):
@@ -189,11 +192,11 @@ class TestWaveFunction:
             v = inhomogeneities(spec)
             for roots in (canonical_bethe_roots(spec).roots, off_shell_roots(rng, n)):
                 want = brute_wave_sums(v, roots, spec.boundary_q)
-                in_order = WaveEngine(v, roots, spec.boundary_q, spec.length)
+                in_order = WaveEngine(v, roots, spec.boundary_q)
                 assert {x: in_order.upsilon(x) for x in want} == want
                 shuffled = list(want)
                 rng.shuffle(shuffled)
-                any_order = WaveEngine(v, roots, spec.boundary_q, spec.length)
+                any_order = WaveEngine(v, roots, spec.boundary_q)
                 assert {x: any_order.upsilon(x) for x in shuffled} == want
 
     @pytest.mark.parametrize("pair", [lambda z: (z, z), lambda z: (z, -z - 1)])
@@ -206,11 +209,7 @@ class TestWaveFunction:
         z, v = F(5, 193), inhomogeneities(figure_lattice())
         roots = (z, F(31, 193), third(z))
         with pytest.raises(PoleError, match=re.escape(f"root pair ({z}, {third(z)})")):
-            WaveEngine(v, roots, F(4, 5), len(v))
-
-    def test_length_must_match_the_inhomogeneities(self):
-        with pytest.raises(ValueError, match="chain length 3"):
-            WaveEngine((F(1, 3), F(-2, 3)), (F(1, 5),), F(2, 7), 3)
+            WaveEngine(v, roots, F(4, 5))
 
     @pytest.mark.parametrize("roots", [(0.1, F(1, 3)), ("1/5", F(1, 3)), (True, F(1, 3))])
     def test_non_rational_roots_rejected(self, roots):
@@ -220,7 +219,7 @@ class TestWaveFunction:
     def test_string_q_rejected(self):
         spec = crossed_spec()
         with pytest.raises(ValueError):
-            WaveEngine(inhomogeneities(spec), (F(1, 5), F(1, 3)), "4/5", spec.length)
+            WaveEngine(inhomogeneities(spec), (F(1, 5), F(1, 3)), "4/5")
 
     def test_int_roots_equal_fraction_roots(self):
         spec = crossed_spec()

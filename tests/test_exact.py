@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sixvb import aba, cba, exact, weights
+from sixvb import aba, exact, weights
 from sixvb.exact import ExactMatrix, format_rational, parse_rational, rational
 from sixvb.fixtures import figure_lattice
 from sixvb.lattice import BetheRootSet, q_function
 from sixvb.monodromy import QuantumState, apply_open_b, reference_state
+
+from dense_reference import closed_wave, pair_factor
 
 _FIG = figure_lattice()
 
@@ -131,9 +133,9 @@ class TestRationalGate:
         [
             pytest.param(lambda: QuantumState(1, {0: 1}, 0.5), id="state-scale-float"),
             pytest.param(lambda: BetheRootSet((0.1,)), id="root-set-float"),
-            pytest.param(lambda: cba.closed_wave((0.5, "1/3"), (F(1, 4),), (1,)), id="closed-wave"),
+            pytest.param(lambda: closed_wave((0.5, "1/3"), (F(1, 4),), (1,)), id="closed-wave"),
             pytest.param(lambda: aba.h_a_coeff(0.5, "1/3"), id="h-a-coeff"),
-            pytest.param(lambda: cba.pair_factor(0.5, F(1, 3)), id="pair-factor"),
+            pytest.param(lambda: pair_factor(0.5, F(1, 3)), id="pair-factor"),
             pytest.param(lambda: weights.r_matrix(0.5), id="r-matrix"),
             pytest.param(lambda: format_rational(0.5), id="format-float"),
             pytest.param(lambda: q_function(_FIG, "1/3"), id="q-function-str"),
@@ -163,9 +165,6 @@ class TestIntegerGate:
             pytest.param(lambda: QuantumState(1.0, {0: 1}), id="state-length-float"),
             pytest.param(lambda: QuantumState(1, {True: 1}), id="state-index-bool"),
             pytest.param(lambda: QuantumState(1, {1.0: 1}), id="state-index-float"),
-            pytest.param(
-                lambda: cba.WaveEngine((F(1, 3),) * 2, (F(1, 5),), F(2, 7), 2.5), id="engine-length"
-            ),
             pytest.param(lambda: aba.unwanted_terms(_FIG, F(1, 3), True), id="unwanted-k"),
             pytest.param(lambda: aba.unwanted_terms_from_fcr(_FIG, F(1, 3), 1.0), id="fcr-k"),
             pytest.param(lambda: aba.check_reduction(_FIG, True, ()), id="reduction-m"),

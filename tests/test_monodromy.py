@@ -28,7 +28,6 @@ from sixvb.monodromy import (
     g_factor,
     lambda_value,
     reference_state,
-    single_row_on_state,
     vacuum_eigenvalues,
     xi_value,
 )
@@ -43,6 +42,7 @@ from dense_reference import (
     double_row,
     lax_embed,
     single_row,
+    single_row_on_state,
     states_proportional,
 )
 

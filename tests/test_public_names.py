@@ -1,0 +1,60 @@
+"""Every public module-level ``def`` and ``class`` of ``src/sixvb`` has a caller.
+
+A definition counts as used when its name is read, as a name or an
+attribute, somewhere outside its own definition: in another statement of
+``src/sixvb`` (``__init__.py`` aside, since a re-export is not a use) or in
+``perfbench/run.py``, whose trace calls library internals.  Code that only
+the tests read belongs in ``tests/dense_reference.py``.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "sixvb"
+TRACE = ROOT / "perfbench" / "run.py"
+
+
+def _names_read(node) -> set:
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def _unreferenced(modules: dict, readers: list) -> list:
+    """``module.name`` of every public top-level def or class in ``modules``
+    (name -> parsed module) that no other top-level statement of ``modules``
+    and no module in ``readers`` reads."""
+    statements = [
+        (name, stmt, _names_read(stmt)) for name, tree in modules.items() for stmt in tree.body
+    ]
+    outside = set().union(*(_names_read(tree) for tree in readers))
+    missing = []
+    for module, stmt, _ in statements:
+        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) or stmt.name.startswith("_"):
+            continue
+        if stmt.name in outside:
+            continue
+        if not any(stmt.name in names for _, other, names in statements if other is not stmt):
+            missing.append(f"{module}.{stmt.name}")
+    return missing
+
+
+def test_the_walker_flags_only_unread_definitions():
+    modules = {
+        "a": ast.parse("def used(): pass\ndef selfish(): return selfish()\nclass _Private: pass"),
+        "b": ast.parse("import a\nx = a.used\ndef traced(): pass\ndef orphan(): pass"),
+    }
+    assert _unreferenced(modules, [ast.parse("traced()")]) == ["a.selfish", "b.orphan"]
+
+
+def test_every_public_definition_has_a_caller():
+    modules = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    trace = ast.parse(TRACE.read_text(encoding="utf-8"))
+    assert _unreferenced(modules, [trace]) == []
