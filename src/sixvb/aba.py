@@ -289,16 +289,15 @@ def reduced_spec(spec: LatticeSpec) -> LatticeSpec:
     )
 
 
-def check_reduction(spec: LatticeSpec, m: int, extra_roots: Sequence) -> bool:
+def check_reduction(spec: LatticeSpec, extra_roots: Sequence) -> bool:
     """Length-reduction identity for a nested end pair, off-shell in the rest.
 
     With line 1 on sites (2N, 2N-1) and its root fixed to the canonical
-    branch, the m-magnon state factorizes as (shorter-chain state with the
-    remaining m-1 roots) tensor (two-site invariant scaled by h).  Also
-    verifies that components with unequal labels on the pair vanish.
+    branch, the state of m = len(extra_roots) + 1 magnons factorizes as
+    (shorter-chain state with the extra roots) tensor (two-site invariant
+    scaled by h).  Also verifies that components with unequal labels on the
+    pair vanish.
     """
-    if len(extra_roots) != _strict(m, (int,), "magnon number") - 1:
-        raise ValueError(f"need {m - 1} extra roots for magnon number {m}")
     extra = tuple(rational(z, "root") for z in extra_roots)
     theta1 = spec.rapidities[0]
     t = theta1 if spec.is_reflected(1) else -theta1
@@ -308,7 +307,7 @@ def check_reduction(spec: LatticeSpec, m: int, extra_roots: Sequence) -> bool:
         return False
 
     sub = reduced_spec(spec)
-    small = bethe_state(sub, extra) if m > 1 else reference_state(sub)
+    small = bethe_state(sub, extra)
     local = (
         boundary_line_invariant(theta1, spec.boundary_q)
         if spec.is_reflected(1)

@@ -338,7 +338,7 @@ def kappa(spec: LatticeSpec, z) -> Fraction:
     return out
 
 
-def check_state_expansion(spec: LatticeSpec, m: int, roots: Sequence) -> bool:
+def check_state_expansion(spec: LatticeSpec, roots: Sequence) -> bool:
     """Bethe state as a reflection sum of single-row creation products.
 
     psi_m = N_{L,m} sum_tau (-1)^{|tau|} prod_{i<j} h(z_i, -z_j - 1)
@@ -348,8 +348,7 @@ def check_state_expansion(spec: LatticeSpec, m: int, roots: Sequence) -> bool:
     from .aba import bethe_state  # deferred: aba imports contraction, not cba
 
     zs = tuple(rational(z, "root") for z in roots)
-    if len(zs) != m:
-        raise ValueError(f"need {m} roots")
+    m = len(zs)
     lhs = bethe_state(spec, zs)
     q = spec.boundary_q
     coeffs, states = [], []

@@ -68,10 +68,12 @@ def initial_invariant(spec: LatticeSpec) -> QuantumState:
 @dataclass(frozen=True)
 class Move:
     """Adjacent endpoint swap at (position, position+1) with the crossing
-    argument actually applied."""
+    argument actually applied; ``one_end`` when exactly one of the two sites
+    holds an end point."""
 
     position: int
     argument: Fraction
+    one_end: bool
 
 
 @dataclass(frozen=True)
@@ -83,13 +85,11 @@ class MoveSequence:
 
 def _endpoint_layout(spec: LatticeSpec):
     """Per-position endpoint descriptors: (line, is_end), inhomogeneity value."""
-    length = spec.length
-    owner = [None] * length
+    owner = [None] * spec.length
     for k, chord in enumerate(spec.chords, start=1):
         owner[chord.start - 1] = (k, False)
         owner[chord.end - 1] = (k, True)
-    v = inhomogeneities(spec)
-    return owner, list(v)
+    return owner, list(inhomogeneities(spec))
 
 
 def plan_moves(spec: LatticeSpec, lowest_first: bool = False) -> MoveSequence:
@@ -104,11 +104,10 @@ def plan_moves(spec: LatticeSpec, lowest_first: bool = False) -> MoveSequence:
     source = initial_spec(spec)
     target_owner, _ = _endpoint_layout(spec)
     owner, v = _endpoint_layout(source)
-    owner = list(owner)
     moves = []
 
     def emit(p):  # swap positions p, p+1 (1-based p)
-        moves.append(Move(position=p, argument=v[p] - v[p - 1]))
+        moves.append(Move(p, v[p] - v[p - 1], owner[p - 1][1] != owner[p][1]))
         owner[p - 1], owner[p] = owner[p], owner[p - 1]
         v[p - 1], v[p] = v[p], v[p - 1]
 
@@ -159,37 +158,22 @@ def build_invariant(spec: LatticeSpec, plan: Optional[MoveSequence] = None) -> Q
     """Weave the nested-pairing invariant into the invariant of the target.
 
     Each move makes one pass over the state, applying at its position p
-    ``(theta P + X)/(theta + 1)`` with theta = v_{p+1} - v_p, which equals
-    ``swap . C R(theta) C^{-1}`` (X = S^{-1} (x) S when exactly one of the
-    two sites holds an end point, else X = I); the inhomogeneity
-    bookkeeping then travels with the endpoints.  The state is exact
-    throughout: an integer vector and one scale, with every theta scaled
-    by d, the lcm of the denominators of the inhomogeneities.  Its overall
-    normalization is arbitrary.
+    ``(theta P + X)/(theta + 1)`` with theta its argument, which equals
+    ``swap . C R(theta) C^{-1}`` (X = S^{-1} (x) S when the move holds
+    ``one_end``, else X = I).  The state is exact throughout: an integer
+    vector and one scale, with every theta scaled by d, the lcm of the
+    denominators of the inhomogeneities.  Its overall normalization is
+    arbitrary.  A plan made for another lattice raises ``ValueError``.
     """
     if plan is None:
         plan = plan_moves(spec)
-    source = plan.source
-    owner, v = _endpoint_layout(source)
-    owner = list(owner)
-    length = spec.length
-    d = lcm(*(x.denominator for x in v))
-    initial = initial_invariant(source)
+    elif plan.target != spec:
+        raise ValueError("move plan was made for another lattice")
+    d = lcm(*(x.denominator for x in inhomogeneities(spec)))
+    initial = initial_invariant(plan.source)
     vec, den = initial.entries, 1
-
     for move in plan.moves:
-        p = move.position
-        theta = v[p] - v[p - 1]
-        if theta != move.argument:
-            raise ValueError("move plan inconsistent with inhomogeneity bookkeeping")
-        theta_d = int(theta * d)
-        vec = _apply_move(vec, length, p, theta_d, d, owner[p - 1][1] != owner[p][1])
+        theta_d = int(move.argument * d)
+        vec = _apply_move(vec, spec.length, move.position, theta_d, d, move.one_end)
         den *= theta_d + d
-        owner[p - 1], owner[p] = owner[p], owner[p - 1]
-        v[p - 1], v[p] = v[p], v[p - 1]
-
-    target_owner, target_v = _endpoint_layout(spec)
-    if owner != list(target_owner) or v != list(target_v):
-        raise ValueError("move plan did not reach the target pairing")
-    return QuantumState(length, vec, initial.scale / den)
-
+    return QuantumState(spec.length, vec, initial.scale / den)

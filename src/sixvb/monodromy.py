@@ -111,27 +111,6 @@ class VacuumEigenvalues:
     xi_val: Fraction
 
 
-@dataclass(frozen=True)
-class ChainData:
-    """Site data of the end-point-conjugated chain: inhomogeneity and block type."""
-
-    length: int
-    v: tuple
-    conjugate: tuple
-    q: Fraction
-    denominator: int  # lcm of the denominators of v and q
-
-
-def chain_data(spec: LatticeSpec) -> ChainData:
-    v = inhomogeneities(spec)
-    conj = [False] * spec.length
-    for chord in spec.chords:
-        conj[chord.end - 1] = True
-    q = spec.boundary_q
-    denominator = lcm(q.denominator, *(x.denominator for x in v))
-    return ChainData(spec.length, v, tuple(conj), q, denominator)
-
-
 # -- eigenvalue functions -----------------------------------------------------
 
 def f_factor(z, theta) -> Fraction:
@@ -232,13 +211,15 @@ def _lax_column(a, b, mask, w, d, conjugate):
     return a2, b2
 
 
-def _site_weights(chain: ChainData, zd: int, d: int, hat: bool) -> tuple:
-    """(mask, weight, conjugate) for each site in the row's order, the weight scaled by d."""
-    length = chain.length
+def _site_weights(v: tuple, ends: int, zd: int, d: int, hat: bool) -> tuple:
+    """(mask, weight, conjugate) for each site in the row's order, the weight
+    scaled by d: ``v`` holds the inhomogeneities and ``ends`` the end-site
+    bits (``end_mask``), whose sites are conjugate."""
+    length = len(v)
     order = range(1, length + 1) if hat else range(length, 0, -1)
     sign = 1 if hat else -1
     return tuple(
-        (1 << (length - s), zd + sign * int(chain.v[s - 1] * d), chain.conjugate[s - 1])
+        (1 << (length - s), zd + sign * int(v[s - 1] * d), bool(ends >> (length - s) & 1))
         for s in order
     )
 
@@ -255,10 +236,10 @@ def _row_kernel(spec: LatticeSpec, z, hat: bool):
     The kernel maps an integer column (a, b) to (a', b', f): the row applied
     to (a, b) is f (a', b').  d, the site weights and f are fixed per (spec, z).
     """
-    chain, z = chain_data(spec), rational(z, "z")
-    d = lcm(z.denominator, chain.denominator)
-    sites = _site_weights(chain, int(z * d), d, hat)
-    scale = Fraction(1, d**chain.length)
+    z, v = rational(z, "z"), inhomogeneities(spec)
+    d = lcm(z.denominator, spec.boundary_q.denominator, *(x.denominator for x in v))
+    sites = _site_weights(v, end_mask(spec), int(z * d), d, hat)
+    scale = Fraction(1, d**spec.length)
     return lambda a, b: (*_run_sites(a, b, sites, d), scale)
 
 
@@ -268,12 +249,12 @@ def _double_row_kernel(spec: LatticeSpec, z):
     The boundary enters as the integers (Q + Z, Q - Z), the boundary
     parameter and z scaled by d.
     """
-    chain, z = chain_data(spec), rational(z, "z")
-    d = lcm(z.denominator, chain.denominator)
-    qd, zd = int(chain.q * d), int(z * d)
-    hat_sites, sites = _site_weights(chain, zd, d, True), _site_weights(chain, zd, d, False)
+    z, v, ends = rational(z, "z"), inhomogeneities(spec), end_mask(spec)
+    d = lcm(z.denominator, spec.boundary_q.denominator, *(x.denominator for x in v))
+    qd, zd = int(spec.boundary_q * d), int(z * d)
+    hat_sites, sites = _site_weights(v, ends, zd, d, True), _site_weights(v, ends, zd, d, False)
     top, bottom = qd + zd, qd - zd
-    scale = Fraction(1, d ** (2 * chain.length + 1))
+    scale = Fraction(1, d ** (2 * spec.length + 1))
 
     def apply(a, b):
         a, b = _run_sites(a, b, hat_sites, d)

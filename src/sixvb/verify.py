@@ -75,8 +75,11 @@ def _bybe_draw(rng: random.Random, _i: int):
     return weights.check_bybe(t1, t2, q), f"t1={t1} t2={t2} q={q}"
 
 
-def _spec_for_draw(rng: random.Random, i: int, period: int = 10) -> LatticeSpec:
-    n = 2 if (i + 1) % period == 0 else 1
+_TWO_LINE_PERIOD = 10  # every tenth crossing or b_reflection draw has two lines
+
+
+def _spec_for_draw(rng: random.Random, i: int) -> LatticeSpec:
+    n = 2 if (i + 1) % _TWO_LINE_PERIOD == 0 else 1
     return random_spec(rng, n)
 
 
@@ -144,9 +147,7 @@ def fcr_suite(seed: int, draws: int) -> List[CheckResult]:
     def state_draw(rng, _i):
         s4 = random_spec(rng, 2)
         r1, r2 = random_positive_pair(rng)
-        ok = cba.check_state_expansion(s4, 1, (r1,)) and cba.check_state_expansion(
-            s4, 2, (r1, r2)
-        )
+        ok = cba.check_state_expansion(s4, (r1,)) and cba.check_state_expansion(s4, (r1, r2))
         return ok, f"spec={s4} roots=({r1},{r2})"
 
     def two_reflection_draw(rng, _i):
@@ -193,23 +194,23 @@ def baxter_suite(seed: int, draws: int) -> List[CheckResult]:
 
 def invariance_suite(seed: int, draws: int) -> List[CheckResult]:
     """Invariance of all three construction routes at random spectral points."""
-    rng = random.Random(seed)
-    specs = [random_spec(rng, rng.choice((1, 2, 3))) for _ in range(draws)]
-    result = CheckResult(name="invariance_three_routes", total=len(specs))
-    for spec in specs:
+
+    def invariance_draw(rng, _i):
+        spec = random_spec(rng, rng.choice((1, 2, 3)))
+        zs = [random_z(rng) for _ in range(3)]
         states = {
             "direct": contraction.build_invariant(spec),
             "aba": aba.solve_aba(spec).bethe_state,
             "cba": cba.cba_state(spec),
         }
-        zs = [random_z(rng) for _ in range(3)]
         failed = tuple(
             route
             for route, state in states.items()
             if not all(aba.check_invariance(spec, state, z) for z in zs)
         )
-        result.record(not failed, f"spec={spec} z={tuple(map(str, zs))} routes={failed}")
-    return [result]
+        return not failed, f"spec={spec} z={tuple(map(str, zs))} routes={failed}"
+
+    return [_seeded("invariance_three_routes", seed, draws, invariance_draw)]
 
 
 def reduction_suite(seed: int, draws: int) -> List[CheckResult]:
@@ -227,7 +228,7 @@ def reduction_suite(seed: int, draws: int) -> List[CheckResult]:
         )
         m = rng.choice((1, 2))
         extra = tuple(random_z(rng) for _ in range(m - 1))
-        return aba.check_reduction(spec, m, extra), f"spec={spec} m={m} extra={extra}"
+        return aba.check_reduction(spec, extra), f"spec={spec} m={m} extra={extra}"
 
     return [_seeded("length_reduction", seed, draws, reduction_draw)]
 

@@ -33,9 +33,6 @@ PERMUTATION = ExactMatrix(
     ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1))
 )
 
-#: Similarity matrix exchanging a representation with its conjugate at one site.
-S_MATRIX = ExactMatrix(((0, 1), (-1, 0)))
-
 #: Two-leg singlet direction, Y^t = (0, +1, -1, 0).
 SINGLET_Y = (0, 1, -1, 0)
 

@@ -8,7 +8,8 @@ assemble that matrix column by column from the site-local kernel of
 :mod:`sixvb.monodromy` (its blocks on each basis vector), so the tests can
 compare it with explicit products of ``lax_embed`` factors.  ``dense``
 lists the 2^L amplitudes of a sparse state, and ``component`` reads one of
-them by its site labels (``basis_index``).  ``wide_spec`` draws lattices
+them by its site labels (``basis_index``).  ``S_MATRIX`` is the one-site
+similarity S that conjugates the end sites, S^{-1} = -S.  ``wide_spec`` draws lattices
 past the six lines that ``random_spec`` covers.
 
 The wave formulas are the per-term definitions behind ``cba.WaveEngine``:
@@ -31,6 +32,9 @@ from sixvb.weights import embed_pair, lax_matrix
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+
+#: Similarity matrix exchanging a representation with its conjugate at one site.
+S_MATRIX = ExactMatrix(((0, 1), (-1, 0)))
 
 
 def basis_index(states) -> int:

@@ -6,7 +6,6 @@ import pytest
 from sixvb.aba import check_invariance, solve_aba
 from sixvb import contraction
 from sixvb.contraction import (
-    Move,
     boundary_line_invariant,
     build_invariant,
     initial_invariant,
@@ -28,9 +27,17 @@ from sixvb.lattice import (
 from sixvb.monodromy import QuantumState, external_component
 from sixvb.pipeline import ROUTES
 from sixvb.sampling import random_ice_config, random_spec
-from sixvb.weights import PERMUTATION, S_MATRIX, embed_pair, k_matrix, r_matrix
+from sixvb.weights import PERMUTATION, embed_pair, k_matrix, r_matrix
 
-from dense_reference import aux_block, component, dense, lax_embed, states_proportional, wide_spec
+from dense_reference import (
+    S_MATRIX,
+    aux_block,
+    component,
+    dense,
+    lax_embed,
+    states_proportional,
+    wide_spec,
+)
 
 
 def line_spec(reflected=False, theta=F(1, 3), q=F(2)):
@@ -147,6 +154,24 @@ class TestInitialInvariant:
                 assert sweep(spec, configs, route) == want
 
 
+def _owners(spec) -> list:
+    """(line, is_end) at each site, from the chords."""
+    owner = [None] * spec.length
+    for k, chord in enumerate(spec.chords, start=1):
+        owner[chord.start - 1] = (k, False)
+        owner[chord.end - 1] = (k, True)
+    return owner
+
+
+def _replay(plan) -> list:
+    """The site owners after the plan's swaps, from the source's owners."""
+    owner = _owners(plan.source)
+    for move in plan.moves:
+        p = move.position - 1
+        owner[p], owner[p + 1] = owner[p + 1], owner[p]
+    return owner
+
+
 class TestMovePlanning:
     def test_initial_spec_needs_no_moves(self):
         init = initial_condition()
@@ -161,42 +186,25 @@ class TestMovePlanning:
         )
         plan = plan_moves(spec)
         assert plan.moves
-        owner, _ = contraction._endpoint_layout(plan.source)
-        for move in plan.moves:
-            p = move.position - 1
-            owner[p], owner[p + 1] = owner[p + 1], owner[p]
-        want = [None] * 4
-        for k, chord in enumerate(spec.chords, start=1):
-            want[chord.start - 1] = (k, False)
-            want[chord.end - 1] = (k, True)
-        assert owner == want
+        assert _replay(plan) == _owners(spec)
 
     def test_figure_replay(self):
         fig = figure_lattice()
         for lowest_first in (False, True):
-            plan = plan_moves(fig, lowest_first=lowest_first)
-            owner, _ = contraction._endpoint_layout(plan.source)
-            for move in plan.moves:
-                p = move.position - 1
-                owner[p], owner[p + 1] = owner[p + 1], owner[p]
-            want = [None] * 8
-            for k, chord in enumerate(fig.chords, start=1):
-                want[chord.start - 1] = (k, False)
-                want[chord.end - 1] = (k, True)
-            assert owner == want
+            assert _replay(plan_moves(fig, lowest_first=lowest_first)) == _owners(fig)
 
     def test_never_swaps_endpoints_of_one_line(self):
-        from sixvb.contraction import _endpoint_layout
-
+        """Nor mislabels a move's end pattern: ``one_end`` is set exactly
+        when one of the two swapped sites holds an end point."""
         rng = random.Random(43)
         for _ in range(10):
             spec = random_spec(rng, rng.choice((2, 3, 4)))
             plan = plan_moves(spec, lowest_first=rng.random() < 0.5)
-            owner, _ = _endpoint_layout(plan.source)
-            owner = list(owner)
+            owner = _owners(plan.source)
             for move in plan.moves:
                 p = move.position - 1
                 assert owner[p][0] != owner[p + 1][0]
+                assert move.one_end == (owner[p][1] != owner[p + 1][1])
                 owner[p], owner[p + 1] = owner[p + 1], owner[p]
 
 
@@ -220,22 +228,16 @@ class TestBuildInvariant:
         fig = figure_lattice()
         assert states_proportional(build_invariant(fig), solve_aba(fig).bethe_state)
 
-    def test_inconsistent_plan_rejected(self):
+    def test_plan_for_another_pairing_rejected(self):
         spec = LatticeSpec(
             chords=(Chord(4, 2), Chord(3, 1)),
             reflected=frozenset(),
             rapidities=(F(2, 7), F(3, 11)),
             boundary_q=F(4, 5),
         )
-        plan = plan_moves(spec)
-        bad = plan.__class__(
-            moves=(Move(position=plan.moves[0].position, argument=plan.moves[0].argument + 1),)
-            + plan.moves[1:],
-            source=plan.source,
-            target=plan.target,
-        )
-        with pytest.raises(ValueError):
-            build_invariant(spec, bad)
+        other = LatticeSpec((Chord(4, 1), Chord(3, 2)), spec.reflected, spec.rapidities, F(4, 5))
+        with pytest.raises(ValueError, match="another lattice"):
+            build_invariant(spec, plan_moves(other))
 
 
 def _column(amps) -> ExactMatrix:

@@ -155,8 +155,8 @@ class TestRationalGate:
 
 
 class TestIntegerGate:
-    """Chain lengths, basis indices, root indices and magnon numbers must be
-    ints; a bool is not one."""
+    """Chain lengths, basis indices and root indices must be ints; a bool
+    is not one."""
 
     @pytest.mark.parametrize(
         "call",
@@ -167,7 +167,6 @@ class TestIntegerGate:
             pytest.param(lambda: QuantumState(1, {1.0: 1}), id="state-index-float"),
             pytest.param(lambda: aba.unwanted_terms(_FIG, F(1, 3), True), id="unwanted-k"),
             pytest.param(lambda: aba.unwanted_terms_from_fcr(_FIG, F(1, 3), 1.0), id="fcr-k"),
-            pytest.param(lambda: aba.check_reduction(_FIG, True, ()), id="reduction-m"),
         ],
     )
     def test_rejected(self, call):

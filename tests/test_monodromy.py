@@ -13,6 +13,7 @@ from sixvb.lattice import (
     ExternalConfig,
     LatticeSpec,
     canonical_bethe_roots,
+    inhomogeneities,
     reference_config,
 )
 from sixvb import monodromy
@@ -32,9 +33,10 @@ from sixvb.monodromy import (
     xi_value,
 )
 from sixvb.sampling import random_spec, random_z
-from sixvb.weights import PERMUTATION, S_MATRIX
+from sixvb.weights import PERMUTATION
 
 from dense_reference import (
+    S_MATRIX,
     aux_block,
     basis_index,
     component,
@@ -321,19 +323,22 @@ def _dense_lax_column(a, b, length, site, w, conjugate):
     return a2, b2
 
 
-def _dense_row(a, b, chain, z, hat):
-    length = chain.length
+def _dense_row(a, b, spec, z, hat):
+    """Reference row: the factor at the end site of each chord is conjugate."""
+    length, v = spec.length, inhomogeneities(spec)
+    ends = {chord.end for chord in spec.chords}
     for site in range(1, length + 1) if hat else range(length, 0, -1):
-        w = z + chain.v[site - 1] if hat else z - chain.v[site - 1]
-        a, b = _dense_lax_column(a, b, length, site, w, chain.conjugate[site - 1])
+        w = z + v[site - 1] if hat else z - v[site - 1]
+        a, b = _dense_lax_column(a, b, length, site, w, site in ends)
     return a, b
 
 
-def _dense_double_row(a, b, chain, z):
-    a, b = _dense_row(a, b, chain, z, hat=True)
-    a = [(chain.q + z) * x for x in a]
-    b = [(chain.q - z) * x for x in b]
-    return _dense_row(a, b, chain, z, hat=False)
+def _dense_double_row(a, b, spec, z):
+    q = spec.boundary_q
+    a, b = _dense_row(a, b, spec, z, hat=True)
+    a = [(q + z) * x for x in a]
+    b = [(q - z) * x for x in b]
+    return _dense_row(a, b, spec, z, hat=False)
 
 
 def _dense_blocks(state, apply):
@@ -347,11 +352,10 @@ def _dense_blocks(state, apply):
 
 
 def _dense_bethe_state(spec, roots):
-    chain = monodromy.chain_data(spec)
     amps = list(dense(reference_state(spec)))
     zero = [F(0)] * len(amps)
     for z in reversed(roots):
-        amps, _ = _dense_double_row(zero, amps, chain, z)
+        amps, _ = _dense_double_row(zero, amps, spec, z)
     return QuantumState(spec.length, dict(enumerate(amps)))
 
 
@@ -378,14 +382,13 @@ class TestSparseKernelAgainstDenseReference:
     def test_random_states(self, n):
         rng = random.Random(900 + n)
         spec = random_spec(rng, n)
-        chain = monodromy.chain_data(spec)
         for z in self.Z_VALUES:
             state = _random_dense_state(rng, 2 * n)
-            double = _dense_blocks(state, lambda a, b: _dense_double_row(a, b, chain, z))
+            double = _dense_blocks(state, lambda a, b: _dense_double_row(a, b, spec, z))
             assert double_row_on_state(spec, z, state) == double
             assert apply_open_b(spec, z, state) == double[0][1]
             for hat in (False, True):
-                single = _dense_blocks(state, lambda a, b: _dense_row(a, b, chain, z, hat))
+                single = _dense_blocks(state, lambda a, b: _dense_row(a, b, spec, z, hat))
                 assert single_row_on_state(spec, z, hat, state) == single
                 if not hat:
                     assert apply_closed_b(spec, z, state) == single[0][1]

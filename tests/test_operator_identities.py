@@ -32,7 +32,7 @@ CHECKS = {
     "b_reflection": lambda spec, x, y, z: aba.check_b_reflection(spec, z),
     "crossing": lambda spec, x, y, z: monodromy.check_crossing(spec, z),
     "reflection_algebra": lambda spec, x, y, z: monodromy.check_reflection_algebra(spec, x, y),
-    "state_expansion": lambda spec, x, y, z: cba.check_state_expansion(spec, 2, (x, y)),
+    "state_expansion": lambda spec, x, y, z: cba.check_state_expansion(spec, (x, y)),
 }
 
 COLUMN_CHECKS = ["fcr_open", "fcr_closed", "b_expansion", "b_reflection", "crossing"]

@@ -1,4 +1,5 @@
-"""Every public module-level ``def`` and ``class`` of ``src/sixvb`` has a caller.
+"""Every public module-level ``def``, ``class`` and assigned name of
+``src/sixvb`` has a reader.
 
 A definition counts as used when its name is read, as a name or an
 attribute, somewhere outside its own definition: in another statement of
@@ -19,35 +20,55 @@ def _names_read(node) -> set:
     return {
         n.id if isinstance(n, ast.Name) else n.attr
         for n in ast.walk(node)
-        if isinstance(n, (ast.Name, ast.Attribute))
+        if isinstance(n, ast.Attribute) or (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
     }
 
 
+def _names_defined(stmt) -> list:
+    """The names a top-level ``def``, ``class`` or assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
 def _unreferenced(modules: dict, readers: list) -> list:
-    """``module.name`` of every public top-level def or class in ``modules``
-    (name -> parsed module) that no other top-level statement of ``modules``
-    and no module in ``readers`` reads."""
+    """``module.name`` of every public top-level def, class or assigned name
+    in ``modules`` (name -> parsed module) that no other top-level statement
+    of ``modules`` and no module in ``readers`` reads."""
     statements = [
         (name, stmt, _names_read(stmt)) for name, tree in modules.items() for stmt in tree.body
     ]
     outside = set().union(*(_names_read(tree) for tree in readers))
     missing = []
     for module, stmt, _ in statements:
-        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) or stmt.name.startswith("_"):
-            continue
-        if stmt.name in outside:
-            continue
-        if not any(stmt.name in names for _, other, names in statements if other is not stmt):
-            missing.append(f"{module}.{stmt.name}")
+        for name in _names_defined(stmt):
+            if name.startswith("_") or name in outside:
+                continue
+            if not any(name in names for _, other, names in statements if other is not stmt):
+                missing.append(f"{module}.{name}")
     return missing
 
 
 def test_the_walker_flags_only_unread_definitions():
     modules = {
-        "a": ast.parse("def used(): pass\ndef selfish(): return selfish()\nclass _Private: pass"),
-        "b": ast.parse("import a\nx = a.used\ndef traced(): pass\ndef orphan(): pass"),
+        "a": ast.parse(
+            "def used(): pass\ndef selfish(): return selfish()\nclass _Private: pass\n"
+            "READ = 1\nUNREAD: int = 2\nSTORED = 3\n_HIDDEN = 4"
+        ),
+        "b": ast.parse(
+            "import a\n_x = a.used, a.READ\ndef traced(): pass\ndef orphan(): pass\n"
+            "def put(): STORED = 5"
+        ),
     }
-    assert _unreferenced(modules, [ast.parse("traced()")]) == ["a.selfish", "b.orphan"]
+    assert _unreferenced(modules, [ast.parse("traced()")]) == [
+        "a.selfish", "a.UNREAD", "a.STORED", "b.orphan", "b.put"
+    ]
 
 
 def test_every_public_definition_has_a_caller():

@@ -1,10 +1,13 @@
-"""Every lattice shape at N <= 3, and the spin-flip relation across routes.
+"""Every lattice shape at N <= 3, every pairing at N = 4, and the spin-flip
+relation across routes.
 
 A shape is a pairing of the perimeter points 1..2N into chords together
 with a reflected set.  The other tests draw their pairings at random, so a
-fault that shows only for some pairings (in the move plan or the end-point
-layout) could pass them; here each of the (2N - 1)!! pairings times 2^N
-reflected sets is built and the three routes' states are compared.
+fault that shows only for some pairings (in the move plan, the end-point
+layout or the kernels' end flags) could pass them; here each of the
+(2N - 1)!! pairings times 2^N reflected sets is built for N <= 3, and each
+of the 105 pairings with a drawn reflected set for N = 4, and the three
+routes' states are compared.
 
 Flipping every label, 1 <-> 2, commutes with the R-matrix and turns
 K(theta, q) into (q - theta)/(q + theta) K(theta, -q).  With values
@@ -22,7 +25,7 @@ import pytest
 
 from sixvb.aba import solve_aba
 from sixvb.cba import cba_state
-from sixvb.contraction import build_invariant
+from sixvb.contraction import build_invariant, plan_moves
 from sixvb.lattice import Chord, ExternalConfig, LatticeSpec, all_configs
 from sixvb.pipeline import METHODS, compute_report
 from sixvb.sampling import random_spec
@@ -60,6 +63,15 @@ def all_shapes(n: int) -> list:
     return specs
 
 
+def _assert_routes_agree(spec, *states):
+    """Each state equals the default ``direct`` state up to one global sign."""
+    direct = build_invariant(spec).entries
+    assert direct
+    negated = {i: -x for i, x in direct.items()}
+    for state in states:
+        assert state.entries in (direct, negated), (spec, state)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_the_enumerator_lists_each_pairing_once(n):
     pairings = all_pairings(n)
@@ -74,11 +86,20 @@ def test_three_routes_agree_on_every_shape(n):
     assert len(specs) == math.prod(range(1, 2 * n, 2)) << n
     assert len({(s.chords, s.reflected) for s in specs}) == len(specs)
     for spec in specs:
-        direct = build_invariant(spec).entries
-        assert direct
-        negated = {i: -x for i, x in direct.items()}
-        for state in (solve_aba(spec).bethe_state, cba_state(spec)):
-            assert state.entries in (direct, negated), (spec, state)
+        _assert_routes_agree(spec, solve_aba(spec).bethe_state, cba_state(spec))
+
+
+def test_three_routes_agree_on_every_pairing_at_four_lines():
+    """Reflected sets, rapidities and q drawn per pairing by ``random_spec``;
+    the weave is run on both move plans."""
+    rng = random.Random(1004)
+    pairings = all_pairings(4)
+    assert len(pairings) == 105
+    for chords in pairings:
+        drawn = random_spec(rng, 4)
+        spec = LatticeSpec(chords, drawn.reflected, drawn.rapidities, drawn.boundary_q)
+        lowest_first = build_invariant(spec, plan_moves(spec, lowest_first=True))
+        _assert_routes_agree(spec, lowest_first, solve_aba(spec).bethe_state, cba_state(spec))
 
 
 def _flip(config: ExternalConfig) -> ExternalConfig:

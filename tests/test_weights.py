@@ -9,7 +9,6 @@ from sixvb.exact import ExactMatrix
 from sixvb.weights import (
     ANTISYMMETRIZER,
     PERMUTATION,
-    S_MATRIX,
     SINGLET_Y,
     check_bootstrap,
     check_bybe,
@@ -23,6 +22,8 @@ from sixvb.weights import (
     r_matrix,
     site_transpose,
 )
+
+from dense_reference import S_MATRIX
 
 
 class TestRMatrix:
