@@ -28,7 +28,6 @@ from .lattice import (
 )
 from .monodromy import (
     QuantumState,
-    _Blocks,
     _combine,
     _double_row_kernel,
     _integer_coefficients,
@@ -152,22 +151,26 @@ def _roots_q(roots: tuple, z: Fraction) -> Fraction:
     return out
 
 
+def _remainder_inputs(spec: LatticeSpec, z, k: int, roots: Optional[Sequence]) -> tuple:
+    """(z, roots, z_k, alpha(z_k), dtilde(z_k)) for the remainder terms:
+    the canonical roots by default, ``k`` checked to lie in 1..len(roots)."""
+    z = rational(z, "z")
+    roots = canonical_bethe_roots(spec).roots if roots is None else roots
+    zs = tuple(rational(zi, "root") for zi in roots)
+    if not (1 <= _strict(k, (int,), "k") <= len(zs)):
+        raise ValueError(f"k must lie in 1..{len(zs)}")
+    ev = vacuum_eigenvalues(spec, zs[k - 1])
+    return z, zs, zs[k - 1], ev.alpha_val, ev.delta_tilde_val
+
+
 def unwanted_terms(spec: LatticeSpec, z, k: int, roots: Optional[Sequence] = None) -> tuple:
     """Closed-form remainder coefficients (M_k, N_k) of the diagonal actions.
 
     Both vanish exactly at the canonical roots; with any off-shell root set
     they are generically nonzero.  ``k`` is 1-based.
     """
-    z = rational(z, "z")
-    roots = canonical_bethe_roots(spec).roots if roots is None else roots
-    zs = tuple(rational(zi, "root") for zi in roots)
-    if not (1 <= _strict(k, (int,), "k") <= len(zs)):
-        raise ValueError(f"k must lie in 1..{len(zs)}")
-    zk = zs[k - 1]
-    ev = vacuum_eigenvalues(spec, zk)
-    alpha_k, delta_k = ev.alpha_val, ev.delta_tilde_val
-    q_down = _roots_q(zs, zk - 1)
-    q_up = _roots_q(zs, zk + 1)
+    z, zs, zk, alpha_k, delta_k = _remainder_inputs(spec, z, k, roots)
+    q_down, q_up = _roots_q(zs, zk - 1), _roots_q(zs, zk + 1)
     pref = _F1
     for i, zi in enumerate(zs):
         if i != k - 1:
@@ -186,21 +189,14 @@ def unwanted_terms_from_fcr(
     spec: LatticeSpec, z, k: int, roots: Optional[Sequence] = None
 ) -> tuple:
     """The same remainder coefficients assembled from the exchange coefficients."""
-    z = rational(z, "z")
-    roots = canonical_bethe_roots(spec).roots if roots is None else roots
-    zs = tuple(rational(zi, "root") for zi in roots)
-    if not (1 <= _strict(k, (int,), "k") <= len(zs)):
-        raise ValueError(f"k must lie in 1..{len(zs)}")
-    zk = zs[k - 1]
-    ev = vacuum_eigenvalues(spec, zk)
-    prod_a = _F1
-    prod_d = _F1
+    z, zs, zk, alpha_k, delta_k = _remainder_inputs(spec, z, k, roots)
+    prod_a = prod_d = _F1
     for i, zi in enumerate(zs):
         if i != k - 1:
             prod_a *= h_a_coeff(zk, zi)
             prod_d *= h_dt_coeff(zk, zi)
-    m_k = g_a_coeff(z, zk) * prod_a * ev.alpha_val + g_dt_coeff(z, zk) * prod_d * ev.delta_tilde_val
-    n_k = k_a_coeff(z, zk) * prod_a * ev.alpha_val + k_dt_coeff(z, zk) * prod_d * ev.delta_tilde_val
+    m_k = g_a_coeff(z, zk) * prod_a * alpha_k + g_dt_coeff(z, zk) * prod_d * delta_k
+    n_k = k_a_coeff(z, zk) * prod_a * alpha_k + k_dt_coeff(z, zk) * prod_d * delta_k
     return m_k, n_k
 
 
@@ -227,19 +223,19 @@ def check_fcr_open(spec: LatticeSpec, x, y) -> bool:
     t_lhs, h_dt, k_a, k_dt = _integer_coefficients(
         _F1, h_dt_coeff(x, y), px * k_a_coeff(x, y), px * k_dt_coeff(x, y) / py
     )
-    ux, uy = _Blocks(_double_row_kernel(spec, x)), _Blocks(_double_row_kernel(spec, y))
+    (ux, _), (uy, _) = _double_row_kernel(spec, x), _double_row_kernel(spec, y)
     for j in range(1 << spec.length):
         e = {j: 1}
-        ax, ay, by = ux(0, 0, e), uy(0, 0, e), uy(0, 1, e)
-        if ux(0, 1, by) != uy(0, 1, ux(0, 1, e)):
+        (ax, _), (bx, dx), (ay, _), (by, dy) = ux(e, {}), ux({}, e), uy(e, {}), uy({}, e)
+        (ax_by, _), (bx_by, dx_by) = ux(by, {}), ux({}, by)
+        if bx_by != uy({}, bx)[0]:
             return False
-        tx = _combine((px, ux(1, 1, e)), (-rx, ax))
-        ty = _combine((py, uy(1, 1, e)), (-ry, ay))
-        ax_by, bx_ay, bx_ty = ux(0, 0, by), ux(0, 1, ay), ux(0, 1, ty)
-        if _combine((a_lhs, ax_by)) != _combine((h_a, uy(0, 1, ax)), (g_a, bx_ay), (g_dt, bx_ty)):
+        tx, ty = _combine((px, dx), (-rx, ax)), _combine((py, dy), (-ry, ay))
+        bx_ay, bx_ty = ux({}, ay)[0], ux({}, ty)[0]
+        if _combine((a_lhs, ax_by)) != _combine((h_a, uy({}, ax)[0]), (g_a, bx_ay), (g_dt, bx_ty)):
             return False
-        tx_by = _combine((px, ux(1, 1, by)), (-rx, ax_by))
-        if _combine((t_lhs, tx_by)) != _combine((h_dt, uy(0, 1, tx)), (k_a, bx_ay), (k_dt, bx_ty)):
+        tx_by = _combine((px, dx_by), (-rx, ax_by))
+        if _combine((t_lhs, tx_by)) != _combine((h_dt, uy({}, tx)[0]), (k_a, bx_ay), (k_dt, bx_ty)):
             return False
     return True
 
@@ -249,10 +245,10 @@ def check_b_reflection(spec: LatticeSpec, z) -> bool:
     z = rational(z, "z")
     if z == 0 or z == -1:
         raise PoleError("reflection factor z/(z+1) degenerates at z in {0, -1}")
-    lhs, rhs = _Blocks(_double_row_kernel(spec, z)), _Blocks(_double_row_kernel(spec, -z - 1))
-    c_lhs, c_rhs = _integer_coefficients(lhs.scale, -z / (z + 1) * rhs.scale)
+    (lhs, s_lhs), (rhs, s_rhs) = _double_row_kernel(spec, z), _double_row_kernel(spec, -z - 1)
+    c_lhs, c_rhs = _integer_coefficients(s_lhs, -z / (z + 1) * s_rhs)
     return all(
-        _combine((c_lhs, lhs(0, 1, {j: 1}))) == _combine((c_rhs, rhs(0, 1, {j: 1})))
+        _combine((c_lhs, lhs({}, {j: 1})[0])) == _combine((c_rhs, rhs({}, {j: 1})[0]))
         for j in range(1 << spec.length)
     )
 

@@ -35,7 +35,6 @@ from .lattice import (
 )
 from .monodromy import (
     QuantumState,
-    _Blocks,
     _combine,
     _double_row_kernel,
     _integer_coefficients,
@@ -294,14 +293,13 @@ def check_closed_fcr(spec: LatticeSpec, x, y) -> bool:
     """
     x, y = rational(x, "x"), rational(y, "y")
     lhs, h, k = _integer_coefficients(_F1, h_closed(y, x), k_closed(y, x))
-    mx, my = _Blocks(_row_kernel(spec, x, False)), _Blocks(_row_kernel(spec, y, False))
+    (mx, _), (my, _) = _row_kernel(spec, x, False), _row_kernel(spec, y, False)
     for j in range(1 << spec.length):
         e = {j: 1}
-        by = my(0, 1, e)
-        if mx(0, 1, by) != my(0, 1, mx(0, 1, e)):
+        (ax, _), (bx, _), (ay, _), (by, _) = mx(e, {}), mx({}, e), my(e, {}), my({}, e)
+        if mx({}, by)[0] != my({}, bx)[0]:
             return False
-        ax_by = _combine((lhs, mx(0, 0, by)))
-        if ax_by != _combine((h, my(0, 1, mx(0, 0, e))), (-k, mx(0, 1, my(0, 0, e)))):
+        if _combine((lhs, mx(by, {})[0])) != _combine((h, my({}, ax)[0]), (-k, mx({}, ay)[0])):
             return False
     return True
 
@@ -316,17 +314,17 @@ def check_b_expansion(spec: LatticeSpec, z) -> bool:
     if 2 * z + 1 == 0:
         raise PoleError("expansion pole at z = -1/2")
     q = spec.boundary_q
-    u, m_plus = _Blocks(_double_row_kernel(spec, z)), _Blocks(_row_kernel(spec, z, False))
-    m_minus = _Blocks(_row_kernel(spec, -z - 1, False))
-    factor = 2 * z / (2 * z + 1) * m_plus.scale * m_minus.scale
-    c_u, c_plus, c_minus = _integer_coefficients(u.scale, factor * (q - z - 1), -factor * (q + z))
-    return all(
-        _combine((c_u, u(0, 1, {j: 1}))) == _combine(
-            (c_plus, m_plus(0, 1, m_minus(0, 0, {j: 1}))),
-            (c_minus, m_minus(0, 1, m_plus(0, 0, {j: 1}))),
-        )
-        for j in range(1 << spec.length)
-    )
+    (u, s_u), (m_plus, s_plus) = _double_row_kernel(spec, z), _row_kernel(spec, z, False)
+    m_minus, s_minus = _row_kernel(spec, -z - 1, False)
+    factor = 2 * z / (2 * z + 1) * s_plus * s_minus
+    c_u, c_plus, c_minus = _integer_coefficients(s_u, factor * (q - z - 1), -factor * (q + z))
+    for j in range(1 << spec.length):
+        e = {j: 1}
+        (a_plus, _), (a_minus, _) = m_plus(e, {}), m_minus(e, {})
+        lhs = _combine((c_u, u({}, e)[0]))
+        if lhs != _combine((c_plus, m_plus({}, a_minus)[0]), (c_minus, m_minus({}, a_plus)[0])):
+            return False
+    return True
 
 
 def kappa(spec: LatticeSpec, z) -> Fraction:

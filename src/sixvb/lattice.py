@@ -194,9 +194,18 @@ def q_function(spec: LatticeSpec, z) -> Fraction:
     return out
 
 
-def _check_config(spec: LatticeSpec, config: ExternalConfig) -> None:
-    if len(config.alpha) != spec.n or len(config.beta) != spec.n:
-        raise ValueError(f"config labels must have length {spec.n}")
+def _read_labels(labels: tuple, bits: list) -> tuple:
+    """(index bits, count of label 2) of one side's labels; ``bits`` holds the
+    chain bit of each line's site on that side, in line order."""
+    if len(labels) != len(bits):
+        raise ValueError(f"config labels must have length {len(bits)}")
+    return sum((s - 1) << b for s, b in zip(labels, bits)), labels.count(2)
+
+
+def _side_bits(spec: LatticeSpec) -> tuple:
+    """The chain bits of the start sites and of the end sites, in line order."""
+    length = spec.length
+    return [length - c.start for c in spec.chords], [length - c.end for c in spec.chords]
 
 
 def end_mask(spec: LatticeSpec) -> int:
@@ -210,12 +219,8 @@ def config_index(spec: LatticeSpec, config: ExternalConfig) -> int:
     Label 2 sets the site's bit, so the reference config has index 0 and the
     magnons of index k are the set bits of ``k ^ end_mask(spec)``.
     """
-    _check_config(spec, config)
-    length = spec.length
-    index = 0
-    for chord, a, b in zip(spec.chords, config.alpha, config.beta):
-        index |= (a - 1) << (length - chord.start) | (b - 1) << (length - chord.end)
-    return index
+    start_bits, end_bits = _side_bits(spec)
+    return _read_labels(config.alpha, start_bits)[0] | _read_labels(config.beta, end_bits)[0]
 
 
 def magnon_sites(spec: LatticeSpec, index: int) -> tuple:
@@ -241,8 +246,8 @@ def magnon_positions(spec: LatticeSpec, config: ExternalConfig) -> tuple:
 
 def ice_rule_satisfied(spec: LatticeSpec, config: ExternalConfig) -> bool:
     """Charge conservation: the magnon count must equal the number of lines."""
-    _check_config(spec, config)
-    return config.alpha.count(2) + config.beta.count(1) == spec.n
+    start_bits, end_bits = _side_bits(spec)
+    return _read_labels(config.alpha, start_bits)[1] == _read_labels(config.beta, end_bits)[1]
 
 
 def reference_config(n: int) -> ExternalConfig:
@@ -273,21 +278,12 @@ def sweep(
     one ``Fraction(0)``.  The spec was validated when it was made, so nothing
     is checked again here.
     """
-    n, length = spec.n, spec.length
-    start_bits = [length - c.start for c in spec.chords]
-    end_bits = [length - c.end for c in spec.chords]
-    starts, ends = {}, {}  # labels -> (index bits, count of label 2)
-
-    def read(labels, bits, seen):
-        if len(labels) != n:
-            raise ValueError(f"config labels must have length {n}")
-        seen[labels] = out = (sum((s - 1) << b for s, b in zip(labels, bits)), labels.count(2))
-        return out
-
+    start_bits, end_bits = _side_bits(spec)
+    starts, ends = {}, {}  # labels -> _read_labels(labels, bits)
     keys = []
     for c in configs:
-        a = starts.get(c.alpha) or read(c.alpha, start_bits, starts)
-        b = ends.get(c.beta) or read(c.beta, end_bits, ends)
+        a = starts.get(c.alpha) or starts.setdefault(c.alpha, _read_labels(c.alpha, start_bits))
+        b = ends.get(c.beta) or ends.setdefault(c.beta, _read_labels(c.beta, end_bits))
         keys.append(a[0] | b[0] if a[1] == b[1] else None)
     zero = Fraction(0)
     allowed = [k for k in keys if k is not None]

@@ -12,10 +12,12 @@ Every local factor of a monodromy touches one site only, so one primitive,
 a row product on one auxiliary column (a, b) of chain vectors, carries every
 monodromy action.  Its kernels are built by ``_row_kernel`` (M or Mhat) and
 ``_double_row_kernel`` (M K Mhat), which compute the site integers once per
-(spec, z): a creation operator is the top slot of the column (0, v), the
+(spec, z).  A kernel is the pair (apply, scale): ``apply(a, b)`` returns
+both rows (a', b') of the integer product, and the row itself is scale
+times that.  A creation operator is the top row of the column (0, v), the
 four blocks on a state come from the columns (v, 0) and (0, v), and every
-operator identity is checked one basis vector at a time, on the columns that
-``_Blocks`` computes once per operator.
+operator identity runs the kernels on each basis vector and on the vectors
+they produce from it.
 
 The primitive is fraction-free and sparse.  A chain vector is a
 :class:`QuantumState`: a dict from index to nonzero ``int`` and one exact
@@ -233,14 +235,13 @@ def _run_sites(a, b, sites, d):
 def _row_kernel(spec: LatticeSpec, z, hat: bool):
     """The one-column kernel of the conjugated single row M, or Mhat when ``hat``.
 
-    The kernel maps an integer column (a, b) to (a', b', f): the row applied
-    to (a, b) is f (a', b').  d, the site weights and f are fixed per (spec, z).
+    Returns (apply, f), both fixed per (spec, z): the row applied to an
+    integer column (a, b) is f times the integer column ``apply(a, b)``.
     """
     z, v = rational(z, "z"), inhomogeneities(spec)
     d = lcm(z.denominator, spec.boundary_q.denominator, *(x.denominator for x in v))
     sites = _site_weights(v, end_mask(spec), int(z * d), d, hat)
-    scale = Fraction(1, d**spec.length)
-    return lambda a, b: (*_run_sites(a, b, sites, d), scale)
+    return (lambda a, b: _run_sites(a, b, sites, d)), Fraction(1, d**spec.length)
 
 
 def _double_row_kernel(spec: LatticeSpec, z):
@@ -254,27 +255,23 @@ def _double_row_kernel(spec: LatticeSpec, z):
     qd, zd = int(spec.boundary_q * d), int(z * d)
     hat_sites, sites = _site_weights(v, ends, zd, d, True), _site_weights(v, ends, zd, d, False)
     top, bottom = qd + zd, qd - zd
-    scale = Fraction(1, d ** (2 * spec.length + 1))
 
     def apply(a, b):
         a, b = _run_sites(a, b, hat_sites, d)
         a = {i: top * x for i, x in a.items()} if top else {}
         b = {i: bottom * y for i, y in b.items()} if bottom else {}
-        return (*_run_sites(a, b, sites, d), scale)
+        return _run_sites(a, b, sites, d)
 
-    return apply
+    return apply, Fraction(1, d ** (2 * spec.length + 1))
 
 
 def double_row_on_state(spec: LatticeSpec, z, state: QuantumState):
     """Blocks of the double-row monodromy applied to a state: the 2x2 nested
     list ``[[A v, B v], [C v, D v]]`` from the two auxiliary columns (v, 0)
     and (0, v)."""
-    apply = _double_row_kernel(spec, z)
-    (av, cv, f), (bv, dv, _) = apply(state.entries, {}), apply({}, state.entries)
-    return [
-        [QuantumState(state.length, x, state.scale * f) for x in (av, bv)],
-        [QuantumState(state.length, x, state.scale * f) for x in (cv, dv)],
-    ]
+    apply, f = _double_row_kernel(spec, z)
+    cols = apply(state.entries, {}), apply({}, state.entries)  # cols[c][r]: block (r, c) v
+    return [[QuantumState(state.length, cols[c][r], state.scale * f) for c in (0, 1)] for r in (0, 1)]
 
 
 def apply_open_b(spec: LatticeSpec, z, state: QuantumState) -> QuantumState:
@@ -283,46 +280,20 @@ def apply_open_b(spec: LatticeSpec, z, state: QuantumState) -> QuantumState:
     Only the second auxiliary column feeds block (1, 2), so one column is
     tracked.
     """
-    bv, _, f = _double_row_kernel(spec, z)({}, state.entries)
-    return QuantumState(spec.length, bv, state.scale * f)
+    apply, f = _double_row_kernel(spec, z)
+    return QuantumState(spec.length, apply({}, state.entries)[0], state.scale * f)
 
 
 def apply_closed_b(spec: LatticeSpec, z, state: QuantumState) -> QuantumState:
     """Apply the closed-chain (single-row) creation block to a state."""
-    bv, _, f = _row_kernel(spec, z, False)({}, state.entries)
-    return QuantumState(spec.length, bv, state.scale * f)
+    apply, f = _row_kernel(spec, z, False)
+    return QuantumState(spec.length, apply({}, state.entries)[0], state.scale * f)
 
 
-# -- operator identities, one basis column at a time ---------------------------
-
-class _Blocks:
-    """The four chain blocks of one monodromy, given by its one-column kernel.
-
-    Column (c, j) is ``apply`` on e_j in auxiliary slot c (0 top, 1 bottom),
-    computed at most once.  Block (r, c) is ``scale`` times the integer matrix
-    whose column j is row r of column (c, j); ``self(r, c, vec)`` applies that
-    integer matrix to a sparse vector as a combination of its columns.  Where
-    every term of an identity holds one block of each of two monodromies, the
-    scales multiply all terms alike and the integer blocks are compared.  The
-    other rational coefficients of an identity, scales included where they
-    differ between terms, are brought to ints by one common factor per
-    identity (``_integer_coefficients``), so every vector compared holds ints.
-    """
-
-    def __init__(self, apply):
-        self._apply = apply
-        self._columns = {}
-        self.scale = apply({}, {})[2]
-
-    def __call__(self, r: int, c: int, vec: dict) -> dict:
-        return _combine(*((x, self._column(c, j)[r]) for j, x in vec.items()))
-
-    def _column(self, c: int, j: int) -> tuple:
-        key = (c, j)
-        if key not in self._columns:
-            self._columns[key] = self._apply({j: 1}, {}) if c == 0 else self._apply({}, {j: 1})
-        return self._columns[key]
-
+# -- operator identities, one basis vector at a time ---------------------------
+#
+# Where every term of an identity holds one block of each of two monodromies,
+# the kernel scales multiply all terms alike and are left out.
 
 def _combine(*terms) -> dict:
     """The sparse vector sum(c * vec) over the pairs (c, vec), zeros dropped."""
@@ -351,15 +322,19 @@ def check_crossing(spec: LatticeSpec, z) -> bool:
     Mhat_{rc} = +-M_{1-c,1-r}, + on the diagonal, - off it.
     """
     z = rational(z, "z")
-    hat, m = _Blocks(_row_kernel(spec, z, True)), _Blocks(_row_kernel(spec, -z - 1, False))
-    c_hat, c_m = _integer_coefficients(hat.scale, m.scale)
-    return all(
-        _combine((c_hat, hat(r, c, {j: 1})))
-        == _combine((c_m if r == c else -c_m, m(1 - c, 1 - r, {j: 1})))
-        for j in range(1 << spec.length)
-        for r in (0, 1)
-        for c in (0, 1)
-    )
+    (hat, s_hat), (m, s_m) = _row_kernel(spec, z, True), _row_kernel(spec, -z - 1, False)
+    c_hat, c_m = _integer_coefficients(s_hat, s_m)
+    for j in range(1 << spec.length):
+        e = {j: 1}
+        hat_cols, m_cols = (hat(e, {}), hat({}, e)), (m(e, {}), m({}, e))  # [c][r]: block (r, c) e
+        if any(
+            _combine((c_hat, hat_cols[c][r]))
+            != _combine((c_m if r == c else -c_m, m_cols[1 - r][1 - c]))
+            for r in (0, 1)
+            for c in (0, 1)
+        ):
+            return False
+    return True
 
 
 def check_reflection_algebra(spec: LatticeSpec, x, y) -> bool:
@@ -378,18 +353,22 @@ def check_reflection_algebra(spec: LatticeSpec, x, y) -> bool:
         return [flat[k:k + 4] for k in range(0, 16, 4)]
 
     rm, rp = integer_rows(x - y), integer_rows(x + y)
-    u1, u2 = _Blocks(_double_row_kernel(spec, x)), _Blocks(_double_row_kernel(spec, y))
+    (u1, _), (u2, _) = _double_row_kernel(spec, x), _double_row_kernel(spec, y)
 
     def r_on(r, vecs):
         return [_combine(*((r[k][l], vecs[l]) for l in range(4) if r[k][l])) for k in range(4)]
 
-    def u1_on(vecs):
-        return [_combine((1, u1(k >> 1, 0, vecs[k & 1])), (1, u1(k >> 1, 1, vecs[2 + (k & 1)])))
-                for k in range(4)]
+    def on_pairs(u, pairs):
+        # u acts on the auxiliary column (vecs[s], vecs[t]) of each slot pair
+        def act(vecs):
+            out = list(vecs)
+            for s, t in pairs:
+                if vecs[s] or vecs[t]:
+                    out[s], out[t] = u(vecs[s], vecs[t])
+            return out
+        return act
 
-    def u2_on(vecs):
-        return [_combine((1, u2(k & 1, 0, vecs[k & 2])), (1, u2(k & 1, 1, vecs[(k & 2) + 1])))
-                for k in range(4)]
+    u1_on, u2_on = on_pairs(u1, ((0, 2), (1, 3))), on_pairs(u2, ((0, 1), (2, 3)))
 
     for slot in range(4):
         for j in range(1 << spec.length):

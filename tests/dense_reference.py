@@ -91,8 +91,8 @@ def single_row_on_state(spec: LatticeSpec, z, hat: bool, state: QuantumState):
     Returns a 2x2 nested list ``phi`` with ``phi[r][c]`` the chain vector
     block(r+1, c+1) |state>, from the two auxiliary columns (v, 0), (0, v).
     """
-    apply = _row_kernel(spec, z, hat)
-    (av, cv, f), (bv, dv, _) = apply(state.entries, {}), apply({}, state.entries)
+    apply, f = _row_kernel(spec, z, hat)
+    (av, cv), (bv, dv) = apply(state.entries, {}), apply({}, state.entries)
     return [
         [QuantumState(state.length, x, state.scale * f) for x in (av, bv)],
         [QuantumState(state.length, x, state.scale * f) for x in (cv, dv)],

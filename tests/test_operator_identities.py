@@ -2,9 +2,9 @@
 
 The draws here are new seeded draws, separate from those of ``sixvb verify``:
 the exchange relations, the creation-block expansion and reflection, and the
-crossing at L = 6 and at L = 8, the reflection algebra at L = 4.  Each
-mutation breaks one ingredient of an identity, a coefficient or a kernel,
-and the check must then return False.
+crossing at L = 6 and at L = 8, the reflection algebra at L = 4 and at
+L = 6.  Each mutation breaks one ingredient of an identity, a coefficient or
+a kernel, and the check must then return False.
 """
 
 import random
@@ -49,9 +49,9 @@ def test_identity_at_eight_sites(name):
     assert CHECKS[name](*_draw(813, 4))
 
 
-@pytest.mark.parametrize("seed", [4101, 4102])
-def test_reflection_algebra_at_four_sites(seed):
-    assert CHECKS["reflection_algebra"](*_draw(seed, 2))
+@pytest.mark.parametrize("seed, n", [(4101, 2), (4102, 2), (6101, 3), (6102, 3)])
+def test_reflection_algebra(seed, n):
+    assert CHECKS["reflection_algebra"](*_draw(seed, n))
 
 
 def _shifted_coefficient(real):
@@ -79,6 +79,8 @@ MUTATIONS = [
     ("crossing", monodromy, "_row_kernel",
      lambda real: lambda spec, z, hat: real(spec, z + SHIFT if hat else z, hat)),
     ("reflection_algebra", monodromy, "r_matrix", lambda real: lambda theta: real(theta + SHIFT)),
+    # U1 at x + 1/7 and U2 at y + 1/7 move x + y but not x - y
+    ("reflection_algebra", monodromy, "_double_row_kernel", _shifted_double_row_kernel),
 ]
 
 

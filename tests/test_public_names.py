@@ -1,11 +1,12 @@
-"""Every public module-level ``def``, ``class`` and assigned name of
-``src/sixvb`` has a reader.
+"""Every module-level ``def``, ``class`` and assigned name of ``src/sixvb``
+has a reader.
 
 A definition counts as used when its name is read, as a name or an
 attribute, somewhere outside its own definition: in another statement of
-``src/sixvb`` (``__init__.py`` aside, since a re-export is not a use) or in
-``perfbench/run.py``, whose trace calls library internals.  Code that only
-the tests read belongs in ``tests/dense_reference.py``.
+``src/sixvb`` (``__init__.py`` aside, since a re-export is not a use) or,
+for a public name, in ``perfbench/run.py``, whose trace calls library
+internals.  A private name needs a reader in ``src/sixvb`` itself.  Code
+that only the tests read belongs in ``tests/dense_reference.py``.
 """
 
 import ast
@@ -38,9 +39,9 @@ def _names_defined(stmt) -> list:
 
 
 def _unreferenced(modules: dict, readers: list) -> list:
-    """``module.name`` of every public top-level def, class or assigned name
-    in ``modules`` (name -> parsed module) that no other top-level statement
-    of ``modules`` and no module in ``readers`` reads."""
+    """``module.name`` of every top-level def, class or assigned name in
+    ``modules`` (name -> parsed module) that no other top-level statement of
+    ``modules`` reads, nor, for a public name, any module in ``readers``."""
     statements = [
         (name, stmt, _names_read(stmt)) for name, tree in modules.items() for stmt in tree.body
     ]
@@ -48,7 +49,7 @@ def _unreferenced(modules: dict, readers: list) -> list:
     missing = []
     for module, stmt, _ in statements:
         for name in _names_defined(stmt):
-            if name.startswith("_") or name in outside:
+            if name in outside and not name.startswith("_"):
                 continue
             if not any(name in names for _, other, names in statements if other is not stmt):
                 missing.append(f"{module}.{name}")
@@ -59,15 +60,17 @@ def test_the_walker_flags_only_unread_definitions():
     modules = {
         "a": ast.parse(
             "def used(): pass\ndef selfish(): return selfish()\nclass _Private: pass\n"
-            "READ = 1\nUNREAD: int = 2\nSTORED = 3\n_HIDDEN = 4"
+            "READ = 1\nUNREAD: int = 2\nSTORED = 3\n_HIDDEN = 4\n_helper = 5\n"
+            "def _recursive(): return _recursive()\ndef _traced(): pass"
         ),
         "b": ast.parse(
-            "import a\n_x = a.used, a.READ\ndef traced(): pass\ndef orphan(): pass\n"
-            "def put(): STORED = 5"
+            "import a\n_x = a.used, a.READ, a._helper, _Private\ndef traced(): pass\n"
+            "def orphan(): return _x\ndef put(): STORED = 5"
         ),
     }
-    assert _unreferenced(modules, [ast.parse("traced()")]) == [
-        "a.selfish", "a.UNREAD", "a.STORED", "b.orphan", "b.put"
+    assert _unreferenced(modules, [ast.parse("traced(); _traced(); _HIDDEN")]) == [
+        "a.selfish", "a.UNREAD", "a.STORED", "a._HIDDEN", "a._recursive", "a._traced",
+        "b.orphan", "b.put",
     ]
 
 
