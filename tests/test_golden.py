@@ -1,10 +1,13 @@
-"""Byte-identity oracle for ``compute --all-configs``.
+"""Byte-identity oracles for ``compute --all-configs`` and ``verify``.
 
 The sha256 of the printed output is pinned for every ``--method`` in
 ``--json`` and in text mode, with the timings masked: the JSON
 ``"timings_s"`` object is emptied and each ``=0.123s`` of the
 ``# methods`` line becomes ``=Ts``.  A change to how a sweep is read out
-or printed must leave these bytes alone.
+or printed must leave these bytes alone.  The output of
+``verify --suite all --draws 20`` holds no timings and is pinned as
+printed for seeds 0, 1 and 2, so a change to how an identity is checked
+must keep every draw and every pass count.
 """
 
 import contextlib
@@ -40,6 +43,12 @@ GOLDEN = {
     ("random-505-n5", "all", "text"): "fc7ce67a44691b4f1a88c42c7bba10dd7543e3e5664a50d986243980754e82a6",
 }
 
+VERIFY_GOLDEN = {
+    0: "8df877150aab52ff039bb1fd684e2d49bf8878ba0c5f33a246702c1870ea9e6a",
+    1: "353806ccef4b491d3104e00f94b161a2b4b6e7cca6e7bf44289b6152e4250c5b",
+    2: "8daff5c84220c0c48ee9893ef3b0bbe9c57b8f3509aa7cb2441b6c8ee4a94f89",
+}
+
 
 def _lattice_text(name: str) -> str:
     if name == "figure":
@@ -67,3 +76,11 @@ def test_compute_all_configs_bytes(tmp_path, lattice, method, as_json):
         assert main(argv + ["--json"] * as_json) == 0
     digest = hashlib.sha256(_masked(out.getvalue(), as_json).encode("utf-8")).hexdigest()
     assert digest == GOLDEN[lattice, method, "json" if as_json else "text"]
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_GOLDEN))
+def test_verify_all_suites_bytes(seed):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", "--suite", "all", "--draws", "20", "--seed", str(seed)]) == 0
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == VERIFY_GOLDEN[seed]
