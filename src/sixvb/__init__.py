@@ -4,7 +4,7 @@ invariant state out of crossing weights, from creation operators on a
 reference state, and from a coordinate wave sum over permutations and
 reflections.  All arithmetic is exact rational."""
 
-from .exact import ExactMatrix, format_rational, parse_rational
+from .exact import format_rational, parse_rational
 from .errors import DegenerateSpecError, InvalidSpecError, PoleError
 from .lattice import (
     BetheRootSet,
@@ -31,7 +31,6 @@ __all__ = [
     "BetheRootSet",
     "Chord",
     "DegenerateSpecError",
-    "ExactMatrix",
     "ExternalConfig",
     "InvalidSpecError",
     "LatticeSpec",

@@ -159,8 +159,7 @@ def _remainder_inputs(spec: LatticeSpec, z, k: int, roots: Optional[Sequence]) -
     zs = tuple(rational(zi, "root") for zi in roots)
     if not (1 <= _strict(k, (int,), "k") <= len(zs)):
         raise ValueError(f"k must lie in 1..{len(zs)}")
-    ev = vacuum_eigenvalues(spec, zs[k - 1])
-    return z, zs, zs[k - 1], ev.alpha_val, ev.delta_tilde_val
+    return (z, zs, zs[k - 1], *vacuum_eigenvalues(spec, zs[k - 1]))
 
 
 def unwanted_terms(spec: LatticeSpec, z, k: int, roots: Optional[Sequence] = None) -> tuple:

@@ -17,12 +17,19 @@ The weave runs fraction-free on the entries of a
 denominators of the inhomogeneities, every theta is Theta/D for an integer
 Theta, so a move applies ``Theta P + D X`` to the integers and multiplies
 the scale by 1/(Theta + D).
+
+The two local identities of the weights run on that move kernel as well:
+the braid (Yang-Baxter) relation of three crossings, with end points
+(``check_ybe``), and the reflection equation of two crossings and two
+reflections (``check_bybe``), each compared as integer vectors on every
+basis vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from typing import Optional
 
@@ -177,3 +184,72 @@ def build_invariant(spec: LatticeSpec, plan: Optional[MoveSequence] = None) -> Q
         vec = _apply_move(vec, spec.length, move.position, theta_d, d, move.one_end)
         den *= theta_d + d
     return QuantumState(spec.length, vec, initial.scale / den)
+
+
+# -- local identities on the move kernel ----------------------------------------
+
+def check_ybe(theta1, theta2, theta3) -> bool:
+    """Braid form of the crossing-exchange identity on a 3-site chain.
+
+    The chain starts with the inhomogeneities (t3, t2, t1); the swaps at
+    positions (1, 2, 1) and at (2, 1, 2) both reverse it.  As in
+    ``plan_moves``, a swap at p has the argument v[p] - v[p-1] and holds
+    ``one_end`` when the end flags of its two sites differ, and both the
+    values and the flags travel with the swaps.  The two weaves must agree
+    on every basis vector for every pattern of end points; site 3 is kept a
+    non-end, since a pattern and its complement give the same flags.  Both
+    apply the same three arguments, so their denominators cancel and the
+    integer vectors are compared.  Raises PoleError when any difference is -1.
+    """
+    t1, t2, t3 = (rational(t, "theta") for t in (theta1, theta2, theta3))
+    d = lcm(t1.denominator, t2.denominator, t3.denominator)
+
+    def plan(positions, ends):  # (p, scaled argument, one_end) per swap
+        v, ends, moves = [int(t * d) for t in (t3, t2, t1)], list(ends), []
+        for p in positions:
+            moves.append((p, v[p] - v[p - 1], ends[p - 1] != ends[p]))
+            v[p - 1], v[p] = v[p], v[p - 1]
+            ends[p - 1], ends[p] = ends[p], ends[p - 1]
+        return moves
+
+    def weave(vec, moves):
+        for p, theta, one_end in moves:
+            vec = _apply_move(vec, 3, p, theta, d, one_end)
+        return vec
+
+    for ends in product((False, True), (False, True), (False,)):
+        left, right = plan((1, 2, 1), ends), plan((2, 1, 2), ends)
+        if any(weave({j: 1}, left) != weave({j: 1}, right) for j in range(8)):
+            return False
+    return True
+
+
+def check_bybe(theta1, theta2, q) -> bool:
+    """Reflection-exchange identity on two sites, in braid form.
+
+    Rc(a) K1(t1) Rc(b) K1(t2) = K1(t2) Rc(b) K1(t1) Rc(a) with a = t1 - t2,
+    b = t1 + t2, Rc the swap of ``_apply_move`` without end points and K1
+    the reflection weights on site 1 as the integers (Q + T, Q - T), q and t
+    scaled by d as the boundary of the double row.  Each side holds each
+    factor once, so the integer vectors are compared.  Raises PoleError at
+    q + t = 0, as ``boundary_line_invariant`` does, and where a or b is -1.
+    """
+    t1, t2, q = rational(theta1, "theta1"), rational(theta2, "theta2"), rational(q, "q")
+    if q + t1 == 0 or q + t2 == 0:
+        raise PoleError("reflection weights have a pole at q + theta = 0")
+    d = lcm(t1.denominator, t2.denominator, q.denominator)
+    a, b = int((t1 - t2) * d), int((t1 + t2) * d)
+
+    def swap(vec, theta):
+        return _apply_move(vec, 2, 1, theta, d, False)
+
+    def reflect(vec, t):
+        k = int((q + t) * d), int((q - t) * d)  # site 1 in state 1, 2
+        out = {i: k[i >> 1] * x for i, x in vec.items()}
+        return {i: x for i, x in out.items() if x}
+
+    return all(
+        swap(reflect(swap(reflect({j: 1}, t2), b), t1), a)
+        == reflect(swap(reflect(swap({j: 1}, a), t1), b), t2)
+        for j in range(4)
+    )

@@ -17,7 +17,9 @@ both rows (a', b') of the integer product, and the row itself is scale
 times that.  A creation operator is the top row of the column (0, v), the
 four blocks on a state come from the columns (v, 0) and (0, v), and every
 operator identity runs the kernels on each basis vector and on the vectors
-they produce from it.
+they produce from it.  The local identities of one site factor (unitarity,
+transpose, bootstrap and special points) run the site step ``_lax_column``
+itself on the four basis columns of one site.
 
 The primitive is fraction-free and sparse.  A chain vector is a
 :class:`QuantumState`: a dict from index to nonzero ``int`` and one exact
@@ -49,7 +51,6 @@ from .lattice import (
     end_mask,
     inhomogeneities,
 )
-from .weights import r_matrix
 
 _F1 = Fraction(1)
 
@@ -106,13 +107,6 @@ class QuantumState:
         return QuantumState(self.length + shift, vec, self.scale * other.scale)
 
 
-@dataclass(frozen=True)
-class VacuumEigenvalues:
-    alpha_val: Fraction
-    delta_tilde_val: Fraction
-    xi_val: Fraction
-
-
 # -- eigenvalue functions -----------------------------------------------------
 
 def f_factor(z, theta) -> Fraction:
@@ -141,8 +135,8 @@ def lambda_value(spec: LatticeSpec, z) -> Fraction:
     return out
 
 
-def vacuum_eigenvalues(spec: LatticeSpec, z) -> VacuumEigenvalues:
-    """Eigenvalues of the diagonal blocks on the reference state.
+def vacuum_eigenvalues(spec: LatticeSpec, z) -> tuple:
+    """Eigenvalues (alpha, dtilde) of the diagonal blocks on the reference state.
 
     alpha(z) = (q+z) Xi(z) and dtilde(z) = 2z/(2z+1) (q-z-1) Xi(z-1); the
     shifted D block has a pole at z = -1/2.
@@ -151,12 +145,7 @@ def vacuum_eigenvalues(spec: LatticeSpec, z) -> VacuumEigenvalues:
     if 2 * z + 1 == 0:
         raise PoleError("shifted D block has a pole at z = -1/2")
     q = spec.boundary_q
-    xi = xi_value(spec, z)
-    return VacuumEigenvalues(
-        alpha_val=(q + z) * xi,
-        delta_tilde_val=2 * z / (2 * z + 1) * (q - z - 1) * xi_value(spec, z - 1),
-        xi_val=xi,
-    )
+    return (q + z) * xi_value(spec, z), 2 * z / (2 * z + 1) * (q - z - 1) * xi_value(spec, z - 1)
 
 
 # -- reference state ----------------------------------------------------------
@@ -337,38 +326,50 @@ def check_crossing(spec: LatticeSpec, z) -> bool:
     return True
 
 
+# A vector on (aux leg 1, aux leg 2, chain) is four chain vectors indexed
+# 2 a1 + a2; leg 1 pairs the slots (0, 2) and (1, 3), leg 2 (0, 1) and (2, 3).
+_LEG_1, _LEG_2 = ((0, 2), (1, 3)), ((0, 1), (2, 3))
+
+
+def _on_pairs(u, pairs):
+    """The map that applies the column map ``u`` to the auxiliary column
+    (vecs[s], vecs[t]) of each slot pair (s, t) of a four-slot vector."""
+    def act(vecs):
+        out = list(vecs)
+        for s, t in pairs:
+            if vecs[s] or vecs[t]:
+                out[s], out[t] = u(vecs[s], vecs[t])
+        return out
+    return act
+
+
+def _r_rows(theta) -> list:
+    """The crossing weights R(theta) = (theta + P)/(theta + 1) on the basis
+    2 a1 + a2, times D (theta + 1) with D the denominator of theta: rows of
+    the integers Theta + D, Theta and D.  Pole at theta = -1."""
+    theta = rational(theta, "theta")
+    if theta == -1:
+        raise PoleError("crossing weights have a pole at theta = -1")
+    t, d = theta.numerator, theta.denominator
+    return [[t + d, 0, 0, 0], [0, t, d, 0], [0, d, t, 0], [0, 0, 0, t + d]]
+
+
 def check_reflection_algebra(spec: LatticeSpec, x, y) -> bool:
     """Exchange identity of the double-row monodromy on two auxiliary legs.
 
     R(x-y) U1(x) R(x+y) U2(y) = U2(y) R(x+y) U1(x) R(x-y) on the space
-    (aux leg 1, aux leg 2, chain).  A vector there is four chain vectors,
-    indexed 2 a1 + a2 as the basis of :func:`sixvb.weights.r_matrix`; each
-    side is applied to every basis vector.
+    (aux leg 1, aux leg 2, chain), a vector there being four chain vectors;
+    each side is applied to every basis vector.  Each side holds one copy of
+    each R, so the nonzero factors of ``_r_rows`` cancel.
     """
     x, y = rational(x, "x"), rational(y, "y")
-
-    def integer_rows(theta):
-        # one factor for all 16 entries: each side holds one copy of the matrix
-        flat = _integer_coefficients(*(w for row in r_matrix(theta).entries for w in row))
-        return [flat[k:k + 4] for k in range(0, 16, 4)]
-
-    rm, rp = integer_rows(x - y), integer_rows(x + y)
+    rm, rp = _r_rows(x - y), _r_rows(x + y)
     (u1, _), (u2, _) = _double_row_kernel(spec, x), _double_row_kernel(spec, y)
 
     def r_on(r, vecs):
         return [_combine(*((r[k][l], vecs[l]) for l in range(4) if r[k][l])) for k in range(4)]
 
-    def on_pairs(u, pairs):
-        # u acts on the auxiliary column (vecs[s], vecs[t]) of each slot pair
-        def act(vecs):
-            out = list(vecs)
-            for s, t in pairs:
-                if vecs[s] or vecs[t]:
-                    out[s], out[t] = u(vecs[s], vecs[t])
-            return out
-        return act
-
-    u1_on, u2_on = on_pairs(u1, ((0, 2), (1, 3))), on_pairs(u2, ((0, 1), (2, 3)))
+    u1_on, u2_on = _on_pairs(u1, _LEG_1), _on_pairs(u2, _LEG_2)
 
     for slot in range(4):
         for j in range(1 << spec.length):
@@ -376,6 +377,87 @@ def check_reflection_algebra(spec: LatticeSpec, x, y) -> bool:
             if r_on(rm, u1_on(r_on(rp, u2_on(e)))) != u2_on(r_on(rp, u1_on(r_on(rm, e)))):
                 return False
     return True
+
+
+# -- local identities, one site factor -----------------------------------------
+#
+# Each runs ``_lax_column`` on one site (mask 1) with d the denominator of z,
+# on the four basis columns of (auxiliary leg, site), indexed 2 a + s.
+
+_LOCAL_BASIS = (({0: 1}, {}), ({1: 1}, {}), ({}, {0: 1}), ({}, {1: 1}))
+
+
+def _times(c: int, vecs) -> list:
+    """Each integer vector of ``vecs`` times c, zeros dropped."""
+    return [{i: c * x for i, x in vec.items()} if c else {} for vec in vecs]
+
+
+def check_unitarity(z) -> bool:
+    """L(z) L(-z) = (1 - z^2) I for both the plain and the conjugate local factor."""
+    z = rational(z, "z")
+    zd, d = z.numerator, z.denominator
+    want = d * d - zd * zd
+    return all(
+        list(_lax_column(*_lax_column(*e, 1, -zd, d, conj), 1, zd, d, conj)) == _times(want, e)
+        for conj in (False, True)
+        for e in _LOCAL_BASIS
+    )
+
+
+def _local_rows(w: int, d: int, conjugate: bool) -> list:
+    """d times the local factor at weight w/d as rows [2a + s][2b + t], read
+    off its four basis columns."""
+    cols = [_lax_column(*e, 1, w, d, conjugate) for e in _LOCAL_BASIS]
+    return [[cols[c][r >> 1].get(r & 1, 0) for c in range(4)] for r in range(4)]
+
+
+def check_transpose(z) -> bool:
+    """Site-leg transpose identity L^t(z) = -Lbar(-z-1): entry (2a+s, 2b+t) of
+    L(z) is minus entry (2a+t, 2b+s) of the conjugate factor at -z-1."""
+    z = rational(z, "z")
+    zd, d = z.numerator, z.denominator
+    plain, conj = _local_rows(zd, d, False), _local_rows(-zd - d, d, True)
+    return all(
+        plain[r][c] == -conj[(r & 2) | (c & 1)][(c & 2) | (r & 1)]
+        for r in range(4)
+        for c in range(4)
+    )
+
+
+def check_bootstrap(z) -> bool:
+    """Two fused local factors project onto the singlet with scalar (z+1)(z-1).
+
+    On (aux leg 1, aux leg 2, site), carried as four one-site vectors like
+    the slots of ``check_reflection_algebra``, the singlet |12> - |21> of
+    the two legs times either site state is mapped to (z+1)(z-1) times
+    itself by L_1(z) L_2(z-1) and by L_2(z) L_1(z-1).
+    """
+    z = rational(z, "z")
+    zd, d = z.numerator, z.denominator
+
+    def leg(pairs, w):
+        return _on_pairs(lambda a, b: _lax_column(a, b, 1, w, d, False), pairs)
+
+    for s in (0, 1):
+        singlet = [{}, {s: 1}, {s: -1}, {}]
+        want = _times((zd + d) * (zd - d), singlet)
+        if leg(_LEG_1, zd)(leg(_LEG_2, zd - d)(singlet)) != want:
+            return False
+        if leg(_LEG_2, zd)(leg(_LEG_1, zd - d)(singlet)) != want:
+            return False
+    return True
+
+
+def check_special_points() -> bool:
+    """L(0) is the permutation P and L(-1) is -Y Y^t, Y = (0, 1, -1, 0) the
+    singlet of (aux leg, site): L(0) e = P e and L(-1) e = -(Y^t e) Y on
+    each basis column e."""
+    y, singlet = (0, 1, -1, 0), ({1: 1}, {0: -1})
+    return all(
+        _lax_column(*e, 1, 0, 1, False) == _LOCAL_BASIS[2 * (k & 1) + (k >> 1)]
+        and list(_lax_column(*e, 1, -1, 1, False)) == _times(-y[k], singlet)
+        for k, e in enumerate(_LOCAL_BASIS)
+    )
 
 
 def external_component(state: QuantumState, spec: LatticeSpec, config: ExternalConfig) -> Fraction:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 from typing import List, Sequence
 
-from . import aba, cba, contraction, monodromy, weights
+from . import aba, cba, contraction, monodromy
 from .lattice import Chord, LatticeSpec, canonical_bethe_roots, q_function
 from .sampling import (
     random_pairing,
@@ -62,7 +62,7 @@ def _ybe_draw(rng: random.Random, _i: int):
             a - b != -1 and a - c != -1 and b - c != -1 for a, b, c in signed
         ):
             break
-    ok = all(weights.check_ybe(a, b, c) for a, b, c in signed)
+    ok = all(contraction.check_ybe(a, b, c) for a, b, c in signed)
     return ok, f"thetas={tuple(map(str, ts))} (all sign flips)"
 
 
@@ -72,7 +72,7 @@ def _bybe_draw(rng: random.Random, _i: int):
         q = random_q(rng)
         if t1 - t2 != -1 and t1 + t2 != -1 and q + t1 != 0 and q + t2 != 0:
             break
-    return weights.check_bybe(t1, t2, q), f"t1={t1} t2={t2} q={q}"
+    return contraction.check_bybe(t1, t2, q), f"t1={t1} t2={t2} q={q}"
 
 
 _TWO_LINE_PERIOD = 10  # every tenth crossing or b_reflection draw has two lines
@@ -89,9 +89,9 @@ def weights_suite(seed: int, draws: int) -> List[CheckResult]:
         _seeded("bybe", seed, draws, _bybe_draw),
     ]
     for name, checker in (
-        ("unitarity", weights.check_unitarity),
-        ("transpose", weights.check_transpose),
-        ("bootstrap", weights.check_bootstrap),
+        ("unitarity", monodromy.check_unitarity),
+        ("transpose", monodromy.check_transpose),
+        ("bootstrap", monodromy.check_bootstrap),
     ):
         def z_draw(rng, _i):
             z = random_z(rng)
@@ -99,7 +99,7 @@ def weights_suite(seed: int, draws: int) -> List[CheckResult]:
 
         results.append(_seeded(name, seed, draws, z_draw))
     special = CheckResult(name="special_points", total=1)
-    special.record(weights.check_special_points(), "fixed evaluation")
+    special.record(monodromy.check_special_points(), "fixed evaluation")
     results.append(special)
 
     def crossing_draw(rng, i):

@@ -1,5 +1,19 @@
-"""Dense references for the tests: explicit local factors, kernel-built
-operators, the dense amplitudes of a state and the literal wave formulas.
+"""Dense references for the tests: a dense exact matrix, the local weights
+as matrices, kernel-built operators, the dense amplitudes of a state and
+the literal wave formulas.
+
+``ExactMatrix`` is an immutable dense matrix of Fractions (a vector is a
+one-column matrix).  The local weights are plain ``ExactMatrix``es:
+``r_matrix`` and ``k_matrix`` the unit-normalised crossing and reflection
+weights, ``lax_matrix`` the unnormalised local factor of a monodromy on
+(auxiliary leg, site), ``site_transpose`` its partial transpose in the site
+leg and ``embed_pair`` a two-leg operator placed on two legs of a larger
+space.  The library applies the same weights as sparse integer kernels
+(``contraction._apply_move``, ``monodromy._lax_column``) and checks their
+local identities there; the tests compare those kernels with these
+matrices.  Conventions: state labels 1 and 2 are the basis vectors (1, 0)
+and (0, 1), and in a tensor product the first factor owns the most
+significant index, so the two-leg basis is (1,1), (1,2), (2,1), (2,2).
 
 An operator with an auxiliary leg is one ``ExactMatrix`` of size 2^(L+1) on
 (auxiliary leg, chain), the auxiliary leg most significant; ``aux_block``
@@ -20,18 +34,200 @@ closed chain (``closed_wave``).
 """
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 from sixvb.cba import WaveEngine
 from sixvb.errors import PoleError
-from sixvb.exact import ExactMatrix, rational
+from sixvb.exact import rational
 from sixvb.lattice import LatticeSpec, inhomogeneities
 from sixvb.monodromy import QuantumState, _row_kernel, double_row_on_state
 from sixvb.sampling import random_pairing, random_q, random_theta
-from sixvb.weights import embed_pair, lax_matrix
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+
+
+@dataclass(frozen=True)
+class ExactMatrix:
+    """Immutable dense matrix of rationals, stored row-major."""
+
+    entries: tuple
+
+    def __post_init__(self):
+        rows = tuple(
+            tuple(x if type(x) is Fraction else rational(x, "matrix entry") for x in row)
+            for row in self.entries
+        )
+        if rows:
+            width = len(rows[0])
+            if any(len(r) != width for r in rows):
+                raise ValueError("ragged rows in matrix literal")
+        object.__setattr__(self, "entries", rows)
+
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
+
+    @property
+    def cols(self) -> int:
+        return len(self.entries[0]) if self.entries else 0
+
+    @classmethod
+    def identity(cls, n: int) -> "ExactMatrix":
+        return cls(tuple(tuple(_F1 if i == j else _F0 for j in range(n)) for i in range(n)))
+
+    def __getitem__(self, key) -> Fraction:
+        i, j = key
+        return self.entries[i][j]
+
+    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError(
+                f"dimension mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
+            )
+        return ExactMatrix(
+            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries))
+        )
+
+    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
+        return self + other.scale(-1)
+
+    def __neg__(self) -> "ExactMatrix":
+        return self.scale(-1)
+
+    def scale(self, c) -> "ExactMatrix":
+        c = rational(c, "scale factor")
+        return ExactMatrix(tuple(tuple(c * a for a in row) for row in self.entries))
+
+    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
+        if self.cols != other.rows:
+            raise ValueError(
+                f"dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
+            )
+        rhs = other.entries
+        ncols = other.cols
+        out = []
+        for arow in self.entries:
+            acc = [_F0] * ncols
+            for k, a in enumerate(arow):
+                if a:
+                    brow = rhs[k]
+                    for j, b in enumerate(brow):
+                        if b:
+                            acc[j] += a * b
+            out.append(tuple(acc))
+        return ExactMatrix(tuple(out))
+
+    def tensor(self, other: "ExactMatrix") -> "ExactMatrix":
+        """Kronecker product; the left factor owns the most significant index.
+
+        Entry (i*n + k, j*m + l) equals A[i, j] * B[k, l] for B of shape n x m.
+        """
+        rows = []
+        for i in range(self.rows):
+            for k in range(other.rows):
+                rows.append(
+                    tuple(
+                        self.entries[i][j] * other.entries[k][l]
+                        for j in range(self.cols)
+                        for l in range(other.cols)
+                    )
+                )
+        return ExactMatrix(tuple(rows))
+
+
+# -- local weights as matrices --------------------------------------------------
+
+#: Permutation of two legs, P(v (x) w) = w (x) v.
+PERMUTATION = ExactMatrix(
+    ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1))
+)
+
+#: Two-leg singlet direction, Y^t = (0, +1, -1, 0).
+SINGLET_Y = (0, 1, -1, 0)
+
+#: Antisymmetric projector onto the singlet, (1/2)(I - P) = (1/2) Y Y^t.
+ANTISYMMETRIZER = ExactMatrix(
+    tuple(
+        tuple(Fraction(SINGLET_Y[i] * SINGLET_Y[j], 2) for j in range(4))
+        for i in range(4)
+    )
+)
+
+
+def r_matrix(theta) -> ExactMatrix:
+    """Crossing weights (theta + P) / (theta + 1); pole at theta = -1."""
+    theta = rational(theta, "theta")
+    if theta == -1:
+        raise PoleError("crossing weights have a pole at theta = -1")
+    d = theta + 1
+    t = theta
+    return ExactMatrix(
+        (
+            (_F1, _F0, _F0, _F0),
+            (_F0, t / d, _F1 / d, _F0),
+            (_F0, _F1 / d, t / d, _F0),
+            (_F0, _F0, _F0, _F1),
+        )
+    )
+
+
+def k_matrix(theta, q) -> ExactMatrix:
+    """Reflection weights for a line of rapidity theta; pole at q + theta = 0."""
+    theta, q = rational(theta, "theta"), rational(q, "q")
+    if q + theta == 0:
+        raise PoleError("reflection weights have a pole at q + theta = 0")
+    return ExactMatrix(((_F1, _F0), (_F0, (q - theta) / (q + theta))))
+
+
+def lax_matrix(z, conjugate: bool = False) -> ExactMatrix:
+    """Unnormalized local block on (auxiliary leg, site leg) as a 4x4 matrix.
+
+    Plain form: z*I + P.  Conjugate form: (z+1)*I - K where K has unit
+    entries exactly at rows (a,a) and columns (b,b).
+    """
+    z = rational(z, "z")
+    if not conjugate:
+        return ExactMatrix.identity(4).scale(z) + PERMUTATION
+    k = [[_F0] * 4 for _ in range(4)]
+    for i in (0, 3):
+        for j in (0, 3):
+            k[i][j] = _F1
+    return ExactMatrix.identity(4).scale(z + 1) - ExactMatrix(tuple(tuple(r) for r in k))
+
+
+def site_transpose(matrix: ExactMatrix) -> ExactMatrix:
+    """Partial transpose of a two-leg 4x4 operator in its second (site) leg."""
+    out = [[_F0] * 4 for _ in range(4)]
+    for a in range(2):
+        for s in range(2):
+            for b in range(2):
+                for t in range(2):
+                    out[2 * a + t][2 * b + s] = matrix[2 * a + s, 2 * b + t]
+    return ExactMatrix(tuple(tuple(r) for r in out))
+
+
+def embed_pair(matrix: ExactMatrix, nlegs: int, legs: tuple) -> ExactMatrix:
+    """Embed a two-leg 4x4 operator into an ``nlegs``-leg space (leg 0 highest)."""
+    i, j = legs
+    dim = 1 << nlegs
+    bi, bj = nlegs - 1 - i, nlegs - 1 - j
+    rest_mask = (dim - 1) ^ (1 << bi) ^ (1 << bj)
+    out = [[_F0] * dim for _ in range(dim)]
+    for row in range(dim):
+        a = ((row >> bi) & 1) * 2 + ((row >> bj) & 1)
+        base = row & rest_mask
+        for ap in range(2):
+            for bp in range(2):
+                val = matrix[a, 2 * ap + bp]
+                if val:
+                    col = base | (ap << bi) | (bp << bj)
+                    out[row][col] = val
+    return ExactMatrix(tuple(tuple(r) for r in out))
+
+
+# -- kernel-built operators and dense states -----------------------------------
 
 #: Similarity matrix exchanging a representation with its conjugate at one site.
 S_MATRIX = ExactMatrix(((0, 1), (-1, 0)))

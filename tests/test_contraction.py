@@ -13,7 +13,6 @@ from sixvb.contraction import (
     plan_moves,
 )
 from sixvb.errors import PoleError
-from sixvb.exact import ExactMatrix
 from sixvb.fixtures import figure_lattice, initial_condition
 from sixvb.lattice import (
     Chord,
@@ -27,14 +26,18 @@ from sixvb.lattice import (
 from sixvb.monodromy import QuantumState, external_component
 from sixvb.pipeline import ROUTES
 from sixvb.sampling import random_ice_config, random_spec
-from sixvb.weights import PERMUTATION, embed_pair, k_matrix, r_matrix
 
 from dense_reference import (
+    PERMUTATION,
     S_MATRIX,
+    ExactMatrix,
     aux_block,
     component,
     dense,
+    embed_pair,
+    k_matrix,
     lax_embed,
+    r_matrix,
     states_proportional,
     wide_spec,
 )
@@ -253,8 +256,8 @@ def _literal_move(theta, ends) -> ExactMatrix:
 
 
 class TestMoveAgainstLiteralProduct:
-    """Each weave move equals the literal operator product built from
-    ``weights``, for every pattern of end points on the two sites."""
+    """Each weave move equals the literal operator product of the dense
+    weights, for every pattern of end points on the two sites."""
 
     @pytest.mark.parametrize("ends", [(False, False), (False, True), (True, False), (True, True)])
     def test_one_move(self, ends):

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sixvb import aba, exact, weights
-from sixvb.exact import ExactMatrix, format_rational, parse_rational, rational
+from sixvb import aba, contraction, exact, monodromy
+from sixvb.exact import format_rational, parse_rational, rational
 from sixvb.fixtures import figure_lattice
 from sixvb.lattice import BetheRootSet, q_function
 from sixvb.monodromy import QuantumState, apply_open_b, reference_state
 
-from dense_reference import closed_wave, pair_factor
+from dense_reference import ExactMatrix, closed_wave, pair_factor
 
 _FIG = figure_lattice()
 
@@ -136,12 +136,12 @@ class TestRationalGate:
             pytest.param(lambda: closed_wave((0.5, "1/3"), (F(1, 4),), (1,)), id="closed-wave"),
             pytest.param(lambda: aba.h_a_coeff(0.5, "1/3"), id="h-a-coeff"),
             pytest.param(lambda: pair_factor(0.5, F(1, 3)), id="pair-factor"),
-            pytest.param(lambda: weights.r_matrix(0.5), id="r-matrix"),
+            pytest.param(lambda: contraction.check_ybe(0.5, F(1, 3), 0), id="check-ybe"),
             pytest.param(lambda: format_rational(0.5), id="format-float"),
             pytest.param(lambda: q_function(_FIG, "1/3"), id="q-function-str"),
             pytest.param(lambda: aba.bethe_state(_FIG, (0.1,)), id="bethe-state"),
             pytest.param(lambda: apply_open_b(_FIG, 0.5, reference_state(_FIG)), id="apply-open-b"),
-            pytest.param(lambda: weights.lax_matrix(True), id="bool"),
+            pytest.param(lambda: monodromy.check_unitarity(True), id="bool"),
         ],
     )
     def test_rejected(self, call):
@@ -151,7 +151,8 @@ class TestRationalGate:
     def test_int_argument_equals_fraction(self):
         assert rational(3, "x") == F(3) and type(rational(3, "x")) is F
         assert aba.h_a_coeff(2, F(1, 3)) == aba.h_a_coeff(F(2), F(1, 3))
-        assert weights.r_matrix(2) == weights.r_matrix(F(2))
+        assert contraction.check_bybe(2, F(1, 3), 5) and contraction.check_bybe(F(2), F(1, 3), F(5))
+        assert monodromy._r_rows(2) == monodromy._r_rows(F(2))
 
 
 class TestIntegerGate:

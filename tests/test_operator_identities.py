@@ -4,7 +4,9 @@ The draws here are new seeded draws, separate from those of ``sixvb verify``:
 the exchange relations, the creation-block expansion and reflection, and the
 crossing at L = 6 and at L = 8, the reflection algebra at L = 4 and at
 L = 6.  Each mutation breaks one ingredient of an identity, a coefficient or
-a kernel, and the check must then return False.
+a kernel, and the check must then return False.  The local identities of
+the weights are mutated through the kernels they run: the move kernel
+``contraction._apply_move`` and the site step ``monodromy._lax_column``.
 """
 
 import random
@@ -12,7 +14,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from sixvb import aba, cba, monodromy
+from sixvb import aba, cba, contraction, monodromy
 from sixvb.sampling import random_positive_pair, random_spec, random_z
 
 SHIFT = F(1, 7)
@@ -33,6 +35,12 @@ CHECKS = {
     "crossing": lambda spec, x, y, z: monodromy.check_crossing(spec, z),
     "reflection_algebra": lambda spec, x, y, z: monodromy.check_reflection_algebra(spec, x, y),
     "state_expansion": lambda spec, x, y, z: cba.check_state_expansion(spec, (x, y)),
+    "ybe": lambda spec, x, y, z: contraction.check_ybe(x, y, z),
+    "bybe": lambda spec, x, y, z: contraction.check_bybe(x, y, spec.boundary_q),
+    "unitarity": lambda spec, x, y, z: monodromy.check_unitarity(z),
+    "transpose": lambda spec, x, y, z: monodromy.check_transpose(z),
+    "bootstrap": lambda spec, x, y, z: monodromy.check_bootstrap(z),
+    "special_points": lambda spec, x, y, z: monodromy.check_special_points(),
 }
 
 COLUMN_CHECKS = ["fcr_open", "fcr_closed", "b_expansion", "b_reflection", "crossing"]
@@ -62,6 +70,14 @@ def _shifted_double_row_kernel(real):
     return lambda spec, z: real(spec, z + SHIFT)
 
 
+def _shifted_move(real):  # the crossing argument theta_d / d shifted by 1/d
+    return lambda vec, length, p, theta_d, d, one_end: real(vec, length, p, theta_d + 1, d, one_end)
+
+
+def _shifted_site_step(real):  # the site weight w / d shifted by 1/d
+    return lambda a, b, mask, w, d, conjugate: real(a, b, mask, w + 1, d, conjugate)
+
+
 MUTATIONS = [
     ("fcr_open", aba, "h_a_coeff", _shifted_coefficient),
     ("fcr_open", aba, "g_a_coeff", _shifted_coefficient),
@@ -78,9 +94,15 @@ MUTATIONS = [
     # the hat row at z + 1/7 against M(-z-1)
     ("crossing", monodromy, "_row_kernel",
      lambda real: lambda spec, z, hat: real(spec, z + SHIFT if hat else z, hat)),
-    ("reflection_algebra", monodromy, "r_matrix", lambda real: lambda theta: real(theta + SHIFT)),
+    ("reflection_algebra", monodromy, "_r_rows", lambda real: lambda theta: real(theta + SHIFT)),
     # U1 at x + 1/7 and U2 at y + 1/7 move x + y but not x - y
     ("reflection_algebra", monodromy, "_double_row_kernel", _shifted_double_row_kernel),
+    ("ybe", contraction, "_apply_move", _shifted_move),
+    ("bybe", contraction, "_apply_move", _shifted_move),
+    ("unitarity", monodromy, "_lax_column", _shifted_site_step),
+    ("transpose", monodromy, "_lax_column", _shifted_site_step),
+    ("bootstrap", monodromy, "_lax_column", _shifted_site_step),
+    ("special_points", monodromy, "_lax_column", _shifted_site_step),
 ]
 
 

@@ -1,5 +1,5 @@
-"""Every lattice shape at N <= 3, every pairing at N = 4, and the spin-flip
-relation across routes.
+"""Every lattice shape at N <= 3, every pairing at N = 4, a vertex-free
+product-state oracle, and the spin-flip relation across routes.
 
 A shape is a pairing of the perimeter points 1..2N into chords together
 with a reflected set.  The other tests draw their pairings at random, so a
@@ -16,6 +16,12 @@ normalised at the reference config, as ``sweep`` returns them, that gives
     Z(flip alpha, flip beta; -q) Z(all labels 2; q) = Z(alpha, beta; q).
 
 The genericity conditions are symmetric in q, so the -q lattice is valid.
+
+When no two chords cross and no reflected line lies inside another chord,
+no line meets another, so the invariant is the product of the two-site
+invariants of the lines, each placed at its chord's two sites: 1 at
+(1, 1) and at (2, 2), the latter times (q - theta)/(q + theta) for a
+reflected line.  That oracle uses no vertex weight at all.
 """
 
 import math
@@ -27,6 +33,7 @@ from sixvb.aba import solve_aba
 from sixvb.cba import cba_state
 from sixvb.contraction import build_invariant, plan_moves
 from sixvb.lattice import Chord, ExternalConfig, LatticeSpec, all_configs
+from sixvb.monodromy import QuantumState
 from sixvb.pipeline import METHODS, compute_report
 from sixvb.sampling import random_spec
 
@@ -100,6 +107,51 @@ def test_three_routes_agree_on_every_pairing_at_four_lines():
         spec = LatticeSpec(chords, drawn.reflected, drawn.rapidities, drawn.boundary_q)
         lowest_first = build_invariant(spec, plan_moves(spec, lowest_first=True))
         _assert_routes_agree(spec, lowest_first, solve_aba(spec).bethe_state, cba_state(spec))
+
+
+def _inside(inner: Chord, outer: Chord) -> bool:
+    """Both points of ``inner`` lie between the points of ``outer``."""
+    return outer.end < inner.end and inner.start < outer.start
+
+
+def non_crossing_shapes() -> tuple:
+    """Every non-crossing pairing at N <= 4 with every reflected set, drawn
+    as ``all_shapes`` draws, split into the specs in which no reflected line
+    lies inside another chord and those in which one does."""
+    free, enclosed = [], []
+    for n in range(1, 5):
+        for spec in all_shapes(n):
+            chords = spec.chords
+            if any(a.end < b.end < a.start < b.start for a in chords for b in chords):
+                continue
+            inside = any(_inside(chords[k - 1], c) for k in spec.reflected for c in chords)
+            (enclosed if inside else free).append(spec)
+    return free, enclosed
+
+
+def product_state(spec: LatticeSpec) -> QuantumState:
+    """The product of the two-site line invariants, line k at its chord's sites."""
+    q, entries = spec.boundary_q, {0: 1}
+    for k, chord in enumerate(spec.chords, start=1):
+        both = (1 << (spec.length - chord.start)) | (1 << (spec.length - chord.end))
+        theta = spec.rapidities[k - 1]
+        w22 = (q - theta) / (q + theta) if spec.is_reflected(k) else 1
+        entries = {**entries, **{i | both: x * w22 for i, x in entries.items()}}
+    return QuantumState(spec.length, entries)
+
+
+def test_routes_equal_the_product_state_where_no_line_meets_another():
+    free, enclosed = non_crossing_shapes()
+    assert (len(free), len(enclosed)) == (98, 176)
+    for spec in free:
+        product = product_state(spec).entries
+        negated = {i: -x for i, x in product.items()}
+        for state in (build_invariant(spec), solve_aba(spec).bethe_state, cba_state(spec)):
+            assert state.entries in (product, negated), spec
+    for spec in enclosed:
+        product = product_state(spec).entries
+        negated = {i: -x for i, x in product.items()}
+        assert build_invariant(spec).entries not in (product, negated), spec
 
 
 def _flip(config: ExternalConfig) -> ExternalConfig:

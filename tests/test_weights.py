@@ -1,29 +1,35 @@
+"""The local weights: their dense matrices, and the local identities that
+the library checks on its kernels (``contraction._apply_move`` for the
+crossing and reflection weights, ``monodromy._lax_column`` for the local
+factor of a monodromy)."""
+
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from sixvb import weights
+from sixvb import monodromy
+from sixvb.contraction import check_bybe, check_ybe
 from sixvb.errors import PoleError
-from sixvb.exact import ExactMatrix
-from sixvb.weights import (
-    ANTISYMMETRIZER,
-    PERMUTATION,
-    SINGLET_Y,
+from sixvb.monodromy import (
     check_bootstrap,
-    check_bybe,
     check_special_points,
     check_transpose,
     check_unitarity,
-    check_ybe,
+)
+
+from dense_reference import (
+    ANTISYMMETRIZER,
+    PERMUTATION,
+    S_MATRIX,
+    SINGLET_Y,
+    ExactMatrix,
     embed_pair,
     k_matrix,
     lax_matrix,
     r_matrix,
     site_transpose,
 )
-
-from dense_reference import S_MATRIX
 
 
 class TestRMatrix:
@@ -40,6 +46,13 @@ class TestRMatrix:
     def test_pole(self):
         with pytest.raises(PoleError):
             r_matrix(F(-1))
+        with pytest.raises(PoleError):
+            monodromy._r_rows(F(-1))
+
+    @pytest.mark.parametrize("theta", [F(0), F(5, 17), F(-3, 2), F(4)])
+    def test_integer_rows_of_the_reflection_algebra(self, theta):
+        scale = theta.denominator * (theta + 1)
+        assert ExactMatrix(tuple(map(tuple, monodromy._r_rows(theta)))) == r_matrix(theta).scale(scale)
 
     def test_middle_block_row_sums(self):
         rng = random.Random(1)
@@ -134,9 +147,21 @@ class TestLocalBlocks:
             assert check_bootstrap(z)
 
     def test_bootstrap_fails_with_shifted_local_blocks(self, monkeypatch):
-        real = weights.lax_matrix
-        monkeypatch.setattr(weights, "lax_matrix", lambda z, conjugate=False: real(z + F(1, 7), conjugate))
+        real = monodromy._lax_column
+        monkeypatch.setattr(
+            monodromy,
+            "_lax_column",
+            lambda a, b, mask, w, d, conjugate: real(a, b, mask, w + 1, d, conjugate),  # z + 1/7
+        )
         assert not check_bootstrap(F(2, 7))
+
+    @pytest.mark.parametrize("conjugate", [False, True])
+    @pytest.mark.parametrize("z", [F(0), F(-1), F(2, 7), F(-9, 4)])
+    def test_kernel_factor_is_the_dense_block(self, z, conjugate):
+        """The site step the local checks run is d times ``lax_matrix``."""
+        rows = monodromy._local_rows(z.numerator, z.denominator, conjugate)
+        want = lax_matrix(z, conjugate).scale(z.denominator)
+        assert ExactMatrix(tuple(map(tuple, rows))) == want
 
     def test_special_points(self):
         assert check_special_points()
