@@ -38,7 +38,7 @@ def _load_spec(path: str) -> LatticeSpec:
         raise SystemExit(_input_error(f"cannot read {path}: {exc}"))
     except InvalidSpecError:
         raise
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, RecursionError) as exc:
         raise SystemExit(_input_error(f"malformed lattice file {path}: {exc}"))
 
 

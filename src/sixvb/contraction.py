@@ -7,9 +7,11 @@ by a planned sequence of adjacent endpoint swaps.  A swap at sites
 ``swap . C R(theta) C^{-1}`` with R = (theta + P)/(theta + 1) and C the
 rotation S at whichever sites hold an end point; in closed form that is
 ``(theta P + X)/(theta + 1)``, X = I when neither or both sites hold an
-end point and X = S^{-1} (x) S otherwise.  The overall scalar picked up
-along the way is irrelevant because the partition function is a ratio of
-components.
+end point and X = S^{-1} (x) S otherwise.  The numerator is P L(theta),
+or P Lbar(theta) with an end point: the row kernels' site step
+``monodromy._lax_column``, then the exchange of the two sites, so
+``direct`` and ``aba`` apply one site kernel.  The overall scalar is
+irrelevant because the partition function is a ratio of components.
 
 The weave runs fraction-free on the entries of a
 :class:`sixvb.monodromy.QuantumState`: a dict from index to nonzero
@@ -18,11 +20,11 @@ denominators of the inhomogeneities, every theta is Theta/D for an integer
 Theta, so a move applies ``Theta P + D X`` to the integers and multiplies
 the scale by 1/(Theta + D).
 
-The two local identities of the weights run on that move kernel as well:
-the braid (Yang-Baxter) relation of three crossings, with end points
-(``check_ybe``), and the reflection equation of two crossings and two
-reflections (``check_bybe``), each compared as integer vectors on every
-basis vector.
+The two local identities of the weights run on that move, and so on
+``_lax_column``, as well: the braid (Yang-Baxter) relation of three
+crossings, with end points (``check_ybe``), and the reflection equation of
+two crossings and two reflections (``check_bybe``), each compared as
+integer vectors on every basis vector.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Optional
 from .errors import PoleError
 from .exact import rational
 from .lattice import LatticeSpec, inhomogeneities, initial_spec, is_initial
-from .monodromy import QuantumState
+from .monodromy import QuantumState, _lax_column
 
 
 def line_invariant() -> QuantumState:
@@ -138,39 +140,38 @@ def _apply_move(vec: dict, length: int, p: int, theta: int, d: int, one_end: boo
     With theta the crossing argument scaled by d, the swap is
     ``(theta P + d X)/(theta + d)``; this applies its numerator, so the
     caller moves 1/(theta + d) into the scale.  X is the identity unless
-    exactly one of the two sites holds an end point; then X = S^{-1} (x) S
-    sends |11> -> -|22>, |22> -> -|11> and swaps |12>, |21>.  Either way an
-    amplitude feeds only itself and its partner with both sites flipped.
+    exactly one of the two sites holds an end point; then X = S^{-1} (x) S.
+    Since theta P + d I = P L(theta) and theta P + d S^{-1} (x) S =
+    P Lbar(theta), the numerator is the site step ``_lax_column`` with site
+    p as its auxiliary leg, followed by the exchange of the two sites.
     """
     if theta + d == 0:
         raise PoleError("crossing factor evaluated at its pole theta = -1")
     lo = 1 << (length - p - 1)
     hi = lo << 1
-    both = hi | lo
-    # (self, partner) coefficients for equal (|11>, |22>) and mixed site states
-    equal, mixed = ((theta, -d), (0, theta + d)) if one_end else ((theta + d, 0), (d, theta))
-    coeffs = {0: equal, both: equal, hi: mixed, lo: mixed}
-    out = {}
+    a, b = {}, {}
     for i, x in vec.items():
-        c_self, c_pair = coeffs[i & both]
-        if c_self:
-            out[i] = out.get(i, 0) + c_self * x
-        if c_pair:
-            j = i ^ both
-            out[j] = out.get(j, 0) + c_pair * x
-    return {i: x for i, x in out.items() if x}
+        if i & hi:
+            b[i ^ hi] = x
+        else:
+            a[i] = x
+    a, b = _lax_column(a, b, lo, theta, d, one_end)
+    out = {}  # the exchange: site p takes site p+1's bit, site p+1 the row's
+    for row, leg in ((a, 0), (b, lo)):
+        for i, x in row.items():
+            out[(i ^ hi ^ lo if i & lo else i) ^ leg] = x
+    return out
 
 
 def build_invariant(spec: LatticeSpec, plan: Optional[MoveSequence] = None) -> QuantumState:
     """Weave the nested-pairing invariant into the invariant of the target.
 
-    Each move makes one pass over the state, applying at its position p
-    ``(theta P + X)/(theta + 1)`` with theta its argument, which equals
-    ``swap . C R(theta) C^{-1}`` (X = S^{-1} (x) S when the move holds
-    ``one_end``, else X = I).  The state is exact throughout: an integer
-    vector and one scale, with every theta scaled by d, the lcm of the
-    denominators of the inhomogeneities.  Its overall normalization is
-    arbitrary.  A plan made for another lattice raises ``ValueError``.
+    Each move applies ``swap . C R(theta) C^{-1}`` at its position p, with
+    theta its argument, through ``_apply_move``.  The state is exact
+    throughout: an integer vector and one scale, with every theta scaled by
+    d, the lcm of the denominators of the inhomogeneities.  Its overall
+    normalization is arbitrary.  A plan made for another lattice raises
+    ``ValueError``.
     """
     if plan is None:
         plan = plan_moves(spec)
@@ -197,31 +198,28 @@ def check_ybe(theta1, theta2, theta3) -> bool:
     ``one_end`` when the end flags of its two sites differ, and both the
     values and the flags travel with the swaps.  The two weaves must agree
     on every basis vector for every pattern of end points; site 3 is kept a
-    non-end, since a pattern and its complement give the same flags.  Both
-    apply the same three arguments, so their denominators cancel and the
-    integer vectors are compared.  Raises PoleError when any difference is -1.
+    non-end, since a pattern and its complement give the same flags.  The
+    basis vectors are woven at once, as sum_j e_j (x) e_j with the copy on
+    three spectator sites, whose columns are the single weaves.  Both apply
+    the same three arguments, so their denominators cancel and the integer
+    vectors are compared.  Raises PoleError when any difference is -1.
     """
     t1, t2, t3 = (rational(t, "theta") for t in (theta1, theta2, theta3))
     d = lcm(t1.denominator, t2.denominator, t3.denominator)
+    basis = {j << 3 | j: 1 for j in range(8)}  # sum_j e_j (x) e_j
 
-    def plan(positions, ends):  # (p, scaled argument, one_end) per swap
-        v, ends, moves = [int(t * d) for t in (t3, t2, t1)], list(ends), []
+    def weave(positions, ends):
+        v, ends, vec = [int(t * d) for t in (t3, t2, t1)], list(ends), basis
         for p in positions:
-            moves.append((p, v[p] - v[p - 1], ends[p - 1] != ends[p]))
+            vec = _apply_move(vec, 6, p, v[p] - v[p - 1], d, ends[p - 1] != ends[p])
             v[p - 1], v[p] = v[p], v[p - 1]
             ends[p - 1], ends[p] = ends[p], ends[p - 1]
-        return moves
-
-    def weave(vec, moves):
-        for p, theta, one_end in moves:
-            vec = _apply_move(vec, 3, p, theta, d, one_end)
         return vec
 
-    for ends in product((False, True), (False, True), (False,)):
-        left, right = plan((1, 2, 1), ends), plan((2, 1, 2), ends)
-        if any(weave({j: 1}, left) != weave({j: 1}, right) for j in range(8)):
-            return False
-    return True
+    return all(
+        weave((1, 2, 1), ends) == weave((2, 1, 2), ends)
+        for ends in product((False, True), (False, True), (False,))
+    )
 
 
 def check_bybe(theta1, theta2, q) -> bool:
@@ -231,7 +229,8 @@ def check_bybe(theta1, theta2, q) -> bool:
     b = t1 + t2, Rc the swap of ``_apply_move`` without end points and K1
     the reflection weights on site 1 as the integers (Q + T, Q - T), q and t
     scaled by d as the boundary of the double row.  Each side holds each
-    factor once, so the integer vectors are compared.  Raises PoleError at
+    factor once, so the integer vectors are compared, on every basis vector
+    at once as in ``check_ybe`` (two spectator sites).  Raises PoleError at
     q + t = 0, as ``boundary_line_invariant`` does, and where a or b is -1.
     """
     t1, t2, q = rational(theta1, "theta1"), rational(theta2, "theta2"), rational(q, "q")
@@ -241,15 +240,14 @@ def check_bybe(theta1, theta2, q) -> bool:
     a, b = int((t1 - t2) * d), int((t1 + t2) * d)
 
     def swap(vec, theta):
-        return _apply_move(vec, 2, 1, theta, d, False)
+        return _apply_move(vec, 4, 1, theta, d, False)
 
     def reflect(vec, t):
         k = int((q + t) * d), int((q - t) * d)  # site 1 in state 1, 2
-        out = {i: k[i >> 1] * x for i, x in vec.items()}
+        out = {i: k[i >> 3] * x for i, x in vec.items()}
         return {i: x for i, x in out.items() if x}
 
-    return all(
-        swap(reflect(swap(reflect({j: 1}, t2), b), t1), a)
-        == reflect(swap(reflect(swap({j: 1}, a), t1), b), t2)
-        for j in range(4)
+    basis = {j << 2 | j: 1 for j in range(4)}
+    return swap(reflect(swap(reflect(basis, t2), b), t1), a) == reflect(
+        swap(reflect(swap(basis, a), t1), b), t2
     )

@@ -323,13 +323,13 @@ def initial_pairing(n: int) -> tuple:
 
 
 def initial_spec(spec: LatticeSpec) -> LatticeSpec:
-    """The same lines, reflections and parameters on the nested pairing."""
-    return LatticeSpec(
-        chords=initial_pairing(spec.n),
-        reflected=spec.reflected,
-        rapidities=spec.rapidities,
-        boundary_q=spec.boundary_q,
-    )
+    """The same lines, reflections and parameters on the nested pairing: valid
+    because ``spec`` is, so the fields are set without validating again."""
+    out = object.__new__(LatticeSpec)
+    fields = out.__dict__
+    fields["chords"], fields["reflected"] = initial_pairing(spec.n), spec.reflected
+    fields["rapidities"], fields["boundary_q"] = spec.rapidities, spec.boundary_q
+    return out
 
 
 def is_initial(spec: LatticeSpec) -> bool:

@@ -19,7 +19,8 @@ four blocks on a state come from the columns (v, 0) and (0, v), and every
 operator identity runs the kernels on each basis vector and on the vectors
 they produce from it.  The local identities of one site factor (unitarity,
 transpose, bootstrap and special points) run the site step ``_lax_column``
-itself on the four basis columns of one site.
+itself on the four basis columns of one site.  A weave move of
+:mod:`sixvb.contraction` is this step too, as P L(theta) or P Lbar(theta).
 
 The primitive is fraction-free and sparse.  A chain vector is a
 :class:`QuantumState`: a dict from index to nonzero ``int`` and one exact

@@ -8,12 +8,14 @@ one-column matrix).  The local weights are plain ``ExactMatrix``es:
 weights, ``lax_matrix`` the unnormalised local factor of a monodromy on
 (auxiliary leg, site), ``site_transpose`` its partial transpose in the site
 leg and ``embed_pair`` a two-leg operator placed on two legs of a larger
-space.  The library applies the same weights as sparse integer kernels
-(``contraction._apply_move``, ``monodromy._lax_column``) and checks their
-local identities there; the tests compare those kernels with these
-matrices.  Conventions: state labels 1 and 2 are the basis vectors (1, 0)
-and (0, 1), and in a tensor product the first factor owns the most
-significant index, so the two-leg basis is (1,1), (1,2), (2,1), (2,2).
+space.  The library applies the same weights as one sparse integer site
+kernel, ``monodromy._lax_column`` (a weave move,
+``contraction._apply_move``, is that step as P L(theta) or P Lbar(theta)),
+and checks their local identities there; the tests compare those kernels
+with these matrices.  Conventions: state labels 1 and 2 are the basis
+vectors (1, 0) and (0, 1), and in a tensor product the first factor owns
+the most significant index, so the two-leg basis is (1,1), (1,2), (2,1),
+(2,2).
 
 An operator with an auxiliary leg is one ``ExactMatrix`` of size 2^(L+1) on
 (auxiliary leg, chain), the auxiliary leg most significant; ``aux_block``

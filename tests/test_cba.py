@@ -54,8 +54,8 @@ def line_spec(reflected=False, theta=F(1, 3), q=F(2)):
     )
 
 
-def brute_wave_sums(v, roots, q) -> dict:
-    """The wave sum by its definition, all 2^m * m! terms, at every position set."""
+def literal_terms(v, roots, q) -> dict:
+    """The 2^m * m! terms of the wave sum by its definition, at every position set."""
     m = len(roots)
     terms = []
     for bits in range(1 << m):
@@ -71,12 +71,14 @@ def brute_wave_sums(v, roots, q) -> dict:
         return phi[z, x]
 
     return {
-        x: sum(
-            (math.prod((phi_at(z, xi) for xi, z in zip(x, perm)), start=amp) for amp, perm in terms),
-            F(0),
-        )
+        x: [math.prod((phi_at(z, xi) for xi, z in zip(x, perm)), start=amp) for amp, perm in terms]
         for x in itertools.combinations(range(1, len(v) + 1), m)
     }
+
+
+def brute_wave_sums(v, roots, q) -> dict:
+    """The wave sum by its definition at every position set."""
+    return {x: sum(terms, F(0)) for x, terms in literal_terms(v, roots, q).items()}
 
 
 def off_shell_roots(rng, m):
@@ -224,6 +226,32 @@ class TestWaveFunction:
     def test_int_roots_equal_fraction_roots(self):
         spec = crossed_spec()
         assert wave_function(spec, (2, 3), (1, 2)) == wave_function(spec, (F(2), F(3)), (1, 2))
+
+
+class TestBaxterTermCount:
+    """Baxter's sum of N! terms.  An unreflected line k has the canonical
+    root -theta_k, which cancels the factor z + v_start of its start site,
+    so every wave factor of that image, 2(k - 1), is 0."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_zero_wave_columns_are_the_unreflected_roots(self, n):
+        for seed in range(3):
+            spec = random_spec(random.Random(1000 * n + seed), n)
+            phi = spec_wave_engine(spec)._phi
+            zero = {w for w in range(2 * n) if not any(row[w] for row in phi)}
+            assert zero == {2 * (k - 1) for k in range(1, n + 1) if not spec.is_reflected(k)}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_no_reflected_line_leaves_at_most_n_factorial_terms(self, n):
+        drawn = random_spec(random.Random(1100 + n), n)
+        spec = LatticeSpec(drawn.chords, frozenset(), drawn.rapidities, drawn.boundary_q)
+        terms = literal_terms(
+            inhomogeneities(spec), canonical_bethe_roots(spec).roots, spec.boundary_q
+        )
+        counts = [sum(1 for t in ts if t) for ts in terms.values()]
+        assert all(len(ts) == 2**n * math.factorial(n) for ts in terms.values())
+        assert max(counts) <= math.factorial(n)
+        assert any(counts)
 
 
 class TestClosedWave:

@@ -246,6 +246,13 @@ class TestStrictInput:
         assert main(["validate", path]) == 2
         assert main(["compute", path]) == 2
 
+    def test_deeply_nested_json_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
+        assert main(["compute", str(path)]) == 2
+        assert "malformed lattice file" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_small_run_passes(self, capsys):

@@ -5,8 +5,10 @@ the exchange relations, the creation-block expansion and reflection, and the
 crossing at L = 6 and at L = 8, the reflection algebra at L = 4 and at
 L = 6.  Each mutation breaks one ingredient of an identity, a coefficient or
 a kernel, and the check must then return False.  The local identities of
-the weights are mutated through the kernels they run: the move kernel
-``contraction._apply_move`` and the site step ``monodromy._lax_column``.
+the weights are mutated through the kernels they run: the weave move
+``contraction._apply_move``, and the one site step ``monodromy._lax_column``
+that the move runs as P L(theta) or P Lbar(theta), patched both where
+``contraction`` looks it up and in ``monodromy``.
 """
 
 import random
@@ -16,6 +18,8 @@ import pytest
 
 from sixvb import aba, cba, contraction, monodromy
 from sixvb.sampling import random_positive_pair, random_spec, random_z
+
+from dense_reference import states_proportional
 
 SHIFT = F(1, 7)
 
@@ -99,6 +103,9 @@ MUTATIONS = [
     ("reflection_algebra", monodromy, "_double_row_kernel", _shifted_double_row_kernel),
     ("ybe", contraction, "_apply_move", _shifted_move),
     ("bybe", contraction, "_apply_move", _shifted_move),
+    # the site step as the move kernel looks it up
+    ("ybe", contraction, "_lax_column", _shifted_site_step),
+    ("bybe", contraction, "_lax_column", _shifted_site_step),
     ("unitarity", monodromy, "_lax_column", _shifted_site_step),
     ("transpose", monodromy, "_lax_column", _shifted_site_step),
     ("bootstrap", monodromy, "_lax_column", _shifted_site_step),
@@ -116,6 +123,14 @@ def test_mutation_makes_the_check_fail(monkeypatch, name, module, member, mutant
     assert CHECKS[name](*draw)
     monkeypatch.setattr(module, member, mutant(getattr(module, member)))
     assert not CHECKS[name](*draw)
+
+
+def test_site_step_mutant_breaks_the_weave(monkeypatch):
+    spec = random_spec(random.Random(11), 3)
+    bethe = aba.solve_aba(spec).bethe_state
+    assert states_proportional(contraction.build_invariant(spec), bethe)
+    monkeypatch.setattr(contraction, "_lax_column", _shifted_site_step(contraction._lax_column))
+    assert not states_proportional(contraction.build_invariant(spec), bethe)
 
 
 def test_integer_coefficients_share_one_positive_factor():

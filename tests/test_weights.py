@@ -1,7 +1,8 @@
 """The local weights: their dense matrices, and the local identities that
-the library checks on its kernels (``contraction._apply_move`` for the
-crossing and reflection weights, ``monodromy._lax_column`` for the local
-factor of a monodromy)."""
+the library checks on its one site kernel ``monodromy._lax_column``: the
+crossing and reflection weights through the weave move
+``contraction._apply_move``, which is P L(theta) or P Lbar(theta), and the
+local factor of a monodromy directly."""
 
 import random
 from fractions import Fraction as F
