@@ -1,9 +1,11 @@
 """Direct construction of invariant states by weaving crossing weights.
 
-The nested pairing admits an explicit invariant: a tensor product of
-two-site line and reflected-line solutions.  Any other pairing is reached
-by a planned sequence of adjacent endpoint swaps.  A swap at sites
-(p, p+1) with argument theta = v_{p+1} - v_p applies
+The lines of a lattice placed on the nested pairing have an explicit
+invariant: a tensor product of two-site line and reflected-line solutions.
+The nested pairing is only a layout of the target's own endpoints, and the
+target is reached from it by a planned sequence of adjacent endpoint swaps,
+each endpoint carrying its inhomogeneity and end flag along (``_swaps``).
+A swap at sites (p, p+1) with argument theta = v_{p+1} - v_p applies
 ``swap . C R(theta) C^{-1}`` with R = (theta + P)/(theta + 1) and C the
 rotation S at whichever sites hold an end point; in closed form that is
 ``(theta P + X)/(theta + 1)``, X = I when neither or both sites hold an
@@ -22,9 +24,10 @@ the scale by 1/(Theta + D).
 
 The two local identities of the weights run on that move, and so on
 ``_lax_column``, as well: the braid (Yang-Baxter) relation of three
-crossings, with end points (``check_ybe``), and the reflection equation of
-two crossings and two reflections (``check_bybe``), each compared as
-integer vectors on every basis vector.
+crossings, with end points (``check_ybe``, whose swaps come from the
+planner's own ``_swaps``), and the reflection equation of two crossings and
+two reflections (``check_bybe``), each compared as integer vectors on every
+basis vector.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Optional
 
 from .errors import PoleError
 from .exact import rational
-from .lattice import LatticeSpec, inhomogeneities, initial_spec, is_initial
+from .lattice import LatticeSpec, inhomogeneities
 from .monodromy import QuantumState, _lax_column
 
 
@@ -56,13 +59,13 @@ def boundary_line_invariant(theta, q) -> QuantumState:
 
 
 def initial_invariant(spec: LatticeSpec) -> QuantumState:
-    """Tensor product of two-site invariants for the nested pairing.
+    """The invariant of the lines of ``spec`` placed on the nested pairing:
+    a tensor product of two-site invariants.
 
     Line k occupies sites (2(N-k)+1, 2(N-k)+2), so line N fills the most
-    significant pair and line 1 the least significant one.
+    significant pair and line 1 the least significant one.  Only the lines'
+    rapidities, their reflections and q enter, not the pairing of ``spec``.
     """
-    if not is_initial(spec):
-        raise ValueError("initial invariant requires the nested pairing")
     state = QuantumState(0, {0: 1})
     for k in range(spec.n, 0, -1):
         local = (
@@ -88,50 +91,48 @@ class Move:
 @dataclass(frozen=True)
 class MoveSequence:
     moves: tuple
-    source: LatticeSpec
     target: LatticeSpec
 
 
-def _endpoint_layout(spec: LatticeSpec):
-    """Per-position endpoint descriptors: (line, is_end), inhomogeneity value."""
-    owner = [None] * spec.length
-    for k, chord in enumerate(spec.chords, start=1):
-        owner[chord.start - 1] = (k, False)
-        owner[chord.end - 1] = (k, True)
-    return owner, list(inhomogeneities(spec))
+def _swaps(v: list, ends: list, positions):
+    """Each swap of sites (p, p+1) in ``positions`` as (p, v[p] - v[p-1],
+    one_end), with ``one_end`` set when exactly one of the two sites is an
+    end point in ``ends``; values and end flags travel with the swaps, on
+    copies of ``v`` and ``ends``."""
+    v, ends = list(v), list(ends)
+    for p in positions:
+        yield p, v[p] - v[p - 1], ends[p - 1] != ends[p]
+        v[p - 1], v[p] = v[p], v[p - 1]
+        ends[p - 1], ends[p] = ends[p], ends[p - 1]
 
 
 def plan_moves(spec: LatticeSpec, lowest_first: bool = False) -> MoveSequence:
     """Deterministic adjacent-swap plan from the nested pairing to the target.
 
-    The default strategy places the endpoint belonging to the highest
-    position first; ``lowest_first`` gives an alternative plan used to
-    exercise independence of the result from the route.  Neither strategy
-    ever swaps the two endpoints of the same line, so no crossing factor is
-    evaluated at its pole.
+    The target's endpoint table gives the (line, is_end) owner of each site;
+    the nested layout is the same endpoints in the order
+    (N, end), (N, start), ..., (1, end), (1, start), each keeping its
+    inhomogeneity.  The default strategy places the endpoint belonging to
+    the highest position first; ``lowest_first`` gives an alternative plan
+    used to exercise independence of the result from the route.  Neither
+    strategy ever swaps the two endpoints of the same line, so no crossing
+    factor is evaluated at its pole.
     """
-    source = initial_spec(spec)
-    target_owner, _ = _endpoint_layout(spec)
-    owner, v = _endpoint_layout(source)
-    moves = []
-
-    def emit(p):  # swap positions p, p+1 (1-based p)
-        moves.append(Move(p, v[p] - v[p - 1], owner[p - 1][1] != owner[p][1]))
-        owner[p - 1], owner[p] = owner[p], owner[p - 1]
-        v[p - 1], v[p] = v[p], v[p - 1]
-
     length = spec.length
-    if lowest_first:
-        for pos in range(1, length + 1):
-            cur = owner.index(target_owner[pos - 1]) + 1
-            for p in range(cur - 1, pos - 1, -1):
-                emit(p)
-    else:
-        for pos in range(length, 0, -1):
-            cur = owner.index(target_owner[pos - 1]) + 1
-            for p in range(cur, pos):
-                emit(p)
-    return MoveSequence(moves=tuple(moves), source=source, target=spec)
+    target = [None] * length
+    for k, chord in enumerate(spec.chords, start=1):
+        target[chord.start - 1] = (k, False)
+        target[chord.end - 1] = (k, True)
+    value = dict(zip(target, inhomogeneities(spec)))
+    nested = [(k, end) for k in range(spec.n, 0, -1) for end in (True, False)]
+    owner, positions = list(nested), []
+    # each target endpoint in turn is carried to its site by adjacent swaps
+    for pos in range(1, length + 1) if lowest_first else range(length, 0, -1):
+        cur = owner.index(target[pos - 1]) + 1
+        positions.extend(range(cur - 1, pos - 1, -1) if lowest_first else range(cur, pos))
+        owner.insert(pos - 1, owner.pop(cur - 1))
+    v, ends = [value[o] for o in nested], [end for _, end in nested]
+    return MoveSequence(moves=tuple(Move(*swap) for swap in _swaps(v, ends, positions)), target=spec)
 
 
 def _apply_move(vec: dict, length: int, p: int, theta: int, d: int, one_end: bool) -> dict:
@@ -178,7 +179,7 @@ def build_invariant(spec: LatticeSpec, plan: Optional[MoveSequence] = None) -> Q
     elif plan.target != spec:
         raise ValueError("move plan was made for another lattice")
     d = lcm(*(x.denominator for x in inhomogeneities(spec)))
-    initial = initial_invariant(plan.source)
+    initial = initial_invariant(spec)
     vec, den = initial.entries, 1
     for move in plan.moves:
         theta_d = int(move.argument * d)
@@ -193,10 +194,10 @@ def check_ybe(theta1, theta2, theta3) -> bool:
     """Braid form of the crossing-exchange identity on a 3-site chain.
 
     The chain starts with the inhomogeneities (t3, t2, t1); the swaps at
-    positions (1, 2, 1) and at (2, 1, 2) both reverse it.  As in
-    ``plan_moves``, a swap at p has the argument v[p] - v[p-1] and holds
-    ``one_end`` when the end flags of its two sites differ, and both the
-    values and the flags travel with the swaps.  The two weaves must agree
+    positions (1, 2, 1) and at (2, 1, 2) both reverse it.  Each weave takes
+    its arguments and end patterns from ``_swaps``, the rule ``plan_moves``
+    builds its moves with, so this check certifies the planner's
+    bookkeeping as well as the move.  The two weaves must agree
     on every basis vector for every pattern of end points; site 3 is kept a
     non-end, since a pattern and its complement give the same flags.  The
     basis vectors are woven at once, as sum_j e_j (x) e_j with the copy on
@@ -209,11 +210,9 @@ def check_ybe(theta1, theta2, theta3) -> bool:
     basis = {j << 3 | j: 1 for j in range(8)}  # sum_j e_j (x) e_j
 
     def weave(positions, ends):
-        v, ends, vec = [int(t * d) for t in (t3, t2, t1)], list(ends), basis
-        for p in positions:
-            vec = _apply_move(vec, 6, p, v[p] - v[p - 1], d, ends[p - 1] != ends[p])
-            v[p - 1], v[p] = v[p], v[p - 1]
-            ends[p - 1], ends[p] = ends[p], ends[p - 1]
+        vec = basis
+        for p, theta, one_end in _swaps([int(t * d) for t in (t3, t2, t1)], ends, positions):
+            vec = _apply_move(vec, 6, p, theta, d, one_end)
         return vec
 
     return all(

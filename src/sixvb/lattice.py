@@ -322,20 +322,6 @@ def initial_pairing(n: int) -> tuple:
     return tuple(Chord(2 * n - 2 * k, 2 * n - 2 * k - 1) for k in range(n))
 
 
-def initial_spec(spec: LatticeSpec) -> LatticeSpec:
-    """The same lines, reflections and parameters on the nested pairing: valid
-    because ``spec`` is, so the fields are set without validating again."""
-    out = object.__new__(LatticeSpec)
-    fields = out.__dict__
-    fields["chords"], fields["reflected"] = initial_pairing(spec.n), spec.reflected
-    fields["rapidities"], fields["boundary_q"] = spec.rapidities, spec.boundary_q
-    return out
-
-
-def is_initial(spec: LatticeSpec) -> bool:
-    return spec.chords == initial_pairing(spec.n)
-
-
 # -- JSON forms (bit-exact: every rational travels as a "p/q" string) --------
 
 def spec_to_dict(spec: LatticeSpec) -> dict:

@@ -15,6 +15,7 @@ from sixvb.aba import (
     unwanted_terms,
     unwanted_terms_from_fcr,
 )
+from sixvb.contraction import build_invariant
 from sixvb.errors import PoleError
 from sixvb.fixtures import figure_lattice
 from sixvb.lattice import (
@@ -26,7 +27,13 @@ from sixvb.lattice import (
     reference_config,
     sweep,
 )
-from sixvb.monodromy import external_component, reference_state
+from sixvb.monodromy import (
+    QuantumState,
+    double_row_on_state,
+    external_component,
+    lambda_value,
+    reference_state,
+)
 from sixvb.pipeline import ROUTES
 from sixvb.sampling import random_spec, random_z
 
@@ -132,6 +139,77 @@ class TestInvariance:
     def test_rejects_non_invariant_state(self):
         spec = line_spec(theta=F(2, 7), q=F(4, 5))
         assert not check_invariance(spec, reference_state(spec), F(1, 5))
+
+
+_PRIME = (1 << 61) - 1
+
+
+def _mod_p(x: F) -> int:
+    return x.numerator * pow(x.denominator, -1, _PRIME) % _PRIME
+
+
+def _rank_mod_p(vectors) -> int:
+    """Rank modulo ``_PRIME`` of sparse vectors, dicts from key to residue."""
+    basis = []  # (pivot, vector): vector[pivot] == 1, zero at every earlier pivot
+    for vec in vectors:
+        vec = {k: x for k, x in vec.items() if x}
+        for pivot, b in basis:
+            c = vec.get(pivot)
+            if c:
+                for k, x in b.items():
+                    y = (vec.get(k, 0) - c * x) % _PRIME
+                    if y:
+                        vec[k] = y
+                    else:
+                        vec.pop(k, None)
+        if vec:
+            pivot = next(iter(vec))
+            inv = pow(vec[pivot], -1, _PRIME)
+            basis.append((pivot, {k: x * inv % _PRIME for k, x in vec.items()}))
+    return len(basis)
+
+
+def _condition_nullity(spec, z, blocks=((0, 1), (1, 0), (0, 0), (1, 1))) -> int:
+    """Nullity modulo ``_PRIME`` of the invariance conditions at z on all 2^L
+    chain states: B, C, A - Lambda(z)(q+z) and D - Lambda(z)(q-z) stacked,
+    one column per basis vector e_j from ``double_row_on_state``."""
+    lam, q = lambda_value(spec, z), spec.boundary_q
+    shift = {(0, 0): lam * (q + z), (1, 1): lam * (q - z)}
+    dim = 1 << spec.length
+    columns = []
+    for j in range(dim):
+        rows = double_row_on_state(spec, z, QuantumState(spec.length, {j: 1}))
+        column = {}
+        for r, c in blocks:
+            state = rows[r][c]
+            block = {i: x * state.scale for i, x in state.entries.items()}
+            if (r, c) in shift:
+                block[j] = block.get(j, 0) - shift[r, c]
+            column.update({(r, c, i): _mod_p(x) for i, x in block.items()})
+        columns.append(column)
+    return dim - _rank_mod_p(columns)
+
+
+class TestInvarianceFixesTheState:
+    """The invariance conditions at one generic z have a one-dimensional
+    solution space.  The woven state solves them over Q, and the nullity
+    modulo a prime is at least the nullity over Q, so a nullity of 1 modulo
+    the prime proves it over Q: the conditions fix every Z value of a state
+    with a nonzero reference entry."""
+
+    @pytest.mark.parametrize("seed", range(1, 8))
+    def test_nullity_one(self, seed):
+        rng = random.Random(seed)
+        spec = random_spec(rng, 1 + seed % 3)
+        z = random_z(rng)
+        assert check_invariance(spec, build_invariant(spec), z)
+        assert _condition_nullity(spec, z) == 1
+
+    def test_the_lowering_block_alone_does_not(self):
+        """C alone leaves a larger null space (20-dimensional here), so the
+        rank routine can report one."""
+        spec = random_spec(random.Random(2), 3)
+        assert _condition_nullity(spec, F(1, 6), blocks=((1, 0),)) > 1
 
 
 class TestBaxterEquations:

@@ -3,12 +3,15 @@ import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sixvb import pipeline
 from sixvb.cli import main
+from sixvb.errors import InvalidSpecError
 from sixvb.fixtures import figure_lattice, fixture_text
 from sixvb.exact import parse_rational
-from sixvb.lattice import all_configs
+from sixvb.lattice import all_configs, spec_from_dict
 
 
 @pytest.fixture
@@ -252,6 +255,98 @@ class TestStrictInput:
         assert main(["validate", str(path)]) == 2
         assert main(["compute", str(path)]) == 2
         assert "malformed lattice file" in capsys.readouterr().err
+
+
+_RATIONALS = st.sampled_from(["2/7", "1/0", "1/2", " 5/3", "3/-4"])
+_LEAF = st.none() | st.booleans() | st.integers(-9, 9) | st.floats() | st.text(max_size=4) | _RATIONALS
+
+
+def _nested(depth):
+    """A JSON value nested at most ``depth`` levels deep."""
+    if depth == 0:
+        return _LEAF
+    inner = _nested(depth - 1)
+    return _LEAF | st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+
+
+def _slots(data):
+    """(container, key) of every value in a JSON document, the root excluded."""
+    items = data.items() if isinstance(data, dict) else enumerate(data) if isinstance(data, list) else ()
+    for key, value in items:
+        yield data, key
+        yield from _slots(value)
+
+
+def _like(value):
+    """A JSON value of the same type as ``value``, so that well-formed files
+    with violations are drawn too."""
+    if isinstance(value, bool):
+        return st.booleans()
+    if isinstance(value, int):
+        return st.integers(-9, 9)
+    return _RATIONALS if isinstance(value, str) else _nested(3)
+
+
+@st.composite
+def _mutated_fixture(draw):
+    """``initial_condition.json`` with one to three fields dropped, replaced by
+    random JSON values or by values of their own type, or replaced whole."""
+    data = json.loads(fixture_text("initial_condition.json"))
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_nested(3))
+    for _ in range(draw(st.integers(1, 3))):
+        container, key = draw(st.sampled_from(list(_slots(data))))
+        action = draw(st.sampled_from(["drop", "replace", "same-type"]))
+        if action == "drop":
+            del container[key]
+        else:
+            container[key] = draw(_nested(3) if action == "replace" else _like(container[key]))
+    return data
+
+
+def _labels_ok(text, n):
+    fields = [f.strip() for f in text.split(",")]
+    return len(fields) == n and set(fields) <= {"1", "2"}
+
+
+_LABELS = st.none() | st.sampled_from(["1,1,1,1", "2,1,1,2", "1, 2 ,2,1"]) | st.text("12, x-", max_size=9)
+
+
+class TestFuzz:
+    """Mutated lattice files and label strings, run through ``main`` in process."""
+
+    @given(
+        data=_mutated_fixture(),
+        alpha=_LABELS,
+        beta=_LABELS,
+        method=st.sampled_from(["direct", "aba", "cba", "all"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    # a zero denominator is the one malformed rational that is not a ValueError
+    @example(
+        data={**json.loads(fixture_text("initial_condition.json")), "q": "1/0"},
+        alpha=None,
+        beta=None,
+        method="all",
+    )
+    def test_exit_codes(self, tmp_path_factory, data, alpha, beta, method):
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        try:
+            n, expected = spec_from_dict(data).n, 0
+        except InvalidSpecError:
+            expected = 1
+        except (ValueError, ZeroDivisionError):
+            expected = 2
+        assert main(["validate", str(path)]) == expected
+        labels = [f"--{k}={v}" for k, v in (("alpha", alpha), ("beta", beta)) if v is not None]
+        code = main(["compute", str(path), f"--method={method}", *labels])
+        if expected:
+            assert code == 2  # compute needs a valid spec
+        else:  # and --alpha with --beta or neither, each N fields of 1 or 2
+            given = [v for v in (alpha, beta) if v is not None]
+            ok = len(given) != 1 and all(_labels_ok(v, n) for v in given)
+            assert code == (0 if ok else 2)
 
 
 class TestVerify:

@@ -20,6 +20,7 @@ from sixvb.lattice import (
     LatticeSpec,
     all_configs,
     inhomogeneities,
+    initial_pairing,
     reference_config,
     sweep,
 )
@@ -126,9 +127,11 @@ class TestInitialInvariant:
         for z in (F(1, 6), F(3, 8)):
             assert check_invariance(init, state, z)
 
-    def test_rejects_crossed_pairing(self):
-        with pytest.raises(ValueError):
-            initial_invariant(figure_lattice())
+    def test_reads_no_pairing(self):
+        """A lattice's lines give the invariant of their nested twin."""
+        specs = [figure_lattice()] + [random_spec(random.Random(s), 1 + s % 4) for s in range(8)]
+        for spec in specs:
+            assert initial_invariant(spec) == initial_invariant(_twin(spec))
 
     def test_reference_normalization(self):
         init = initial_condition()
@@ -157,6 +160,12 @@ class TestInitialInvariant:
                 assert sweep(spec, configs, route) == want
 
 
+def _twin(spec) -> LatticeSpec:
+    """The lines of ``spec`` on the nested pairing, built and validated
+    independently of the planner."""
+    return LatticeSpec(initial_pairing(spec.n), spec.reflected, spec.rapidities, spec.boundary_q)
+
+
 def _owners(spec) -> list:
     """(line, is_end) at each site, from the chords."""
     owner = [None] * spec.length
@@ -167,8 +176,8 @@ def _owners(spec) -> list:
 
 
 def _replay(plan) -> list:
-    """The site owners after the plan's swaps, from the source's owners."""
-    owner = _owners(plan.source)
+    """The site owners after the plan's swaps, from the nested twin's owners."""
+    owner = _owners(_twin(plan.target))
     for move in plan.moves:
         p = move.position - 1
         owner[p], owner[p + 1] = owner[p + 1], owner[p]
@@ -203,7 +212,7 @@ class TestMovePlanning:
         for _ in range(10):
             spec = random_spec(rng, rng.choice((2, 3, 4)))
             plan = plan_moves(spec, lowest_first=rng.random() < 0.5)
-            owner = _owners(plan.source)
+            owner = _owners(_twin(spec))
             for move in plan.moves:
                 p = move.position - 1
                 assert owner[p][0] != owner[p + 1][0]
@@ -280,12 +289,12 @@ class TestMoveAgainstLiteralProduct:
     def test_whole_weave(self, n, lowest_first):
         for seed in range(4):
             spec = random_spec(random.Random(700 + 10 * n + seed), n)
-            plan = plan_moves(spec, lowest_first=lowest_first)
-            v = list(inhomogeneities(plan.source))
+            plan, source = plan_moves(spec, lowest_first=lowest_first), _twin(spec)
+            v = list(inhomogeneities(source))
             ends = [False] * spec.length
-            for chord in plan.source.chords:
+            for chord in source.chords:
                 ends[chord.end - 1] = True
-            state = _column(dense(initial_invariant(plan.source)))
+            state = _column(dense(initial_invariant(source)))
             for move in plan.moves:
                 p = move.position
                 op = _literal_move(v[p] - v[p - 1], (ends[p - 1], ends[p]))
@@ -297,7 +306,7 @@ class TestMoveAgainstLiteralProduct:
 
 def _dense_weave(spec, plan) -> QuantumState:
     """Reference: the literal 4x4 move applied pair by pair to a dense Fraction state."""
-    source, length = plan.source, spec.length
+    source, length = _twin(spec), spec.length
     amps = [F(1)]
     for k in range(spec.n, 0, -1):
         theta, q = source.rapidities[k - 1], source.boundary_q

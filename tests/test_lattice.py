@@ -23,7 +23,6 @@ from sixvb.lattice import (
     ice_indices,
     ice_rule_satisfied,
     inhomogeneities,
-    initial_spec,
     magnon_positions,
     q_function,
     reference_config,
@@ -443,39 +442,3 @@ class TestJson:
     def test_config_round_trip(self):
         cfg = ExternalConfig((2, 1), (1, 2))
         assert config_rows([cfg]) == [{"alpha": [2, 1], "beta": [1, 2]}]
-
-    def test_initial_spec_keeps_parameters(self):
-        fig = figure_lattice()
-        init = initial_spec(fig)
-        assert init.rapidities == fig.rapidities
-        assert init.reflected == fig.reflected
-        assert init.chords == (Chord(8, 7), Chord(6, 5), Chord(4, 3), Chord(2, 1))
-
-
-class TestInitialSpec:
-    """``initial_spec`` skips ``validate_spec``: its input is already valid."""
-
-    SPECS = [random_spec(random.Random(900 + n), n) for n in range(1, 7)] + [figure_lattice()]
-
-    @pytest.mark.parametrize("spec", SPECS, ids=[f"n{n}" for n in range(1, 7)] + ["figure"])
-    def test_equals_the_validated_construction(self, spec):
-        init = initial_spec(spec)
-        built = LatticeSpec(
-            chords=lattice.initial_pairing(spec.n),
-            reflected=spec.reflected,
-            rapidities=spec.rapidities,
-            boundary_q=spec.boundary_q,
-        )
-        assert init == built
-        assert hash(init) == hash(built)
-        assert type(init) is LatticeSpec
-
-    def test_does_not_validate_again(self, monkeypatch):
-        spec = figure_lattice()
-        calls = []
-        real = lattice.validate_spec
-        monkeypatch.setattr(lattice, "validate_spec", lambda s: calls.append(s) or real(s))
-        initial_spec(spec)
-        assert calls == []
-        LatticeSpec(spec.chords, spec.reflected, spec.rapidities, spec.boundary_q)
-        assert len(calls) == 1

@@ -6,9 +6,10 @@ crossing at L = 6 and at L = 8, the reflection algebra at L = 4 and at
 L = 6.  Each mutation breaks one ingredient of an identity, a coefficient or
 a kernel, and the check must then return False.  The local identities of
 the weights are mutated through the kernels they run: the weave move
-``contraction._apply_move``, and the one site step ``monodromy._lax_column``
+``contraction._apply_move``, the one site step ``monodromy._lax_column``
 that the move runs as P L(theta) or P Lbar(theta), patched both where
-``contraction`` looks it up and in ``monodromy``.
+``contraction`` looks it up and in ``monodromy``, and the swap rule
+``contraction._swaps`` that gives the planner's moves their arguments.
 """
 
 import random
@@ -82,6 +83,15 @@ def _shifted_site_step(real):  # the site weight w / d shifted by 1/d
     return lambda a, b, mask, w, d, conjugate: real(a, b, mask, w + 1, d, conjugate)
 
 
+def _values_stay(real):  # the end flags travel with each swap, the values do not
+    def swaps(v, ends, positions):
+        ends = list(ends)
+        for p in positions:
+            yield from real(v, ends, (p,))
+            ends[p - 1], ends[p] = ends[p], ends[p - 1]
+    return swaps
+
+
 MUTATIONS = [
     ("fcr_open", aba, "h_a_coeff", _shifted_coefficient),
     ("fcr_open", aba, "g_a_coeff", _shifted_coefficient),
@@ -106,6 +116,7 @@ MUTATIONS = [
     # the site step as the move kernel looks it up
     ("ybe", contraction, "_lax_column", _shifted_site_step),
     ("bybe", contraction, "_lax_column", _shifted_site_step),
+    ("ybe", contraction, "_swaps", _values_stay),
     ("unitarity", monodromy, "_lax_column", _shifted_site_step),
     ("transpose", monodromy, "_lax_column", _shifted_site_step),
     ("bootstrap", monodromy, "_lax_column", _shifted_site_step),
@@ -130,6 +141,18 @@ def test_site_step_mutant_breaks_the_weave(monkeypatch):
     bethe = aba.solve_aba(spec).bethe_state
     assert states_proportional(contraction.build_invariant(spec), bethe)
     monkeypatch.setattr(contraction, "_lax_column", _shifted_site_step(contraction._lax_column))
+    assert not states_proportional(contraction.build_invariant(spec), bethe)
+
+
+def test_sign_flipped_swap_rule_breaks_the_weave(monkeypatch):
+    """A ``_swaps`` that negates every argument is invisible to ``ybe``: the
+    braid relation also holds with every argument negated.  The weave is
+    not: its state is then no longer proportional to the creation route's."""
+    spec = random_spec(random.Random(11), 3)
+    bethe = aba.solve_aba(spec).bethe_state
+    assert states_proportional(contraction.build_invariant(spec), bethe)
+    real = contraction._swaps
+    monkeypatch.setattr(contraction, "_swaps", lambda *a: ((p, -t, e) for p, t, e in real(*a)))
     assert not states_proportional(contraction.build_invariant(spec), bethe)
 
 
