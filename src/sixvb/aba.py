@@ -28,6 +28,7 @@ from .lattice import (
 )
 from .monodromy import (
     QuantumState,
+    _basis,
     _combine,
     _double_row_kernel,
     _integer_coefficients,
@@ -206,7 +207,7 @@ def check_fcr_open(spec: LatticeSpec, x, y) -> bool:
     A(x)B(y)  = h_A B(y)A(x)  + g_A B(x)A(y) + g_D B(x)Dt(y),
     Dt(x)B(y) = h_D B(y)Dt(x) + k_A B(x)A(y) + k_D B(x)Dt(y),
 
-    with Dt(z) = D(z) - A(z)/(2z+1), checked on every basis vector.  With
+    with Dt(z) = D(z) - A(z)/(2z+1), checked on the whole basis at once.  With
     1/(2z+1) = R/P in lowest terms, Dt enters as the integer block
     T(z) = P D(z) - R A(z) = P Dt(z), and the Dt(x) relation is multiplied
     through by P_x, so every vector compared is an integer vector.
@@ -223,20 +224,15 @@ def check_fcr_open(spec: LatticeSpec, x, y) -> bool:
         _F1, h_dt_coeff(x, y), px * k_a_coeff(x, y), px * k_dt_coeff(x, y) / py
     )
     (ux, _), (uy, _) = _double_row_kernel(spec, x), _double_row_kernel(spec, y)
-    for j in range(1 << spec.length):
-        e = {j: 1}
-        (ax, _), (bx, dx), (ay, _), (by, dy) = ux(e, {}), ux({}, e), uy(e, {}), uy({}, e)
-        (ax_by, _), (bx_by, dx_by) = ux(by, {}), ux({}, by)
-        if bx_by != uy({}, bx)[0]:
-            return False
-        tx, ty = _combine((px, dx), (-rx, ax)), _combine((py, dy), (-ry, ay))
-        bx_ay, bx_ty = ux({}, ay)[0], ux({}, ty)[0]
-        if _combine((a_lhs, ax_by)) != _combine((h_a, uy({}, ax)[0]), (g_a, bx_ay), (g_dt, bx_ty)):
-            return False
-        tx_by = _combine((px, dx_by), (-rx, ax_by))
-        if _combine((t_lhs, tx_by)) != _combine((h_dt, uy({}, tx)[0]), (k_a, bx_ay), (k_dt, bx_ty)):
-            return False
-    return True
+    e = _basis(spec.length)
+    (ax, _), (bx, dx), (ay, _), (by, dy) = ux(e, {}), ux({}, e), uy(e, {}), uy({}, e)
+    (ax_by, _), (bx_by, dx_by) = ux(by, {}), ux({}, by)
+    tx, ty = _combine((px, dx), (-rx, ax)), _combine((py, dy), (-ry, ay))
+    bx_ay, bx_ty = ux({}, ay)[0], ux({}, ty)[0]
+    tx_by = _combine((px, dx_by), (-rx, ax_by))
+    a_ok = _combine((a_lhs, ax_by)) == _combine((h_a, uy({}, ax)[0]), (g_a, bx_ay), (g_dt, bx_ty))
+    t_ok = _combine((t_lhs, tx_by)) == _combine((h_dt, uy({}, tx)[0]), (k_a, bx_ay), (k_dt, bx_ty))
+    return bx_by == uy({}, bx)[0] and a_ok and t_ok
 
 
 def check_b_reflection(spec: LatticeSpec, z) -> bool:
@@ -246,10 +242,8 @@ def check_b_reflection(spec: LatticeSpec, z) -> bool:
         raise PoleError("reflection factor z/(z+1) degenerates at z in {0, -1}")
     (lhs, s_lhs), (rhs, s_rhs) = _double_row_kernel(spec, z), _double_row_kernel(spec, -z - 1)
     c_lhs, c_rhs = _integer_coefficients(s_lhs, -z / (z + 1) * s_rhs)
-    return all(
-        _combine((c_lhs, lhs({}, {j: 1})[0])) == _combine((c_rhs, rhs({}, {j: 1})[0]))
-        for j in range(1 << spec.length)
-    )
+    e = _basis(spec.length)
+    return _combine((c_lhs, lhs({}, e)[0])) == _combine((c_rhs, rhs({}, e)[0]))
 
 
 def reduction_factor(spec: LatticeSpec, t, extra_roots: Sequence) -> Fraction:

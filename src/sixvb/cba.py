@@ -35,6 +35,7 @@ from .lattice import (
 )
 from .monodromy import (
     QuantumState,
+    _basis,
     _combine,
     _double_row_kernel,
     _integer_coefficients,
@@ -289,26 +290,22 @@ def check_closed_fcr(spec: LatticeSpec, x, y) -> bool:
     """Exchange relations of the single-row blocks as exact operator identities.
 
     [B(x), B(y)] = 0 and A(x)B(y) = h(y,x) B(y)A(x) - k(y,x) B(x)A(y), checked
-    on every basis vector.
+    on the whole basis at once.
     """
     x, y = rational(x, "x"), rational(y, "y")
     lhs, h, k = _integer_coefficients(_F1, h_closed(y, x), k_closed(y, x))
     (mx, _), (my, _) = _row_kernel(spec, x, False), _row_kernel(spec, y, False)
-    for j in range(1 << spec.length):
-        e = {j: 1}
-        (ax, _), (bx, _), (ay, _), (by, _) = mx(e, {}), mx({}, e), my(e, {}), my({}, e)
-        if mx({}, by)[0] != my({}, bx)[0]:
-            return False
-        if _combine((lhs, mx(by, {})[0])) != _combine((h, my({}, ax)[0]), (-k, mx({}, ay)[0])):
-            return False
-    return True
+    e = _basis(spec.length)
+    (ax, _), (bx, _), (ay, _), (by, _) = mx(e, {}), mx({}, e), my(e, {}), my({}, e)
+    a_ok = _combine((lhs, mx(by, {})[0])) == _combine((h, my({}, ax)[0]), (-k, mx({}, ay)[0]))
+    return mx({}, by)[0] == my({}, bx)[0] and a_ok
 
 
 def check_b_expansion(spec: LatticeSpec, z) -> bool:
     """Creation block of the double row expanded over single-row blocks.
 
     Bopen(z) = 2z/(2z+1) [ (q-z-1) B(z) A(-z-1) - (q+z) B(-z-1) A(z) ],
-    checked on every basis vector.
+    checked on the whole basis at once.
     """
     z = rational(z, "z")
     if 2 * z + 1 == 0:
@@ -318,13 +315,10 @@ def check_b_expansion(spec: LatticeSpec, z) -> bool:
     m_minus, s_minus = _row_kernel(spec, -z - 1, False)
     factor = 2 * z / (2 * z + 1) * s_plus * s_minus
     c_u, c_plus, c_minus = _integer_coefficients(s_u, factor * (q - z - 1), -factor * (q + z))
-    for j in range(1 << spec.length):
-        e = {j: 1}
-        (a_plus, _), (a_minus, _) = m_plus(e, {}), m_minus(e, {})
-        lhs = _combine((c_u, u({}, e)[0]))
-        if lhs != _combine((c_plus, m_plus({}, a_minus)[0]), (c_minus, m_minus({}, a_plus)[0])):
-            return False
-    return True
+    e = _basis(spec.length)
+    (a_plus, _), (a_minus, _) = m_plus(e, {}), m_minus(e, {})
+    rhs = _combine((c_plus, m_plus({}, a_minus)[0]), (c_minus, m_minus({}, a_plus)[0]))
+    return _combine((c_u, u({}, e)[0])) == rhs
 
 
 def kappa(spec: LatticeSpec, z) -> Fraction:

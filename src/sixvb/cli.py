@@ -49,6 +49,8 @@ def _input_error(message: str) -> int:
 
 def _parse_labels(text: str, n: int, what: str) -> tuple:
     """Labels from a comma list whose fields, stripped of whitespace, are exactly 1 or 2."""
+    if not isinstance(text, str):  # argparse before 3.13 reads --alpha=-- as []
+        text = "--"
     labels = tuple(part.strip() for part in text.split(","))
     if any(s not in ("1", "2") for s in labels):
         raise SystemExit(_input_error(f"{what} must be a comma list of 1/2, got {text!r}"))

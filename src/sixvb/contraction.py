@@ -41,7 +41,7 @@ from typing import Optional
 from .errors import PoleError
 from .exact import rational
 from .lattice import LatticeSpec, inhomogeneities
-from .monodromy import QuantumState, _lax_column
+from .monodromy import QuantumState, _basis, _lax_column
 
 
 def line_invariant() -> QuantumState:
@@ -207,7 +207,7 @@ def check_ybe(theta1, theta2, theta3) -> bool:
     """
     t1, t2, t3 = (rational(t, "theta") for t in (theta1, theta2, theta3))
     d = lcm(t1.denominator, t2.denominator, t3.denominator)
-    basis = {j << 3 | j: 1 for j in range(8)}  # sum_j e_j (x) e_j
+    basis = _basis(3)  # sum_j e_j (x) e_j, the same dict whichever half is the chain
 
     def weave(positions, ends):
         vec = basis
@@ -246,7 +246,7 @@ def check_bybe(theta1, theta2, q) -> bool:
         out = {i: k[i >> 3] * x for i, x in vec.items()}
         return {i: x for i, x in out.items() if x}
 
-    basis = {j << 2 | j: 1 for j in range(4)}
+    basis = _basis(2)
     return swap(reflect(swap(reflect(basis, t2), b), t1), a) == reflect(
         swap(reflect(swap(basis, a), t1), b), t2
     )

@@ -16,10 +16,11 @@ monodromy action.  Its kernels are built by ``_row_kernel`` (M or Mhat) and
 both rows (a', b') of the integer product, and the row itself is scale
 times that.  A creation operator is the top row of the column (0, v), the
 four blocks on a state come from the columns (v, 0) and (0, v), and every
-operator identity runs the kernels on each basis vector and on the vectors
-they produce from it.  The local identities of one site factor (unitarity,
-transpose, bootstrap and special points) run the site step ``_lax_column``
-itself on the four basis columns of one site.  A weave move of
+operator identity applies each side once to ``_basis``, every basis vector
+e_j at once with its copy j on spectator bits that no kernel touches.  The
+local identities of one site factor (unitarity, transpose, bootstrap and
+special points) run the site step ``_lax_column`` itself on the four basis
+columns of one site, labelled the same way.  A weave move of
 :mod:`sixvb.contraction` is this step too, as P L(theta) or P Lbar(theta).
 
 The primitive is fraction-free and sparse.  A chain vector is a
@@ -280,10 +281,18 @@ def apply_closed_b(spec: LatticeSpec, z, state: QuantumState) -> QuantumState:
     return QuantumState(spec.length, apply({}, state.entries)[0], state.scale * f)
 
 
-# -- operator identities, one basis vector at a time ---------------------------
+# -- operator identities, on the whole basis at once ---------------------------
 #
 # Where every term of an identity holds one block of each of two monodromies,
 # the kernel scales multiply all terms alike and are left out.
+
+def _basis(length: int, tag: int = 0) -> dict:
+    """Every basis vector at once: sum_j e_j (x) e_j with the copy of j on
+    spectator bits above the chain, and ``tag`` above those.  No kernel
+    (site s is bit L - s), ``_combine`` or R mixes two copies, so the
+    entries of an image with copy j are the image of e_j alone."""
+    return {(tag << length | j) << length | j: 1 for j in range(1 << length)}
+
 
 def _combine(*terms) -> dict:
     """The sparse vector sum(c * vec) over the pairs (c, vec), zeros dropped."""
@@ -314,17 +323,14 @@ def check_crossing(spec: LatticeSpec, z) -> bool:
     z = rational(z, "z")
     (hat, s_hat), (m, s_m) = _row_kernel(spec, z, True), _row_kernel(spec, -z - 1, False)
     c_hat, c_m = _integer_coefficients(s_hat, s_m)
-    for j in range(1 << spec.length):
-        e = {j: 1}
-        hat_cols, m_cols = (hat(e, {}), hat({}, e)), (m(e, {}), m({}, e))  # [c][r]: block (r, c) e
-        if any(
-            _combine((c_hat, hat_cols[c][r]))
-            != _combine((c_m if r == c else -c_m, m_cols[1 - r][1 - c]))
-            for r in (0, 1)
-            for c in (0, 1)
-        ):
-            return False
-    return True
+    e = _basis(spec.length)
+    hat_cols, m_cols = (hat(e, {}), hat({}, e)), (m(e, {}), m({}, e))  # [c][r]: block (r, c) e
+    return all(
+        _combine((c_hat, hat_cols[c][r]))
+        == _combine((c_m if r == c else -c_m, m_cols[1 - r][1 - c]))
+        for r in (0, 1)
+        for c in (0, 1)
+    )
 
 
 # A vector on (aux leg 1, aux leg 2, chain) is four chain vectors indexed
@@ -360,8 +366,9 @@ def check_reflection_algebra(spec: LatticeSpec, x, y) -> bool:
 
     R(x-y) U1(x) R(x+y) U2(y) = U2(y) R(x+y) U1(x) R(x-y) on the space
     (aux leg 1, aux leg 2, chain), a vector there being four chain vectors;
-    each side is applied to every basis vector.  Each side holds one copy of
-    each R, so the nonzero factors of ``_r_rows`` cancel.
+    each side is applied once to the whole basis, slot k holding
+    ``_basis(L, k)``: the tag k keeps the slots' copies apart.  Each side
+    holds one copy of each R, so the nonzero factors of ``_r_rows`` cancel.
     """
     x, y = rational(x, "x"), rational(y, "y")
     rm, rp = _r_rows(x - y), _r_rows(x + y)
@@ -371,21 +378,17 @@ def check_reflection_algebra(spec: LatticeSpec, x, y) -> bool:
         return [_combine(*((r[k][l], vecs[l]) for l in range(4) if r[k][l])) for k in range(4)]
 
     u1_on, u2_on = _on_pairs(u1, _LEG_1), _on_pairs(u2, _LEG_2)
-
-    for slot in range(4):
-        for j in range(1 << spec.length):
-            e = [{j: 1} if k == slot else {} for k in range(4)]
-            if r_on(rm, u1_on(r_on(rp, u2_on(e)))) != u2_on(r_on(rp, u1_on(r_on(rm, e)))):
-                return False
-    return True
+    e = [_basis(spec.length, slot) for slot in range(4)]
+    return r_on(rm, u1_on(r_on(rp, u2_on(e)))) == u2_on(r_on(rp, u1_on(r_on(rm, e))))
 
 
 # -- local identities, one site factor -----------------------------------------
 #
 # Each runs ``_lax_column`` on one site (mask 1) with d the denominator of z,
-# on the four basis columns of (auxiliary leg, site), indexed 2 a + s.
+# on the four basis columns of (auxiliary leg, site) at once: the column
+# k = 2 a + s is site state s in row a with copy k, so row a is _basis(1, a).
 
-_LOCAL_BASIS = (({0: 1}, {}), ({1: 1}, {}), ({}, {0: 1}), ({}, {1: 1}))
+_LOCAL_BASIS = _basis(1), _basis(1, 1)
 
 
 def _times(c: int, vecs) -> list:
@@ -397,19 +400,19 @@ def check_unitarity(z) -> bool:
     """L(z) L(-z) = (1 - z^2) I for both the plain and the conjugate local factor."""
     z = rational(z, "z")
     zd, d = z.numerator, z.denominator
-    want = d * d - zd * zd
+    e, want = _LOCAL_BASIS, d * d - zd * zd
     return all(
         list(_lax_column(*_lax_column(*e, 1, -zd, d, conj), 1, zd, d, conj)) == _times(want, e)
         for conj in (False, True)
-        for e in _LOCAL_BASIS
     )
 
 
 def _local_rows(w: int, d: int, conjugate: bool) -> list:
-    """d times the local factor at weight w/d as rows [2a + s][2b + t], read
-    off its four basis columns."""
-    cols = [_lax_column(*e, 1, w, d, conjugate) for e in _LOCAL_BASIS]
-    return [[cols[c][r >> 1].get(r & 1, 0) for c in range(4)] for r in range(4)]
+    """d times the local factor at weight w/d as rows [2a + s][k], read off
+    its image of the four basis columns: entry (2a + s, k) sits in row a at
+    index k << 1 | s."""
+    rows = _lax_column(*_LOCAL_BASIS, 1, w, d, conjugate)
+    return [[rows[r >> 1].get(k << 1 | r & 1, 0) for k in range(4)] for r in range(4)]
 
 
 def check_transpose(z) -> bool:
@@ -431,7 +434,8 @@ def check_bootstrap(z) -> bool:
     On (aux leg 1, aux leg 2, site), carried as four one-site vectors like
     the slots of ``check_reflection_algebra``, the singlet |12> - |21> of
     the two legs times either site state is mapped to (z+1)(z-1) times
-    itself by L_1(z) L_2(z-1) and by L_2(z) L_1(z-1).
+    itself by L_1(z) L_2(z-1) and by L_2(z) L_1(z-1); both site states are
+    mapped at once, each with its copy as in ``_basis(1)``.
     """
     z = rational(z, "z")
     zd, d = z.numerator, z.denominator
@@ -439,26 +443,22 @@ def check_bootstrap(z) -> bool:
     def leg(pairs, w):
         return _on_pairs(lambda a, b: _lax_column(a, b, 1, w, d, False), pairs)
 
-    for s in (0, 1):
-        singlet = [{}, {s: 1}, {s: -1}, {}]
-        want = _times((zd + d) * (zd - d), singlet)
-        if leg(_LEG_1, zd)(leg(_LEG_2, zd - d)(singlet)) != want:
-            return False
-        if leg(_LEG_2, zd)(leg(_LEG_1, zd - d)(singlet)) != want:
-            return False
-    return True
+    singlet = [{}, _basis(1), {i: -1 for i in _basis(1)}, {}]
+    want = _times((zd + d) * (zd - d), singlet)
+    return all(
+        leg(first, zd)(leg(second, zd - d)(singlet)) == want
+        for first, second in ((_LEG_1, _LEG_2), (_LEG_2, _LEG_1))
+    )
 
 
 def check_special_points() -> bool:
     """L(0) is the permutation P and L(-1) is -Y Y^t, Y = (0, 1, -1, 0) the
-    singlet of (aux leg, site): L(0) e = P e and L(-1) e = -(Y^t e) Y on
-    each basis column e."""
-    y, singlet = (0, 1, -1, 0), ({1: 1}, {0: -1})
-    return all(
-        _lax_column(*e, 1, 0, 1, False) == _LOCAL_BASIS[2 * (k & 1) + (k >> 1)]
-        and list(_lax_column(*e, 1, -1, 1, False)) == _times(-y[k], singlet)
-        for k, e in enumerate(_LOCAL_BASIS)
-    )
+    singlet of (aux leg, site), both as rows [2a + s][2b + t]: P sends
+    2b + t to 2t + b."""
+    y = (0, 1, -1, 0)
+    swap = [[int(c == 2 * (r & 1) + (r >> 1)) for c in range(4)] for r in range(4)]
+    singlet = [[-a * b for b in y] for a in y]
+    return _local_rows(0, 1, False) == swap and _local_rows(-1, 1, False) == singlet
 
 
 def external_component(state: QuantumState, spec: LatticeSpec, config: ExternalConfig) -> Fraction:

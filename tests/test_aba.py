@@ -24,6 +24,7 @@ from sixvb.lattice import (
     LatticeSpec,
     all_configs,
     canonical_bethe_roots,
+    q_function,
     reference_config,
     sweep,
 )
@@ -33,6 +34,7 @@ from sixvb.monodromy import (
     external_component,
     lambda_value,
     reference_state,
+    xi_value,
 )
 from sixvb.pipeline import ROUTES
 from sixvb.sampling import random_spec, random_z
@@ -223,6 +225,17 @@ class TestBaxterEquations:
         spec = line_spec(reflected=True, theta=F(2, 7), q=F(4, 5))
         with pytest.raises(PoleError):
             check_baxter(spec, F(2, 7))
+
+    def test_xi_and_lambda_factor_over_q(self):
+        """Xi(z) = Q(z) Q(z+1) and Lambda(z) = Q(z-1) Q(z+1) on seeded specs,
+        N = 1..6.  So both equations of ``check_baxter`` read
+        Q(z-1) Q(z) Q(z+1) on each side: they hold for any rapidities and
+        cannot fail while these two factorisations hold."""
+        rng = random.Random(34)
+        for i in range(200):
+            spec, z = random_spec(rng, 1 + i % 6), random_z(rng)
+            assert xi_value(spec, z) == q_function(spec, z) * q_function(spec, z + 1)
+            assert lambda_value(spec, z) == q_function(spec, z - 1) * q_function(spec, z + 1)
 
 
 class TestUnwantedTerms:

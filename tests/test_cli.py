@@ -157,6 +157,17 @@ class TestCompute:
             assert main(["compute", line_path, "--alpha", "2", "--beta", label]) == 2
 
     @pytest.mark.parametrize(
+        "labels", [["--alpha=--", "--beta=1,1,1,1"], ["--alpha=1,1,1,1", "--beta=--"]]
+    )
+    def test_double_dash_label_exits_two(self, tmp_path, capsys, labels):
+        """argparse before 3.13 hands ``--alpha=--`` over as [], not as '--'."""
+        path = tmp_path / "initial.json"
+        path.write_text(fixture_text("initial_condition.json"), encoding="utf-8")
+        assert main(["compute", str(path), *labels]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be a comma list of 1/2, got '--'" in captured.err
+
+    @pytest.mark.parametrize(
         "labels",
         [
             ["--alpha", "2,2", "--beta", "1,1"],
@@ -327,6 +338,13 @@ class TestFuzz:
         data={**json.loads(fixture_text("initial_condition.json")), "q": "1/0"},
         alpha=None,
         beta=None,
+        method="all",
+    )
+    # argparse before 3.13 reads --alpha=-- as []
+    @example(
+        data=json.loads(fixture_text("initial_condition.json")),
+        alpha="--",
+        beta="1,1,1,1",
         method="all",
     )
     def test_exit_codes(self, tmp_path_factory, data, alpha, beta, method):

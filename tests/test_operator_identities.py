@@ -156,6 +156,60 @@ def test_sign_flipped_swap_rule_breaks_the_weave(monkeypatch):
     assert not states_proportional(contraction.build_invariant(spec), bethe)
 
 
+def _leak_at(real, z0):
+    """The kernel factory ``real`` whose kernel at z0 also applies E from
+    the b row to the a row (the B block): E e_0 = e_2 and E e_1 = -e_2 on
+    the chain bits, the spectator bits kept.  E sums every column to zero,
+    so it leaves the image of sum_j e_j unchanged."""
+    def factory(spec, z, *hat):
+        apply, scale = real(spec, z, *hat)
+        mask = (1 << spec.length) - 1
+
+        def leaky(a, b):
+            a2, b2 = apply(a, b)
+            a2 = dict(a2)
+            for k, x in b.items():
+                if k & mask in (0, 1):
+                    key = k & ~mask | 2
+                    a2[key] = a2.get(key, 0) + (x if k & mask == 0 else -x)
+            return {k: x for k, x in a2.items() if x}, b2
+
+        return (leaky if z == z0 else apply), scale
+    return factory
+
+
+@pytest.mark.parametrize(
+    "name, module, member, at",
+    [
+        ("crossing", monodromy, "_row_kernel", lambda x, y, z: z),
+        ("b_reflection", aba, "_double_row_kernel", lambda x, y, z: z),
+        ("reflection_algebra", monodromy, "_double_row_kernel", lambda x, y, z: x),
+    ],
+)
+def test_spectator_copy_sees_a_leak_that_sums_to_zero(monkeypatch, name, module, member, at):
+    """A kernel error that sums to zero over the columns leaves the image of
+    the plain sum of all basis vectors unchanged, yet each check fails: the
+    copy of j on the spectator bits keeps every column apart."""
+    spec, x, y, z = draw = _draw(2401, 2)
+    assert CHECKS[name](*draw)
+    w = at(x, y, z)
+    leaky = _leak_at(getattr(module, member), w)
+    args = (spec, w, True) if member == "_row_kernel" else (spec, w)
+    plain = {j: 1 for j in range(1 << spec.length)}
+    real_apply, leaky_apply = getattr(module, member)(*args)[0], leaky(*args)[0]
+    assert leaky_apply({}, plain) == real_apply({}, plain)
+    assert leaky_apply({}, {0: 1}) != real_apply({}, {0: 1})
+    monkeypatch.setattr(module, member, leaky)
+    assert not CHECKS[name](*draw)
+
+
+def test_reflection_algebra_slot_tags_give_disjoint_keys():
+    for length in (2, 4, 6):
+        slots = [set(monodromy._basis(length, tag)) for tag in range(4)]
+        assert all(len(keys) == 1 << length for keys in slots)
+        assert len(set().union(*slots)) == 4 << length
+
+
 def test_integer_coefficients_share_one_positive_factor():
     coeffs = (F(3, 4), F(-5, 6), 0, 7, F(0), F(-2))
     ints = monodromy._integer_coefficients(*coeffs)
