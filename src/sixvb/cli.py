@@ -20,7 +20,7 @@ from .lattice import (
     reference_config,
     spec_from_dict,
 )
-from .pipeline import METHODS, compute_report, report_to_dict, value_cells
+from .pipeline import METHODS, compute_report, report_json, value_columns
 from .sampling import random_ice_config, random_spec
 from .verify import SUITES, run_suites
 
@@ -105,10 +105,10 @@ def cmd_compute(args) -> int:
         return _input_error(f"degenerate computation: {exc}")
 
     if args.json:
-        print(json.dumps(report_to_dict(run)))
+        print(report_json(run))
     else:
-        for config, cell in zip(run.configs, value_cells(run)):
-            cells = " ".join(f"{m}={x}" for m, x in cell.items())
+        for config, *xs in zip(run.configs, *value_columns(run)):
+            cells = " ".join(f"{m}={x}" for m, x in zip(run.methods, xs))
             print(f"alpha={','.join(map(str, config.alpha))} beta={','.join(map(str, config.beta))}  {cells}")
         times = " ".join(f"{m}={run.timings[m]:.3f}s" for m in run.methods)
         print(f"# methods: {', '.join(run.methods)}; agreement: {run.agreement}; {times}")

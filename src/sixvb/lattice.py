@@ -356,13 +356,3 @@ def spec_from_dict(data: dict) -> LatticeSpec:
         raise ValueError(f"declared n={n} but {len(chords)} lines given")
     return LatticeSpec(chords=chords, reflected=reflected, rapidities=rapidities, boundary_q=q)
 
-
-def config_rows(configs: Sequence[ExternalConfig]) -> list:
-    """The JSON form of each config, one new dict per config; equal label
-    tuples share one list."""
-    lists = {}
-
-    def as_list(labels):
-        return lists.get(labels) or lists.setdefault(labels, list(labels))
-
-    return [{"alpha": as_list(c.alpha), "beta": as_list(c.beta)} for c in configs]

@@ -4,6 +4,8 @@ One report runs the requested methods over the requested configurations,
 compares them exactly, and carries per-method wall times; when the methods
 disagree, its JSON form names the first configs that differ.  Rationals
 serialize as "p/q" strings so a parsed report reproduces the exact values.
+``report_json`` is the one writer of that JSON, and ``report_to_dict`` its
+parse; text mode prints the same value columns (``value_columns``).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Dict, List, Sequence
 from .aba import solve_aba
 from .cba import wave_components
 from .contraction import build_invariant
-from .lattice import ExternalConfig, LatticeSpec, config_rows, spec_to_dict, sweep
+from .lattice import ExternalConfig, LatticeSpec, spec_to_dict, sweep
 
 # Each route maps (spec, ice-rule chain indices) to chain entries {index: component}.
 ROUTES = {
@@ -76,32 +78,40 @@ def compute_report(
     )
 
 
-def value_cells(report: RunReport) -> list:
-    """``{method: "p/q"}`` for each config, methods in report order: zero
-    values share one "0", and each nonzero value, a ``Fraction`` already,
-    is printed by ``str``."""
-    cells = [{} for _ in report.configs]
-    for m in report.methods:
-        for cell, x in zip(cells, report.values[m]):
-            cell[m] = str(x) if x else "0"
-    return cells
+def value_columns(report: RunReport) -> list:
+    """One column of "p/q" strings per method, in report order, for both
+    ``compute --json`` and text mode: zero values share one "0", and each
+    nonzero value, a ``Fraction`` already, is printed by ``str``."""
+    return [[str(x) if x else "0" for x in report.values[m]] for m in report.methods]
+
+
+def report_json(report: RunReport) -> str:
+    """The one writer of a report's JSON (``json.dumps`` layout): each
+    distinct label tuple and value string is encoded once and each config
+    row is one f-string.  When the methods disagree it also lists the
+    first ``MAX_DISAGREEMENTS`` configs whose values differ."""
+    import json
+
+    columns = value_columns(report)
+    labels = {c.alpha for c in report.configs} | {c.beta for c in report.configs}
+    text = {x: json.dumps(x) for x in labels.union(report.methods, *columns)}
+    cells = zip(*([f"{text[m]}: {text[x]}" for x in col] for m, col in zip(report.methods, columns)))
+    rows = [
+        f'{{"alpha": {text[c.alpha]}, "beta": {text[c.beta]}, "z": {{{", ".join(cell)}}}}}'
+        for c, cell in zip(report.configs, cells)
+    ]
+    head = json.dumps({"spec_digest": report.spec_digest, "methods": list(report.methods)})
+    timings = {m: report.timings[m] for m in report.methods}
+    tail = json.dumps({"agreement": report.agreement, "timings_s": timings})
+    out = f'{head[:-1]}, "configs": [{", ".join(rows)}], {tail[1:-1]}'
+    if not report.agreement:
+        differing = [row for row, *xs in zip(rows, *columns) if len(set(xs)) > 1]
+        out += f', "disagreements": [{", ".join(differing[:MAX_DISAGREEMENTS])}]'
+    return out + "}"
 
 
 def report_to_dict(report: RunReport) -> dict:
-    """JSON form of a report; when the methods disagree it also lists the
-    first ``MAX_DISAGREEMENTS`` configs whose values differ."""
-    rows = config_rows(report.configs)
-    for row, cell in zip(rows, value_cells(report)):
-        row["z"] = cell
-    out = {
-        "spec_digest": report.spec_digest,
-        "methods": list(report.methods),
-        "configs": rows,
-        "agreement": report.agreement,
-        "timings_s": {m: report.timings[m] for m in report.methods},
-    }
-    if not report.agreement:
-        out["disagreements"] = [row for row in rows if len(set(row["z"].values())) > 1][
-            :MAX_DISAGREEMENTS
-        ]
-    return out
+    """The parsed JSON form of a report."""
+    import json
+
+    return json.loads(report_json(report))

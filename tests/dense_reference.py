@@ -1,6 +1,6 @@
 """Dense references for the tests: a dense exact matrix, the local weights
 as matrices, kernel-built operators, the dense amplitudes of a state and
-the literal wave formulas.
+the literal wave formulas, and a dict-built JSON form of a run report.
 
 ``ExactMatrix`` is an immutable dense matrix of Fractions (a vector is a
 one-column matrix).  The local weights are plain ``ExactMatrix``es:
@@ -33,6 +33,10 @@ the pair factor and amplitude of an ordered root tuple, the one-magnon wave
 factor ``wave_part``, the open-chain wave sum at explicit roots
 (``wave_function``, through the engine) and the permutation-only sum of the
 closed chain (``closed_wave``).
+
+``report_dict`` is the JSON form of a ``pipeline.RunReport`` built as a
+dict of one new dict per config, the layout that ``json.dumps`` of it gives
+and that ``pipeline.report_json`` writes by hand.
 """
 
 import itertools
@@ -44,6 +48,7 @@ from sixvb.errors import PoleError
 from sixvb.exact import rational
 from sixvb.lattice import LatticeSpec, inhomogeneities
 from sixvb.monodromy import QuantumState, _row_kernel, double_row_on_state
+from sixvb.pipeline import MAX_DISAGREEMENTS
 from sixvb.sampling import random_pairing, random_q, random_theta
 
 _F0 = Fraction(0)
@@ -420,3 +425,30 @@ def closed_wave(v, z, x) -> Fraction:
                 term *= zi - vs[j - 1]
         total += term
     return total
+
+
+def report_dict(report) -> dict:
+    """A report as one dict: a row per config holds its labels as lists and
+    ``z``, the values as ``{method: "p/q"}`` in report order (zero is "0").
+    When the methods disagree it also lists the first
+    ``MAX_DISAGREEMENTS`` rows whose values differ."""
+    rows = [
+        {
+            "alpha": list(c.alpha),
+            "beta": list(c.beta),
+            "z": {m: str(report.values[m][i]) for m in report.methods},
+        }
+        for i, c in enumerate(report.configs)
+    ]
+    out = {
+        "spec_digest": report.spec_digest,
+        "methods": list(report.methods),
+        "configs": rows,
+        "agreement": report.agreement,
+        "timings_s": {m: report.timings[m] for m in report.methods},
+    }
+    if not report.agreement:
+        out["disagreements"] = [row for row in rows if len(set(row["z"].values())) > 1][
+            :MAX_DISAGREEMENTS
+        ]
+    return out

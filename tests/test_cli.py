@@ -13,6 +13,9 @@ from sixvb.fixtures import figure_lattice, fixture_text
 from sixvb.exact import parse_rational
 from sixvb.lattice import all_configs, spec_from_dict
 
+from dense_reference import report_dict
+from test_golden import GOLDEN, _lattice_text
+
 
 @pytest.fixture
 def figure_path(tmp_path):
@@ -207,11 +210,18 @@ class TestJsonLayout:
         out = capsys.readouterr().out
         assert out.count("\n") == 1 and out.endswith("\n")
         printed = json.loads(out)
-        report = pipeline.report_to_dict(
-            pipeline.compute_report(figure_lattice(), list(all_configs(4)))
-        )
+        report = report_dict(pipeline.compute_report(figure_lattice(), list(all_configs(4))))
         del printed["timings_s"], report["timings_s"]
         assert printed == json.loads(json.dumps(report))
+
+    @pytest.mark.parametrize("lattice, method", sorted({k[:2] for k in GOLDEN if k[2] == "json"}))
+    def test_compute_prints_the_json_dumps_layout(self, tmp_path, capsys, lattice, method):
+        """The hand-written report is what ``json.dumps`` gives for its parse."""
+        path = tmp_path / "lattice.json"
+        path.write_text(_lattice_text(lattice), encoding="utf-8")
+        assert main(["compute", str(path), "--all-configs", "--method", method, "--json"]) == 0
+        out = capsys.readouterr().out
+        assert json.dumps(json.loads(out)) + "\n" == out
 
     @pytest.mark.parametrize("violation", [False, True])
     def test_validate_prints_one_line(self, tmp_path, capsys, violation):
