@@ -5,8 +5,9 @@ monodromy on the reference state; with the exactly-known roots the result
 is an exact eigenstate of the diagonal blocks and is annihilated by the
 off-diagonal ones.  This module also verifies the algebra it relies on:
 the exchange relations of the double-row blocks, the closed forms of the
-off-shell remainder terms, the functional equation satisfied by the
-Q-function, and the length-reduction identity for nested end pairs.
+off-shell remainder terms, Baxter's functional equations with the
+reference state's eigenvalue read from the double-row kernel, and the
+length-reduction identity for nested end pairs.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .lattice import (
     BetheRootSet,
     Chord,
     LatticeSpec,
+    _q_of_roots,
     canonical_bethe_roots,
     inhomogeneities,
     q_function,
@@ -37,7 +39,6 @@ from .monodromy import (
     lambda_value,
     reference_state,
     vacuum_eigenvalues,
-    xi_value,
 )
 
 _F1 = Fraction(1)
@@ -92,16 +93,28 @@ def check_invariance(spec: LatticeSpec, state: QuantumState, z) -> bool:
 def check_baxter(spec: LatticeSpec, z) -> bool:
     """Both functional equations tying Xi, Lambda and the canonical Q.
 
-    Xi(z) Q(z-1) = Lambda(z) Q(z)  and  Xi(z-1) Q(z+1) = Lambda(z) Q(z).
+    Xi(z) Q(z-1) = Lambda(z) Q(z)  and  Xi(z-1) Q(z+1) = Lambda(z) Q(z),
+
+    with Xi(w) read from the double-row kernel, whose A block at w acts on
+    the reference state Omega as (q+w) Xi(w), and Lambda and Q in closed
+    form.  The equations are checked as identities of integer vectors:
+
+    A(z) Omega Q(z-1) = (q+z) Lambda(z) Q(z) Omega,
+    A(z-1) Omega Q(z+1) = (q+z-1) Lambda(z) Q(z) Omega.
     """
     z = rational(z, "z")
     qz = q_function(spec, z)
     if qz == 0:
         raise PoleError(f"Q({z}) = 0; functional equation undefined at a root")
-    lam = lambda_value(spec, z)
-    first = xi_value(spec, z) * q_function(spec, z - 1) == lam * qz
-    second = xi_value(spec, z - 1) * q_function(spec, z + 1) == lam * qz
-    return first and second
+    rhs = lambda_value(spec, z) * qz
+    omega = reference_state(spec).entries
+
+    def holds(w, q_other):
+        apply, scale = _double_row_kernel(spec, w)
+        c_lhs, c_rhs = _integer_coefficients(scale * q_other, (spec.boundary_q + w) * rhs)
+        return _combine((c_lhs, apply(omega, {})[0])) == _combine((c_rhs, omega))
+
+    return holds(z, q_function(spec, z - 1)) and holds(z - 1, q_function(spec, z + 1))
 
 
 # -- exchange-relation coefficients -------------------------------------------
@@ -145,13 +158,6 @@ def k_dt_coeff(x, y) -> Fraction:
     return -2 * (x + 1) / _nonzero((x - y) * (2 * x + 1), "(x-y)(2x+1)")
 
 
-def _roots_q(roots: tuple, z: Fraction) -> Fraction:
-    out = _F1
-    for zi in roots:
-        out *= (z - zi) * (z + zi + 1)
-    return out
-
-
 def _remainder_inputs(spec: LatticeSpec, z, k: int, roots: Optional[Sequence]) -> tuple:
     """(z, roots, z_k, alpha(z_k), dtilde(z_k)) for the remainder terms:
     the canonical roots by default, ``k`` checked to lie in 1..len(roots)."""
@@ -170,7 +176,7 @@ def unwanted_terms(spec: LatticeSpec, z, k: int, roots: Optional[Sequence] = Non
     they are generically nonzero.  ``k`` is 1-based.
     """
     z, zs, zk, alpha_k, delta_k = _remainder_inputs(spec, z, k, roots)
-    q_down, q_up = _roots_q(zs, zk - 1), _roots_q(zs, zk + 1)
+    q_down, q_up = _q_of_roots(zs, zk - 1), _q_of_roots(zs, zk + 1)
     pref = _F1
     for i, zi in enumerate(zs):
         if i != k - 1:

@@ -44,7 +44,6 @@ from .monodromy import (
     reference_state,
 )
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
@@ -362,16 +361,3 @@ def check_state_expansion(spec: LatticeSpec, roots: Sequence) -> bool:
     c_lhs, *c_terms = _integer_coefficients(lhs.scale, *(pref * c for c in coeffs))
     return _combine((c_lhs, lhs.entries)) == _combine(*zip(c_terms, states))
 
-
-def two_reflection_sum(q, zi, zj) -> Fraction:
-    """Reflection sum of boundary factors against the closed k coefficient;
-    vanishes identically in (q, z_i, z_j)."""
-    q, zi, zj = rational(q, "q"), rational(zi, "zi"), rational(zj, "zj")
-    total = _F0
-    for bi in (0, 1):
-        for bj in (0, 1):
-            wi = -zi - 1 if bi else zi
-            wj = -zj - 1 if bj else zj
-            sign = _F1 if (bi + bj) % 2 == 0 else -_F1
-            total += sign * (q - wi - 1) * (q - wj - 1) * k_closed(wi, -wj - 1)
-    return total

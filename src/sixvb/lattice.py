@@ -182,16 +182,17 @@ def canonical_bethe_roots(spec: LatticeSpec) -> BetheRootSet:
     )
 
 
-def q_function(spec: LatticeSpec, z) -> Fraction:
-    """Baxter Q at z, written directly in terms of the rapidities."""
-    z = rational(z, "z")
+def _q_of_roots(roots: Sequence, z: Fraction) -> Fraction:
+    """Baxter Q of a root tuple at z: prod_r (z - r)(z + r + 1)."""
     out = Fraction(1)
-    for k, t in enumerate(spec.rapidities, start=1):
-        if spec.is_reflected(k):
-            out *= (z - t) * (z + t + 1)
-        else:
-            out *= (z + t) * (z - t + 1)
+    for r in roots:
+        out *= (z - r) * (z + r + 1)
     return out
+
+
+def q_function(spec: LatticeSpec, z) -> Fraction:
+    """Baxter Q at z: ``_q_of_roots`` at the canonical roots."""
+    return _q_of_roots(canonical_bethe_roots(spec).roots, rational(z, "z"))
 
 
 def _read_labels(labels: tuple, bits: list) -> tuple:

@@ -48,10 +48,10 @@ from .exact import _strict, rational
 from .lattice import (
     ExternalConfig,
     LatticeSpec,
-    canonical_bethe_roots,
     config_index,
     end_mask,
     inhomogeneities,
+    q_function,
 )
 
 _F1 = Fraction(1)
@@ -111,30 +111,16 @@ class QuantumState:
 
 # -- eigenvalue functions -----------------------------------------------------
 
-def f_factor(z, theta) -> Fraction:
-    z, theta = rational(z, "z"), rational(theta, "theta")
-    return (z - theta - 1) * (z - theta + 1) * (z + theta) * (z + theta + 2)
-
-
-def g_factor(z, theta) -> Fraction:
-    z, theta = rational(z, "z"), rational(theta, "theta")
-    return (z - theta) * (z - theta + 1) * (z + theta + 1) * (z + theta + 2)
-
-
 def xi_value(spec: LatticeSpec, z) -> Fraction:
+    """Xi(z) = Q(z) Q(z+1): the reference state's A-block eigenvalue over (q+z)."""
     z = rational(z, "z")
-    out = _F1
-    for t in canonical_bethe_roots(spec).roots:
-        out *= g_factor(z, t)
-    return out
+    return q_function(spec, z) * q_function(spec, z + 1)
 
 
 def lambda_value(spec: LatticeSpec, z) -> Fraction:
+    """Lambda(z) = Q(z-1) Q(z+1): the canonical Bethe state's A-block eigenvalue over (q+z)."""
     z = rational(z, "z")
-    out = _F1
-    for t in canonical_bethe_roots(spec).roots:
-        out *= f_factor(z, t)
-    return out
+    return q_function(spec, z - 1) * q_function(spec, z + 1)
 
 
 def vacuum_eigenvalues(spec: LatticeSpec, z) -> tuple:

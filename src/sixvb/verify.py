@@ -150,18 +150,12 @@ def fcr_suite(seed: int, draws: int) -> List[CheckResult]:
         ok = cba.check_state_expansion(s4, (r1,)) and cba.check_state_expansion(s4, (r1, r2))
         return ok, f"spec={s4} roots=({r1},{r2})"
 
-    def two_reflection_draw(rng, _i):
-        q = random_q(rng)
-        zi, zj = random_positive_pair(rng)
-        return cba.two_reflection_sum(q, zi, zj) == 0, f"q={q} zi={zi} zj={zj}"
-
     return [
         _seeded("fcr_open", seed, draws, open_draw),
         _seeded("fcr_closed", seed, draws, closed_draw),
         _seeded("reflection_algebra", seed, draws, algebra_draw),
         _seeded("b_expansion", seed, draws, expansion_draw),
         _seeded("state_expansion", seed, draws, state_draw),
-        _seeded("two_reflection_sum", seed, draws, two_reflection_draw),
     ]
 
 

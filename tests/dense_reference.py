@@ -31,8 +31,13 @@ past the six lines that ``random_spec`` covers.
 The wave formulas are the per-term definitions behind ``cba.WaveEngine``:
 the pair factor and amplitude of an ordered root tuple, the one-magnon wave
 factor ``wave_part``, the open-chain wave sum at explicit roots
-(``wave_function``, through the engine) and the permutation-only sum of the
-closed chain (``closed_wave``).
+(``wave_function``, through the engine), the permutation-only sum of the
+closed chain (``closed_wave``) and the reflection sum of two boundary
+factors against ``cba.k_closed`` (``two_reflection_sum``), which vanishes.
+
+``f_factor`` and ``g_factor`` are one line's factors of the vacuum
+eigenvalues Lambda and Xi at its root, written out per line; the library
+writes both as products of the Q-function.
 
 ``report_dict`` is the JSON form of a ``pipeline.RunReport`` built as a
 dict of one new dict per config, the layout that ``json.dumps`` of it gives
@@ -43,7 +48,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sixvb.cba import WaveEngine
+from sixvb.cba import WaveEngine, k_closed
 from sixvb.errors import PoleError
 from sixvb.exact import rational
 from sixvb.lattice import LatticeSpec, inhomogeneities
@@ -425,6 +430,34 @@ def closed_wave(v, z, x) -> Fraction:
                 term *= zi - vs[j - 1]
         total += term
     return total
+
+
+def two_reflection_sum(q, zi, zj) -> Fraction:
+    """Reflection sum of boundary factors against the closed k coefficient;
+    vanishes identically in (q, z_i, z_j)."""
+    q, zi, zj = rational(q, "q"), rational(zi, "zi"), rational(zj, "zj")
+    total = _F0
+    for bi in (0, 1):
+        for bj in (0, 1):
+            wi = -zi - 1 if bi else zi
+            wj = -zj - 1 if bj else zj
+            sign = _F1 if (bi + bj) % 2 == 0 else -_F1
+            total += sign * (q - wi - 1) * (q - wj - 1) * k_closed(wi, -wj - 1)
+    return total
+
+
+# -- per-line vacuum eigenvalue factors ----------------------------------------
+
+def f_factor(z, theta) -> Fraction:
+    """One line's factor of Lambda(z) at root theta, written out."""
+    z, theta = rational(z, "z"), rational(theta, "theta")
+    return (z - theta - 1) * (z - theta + 1) * (z + theta) * (z + theta + 2)
+
+
+def g_factor(z, theta) -> Fraction:
+    """One line's factor of Xi(z) at root theta, written out."""
+    z, theta = rational(z, "z"), rational(theta, "theta")
+    return (z - theta) * (z - theta + 1) * (z + theta + 1) * (z + theta + 2)
 
 
 def report_dict(report) -> dict:

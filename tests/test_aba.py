@@ -24,7 +24,6 @@ from sixvb.lattice import (
     LatticeSpec,
     all_configs,
     canonical_bethe_roots,
-    q_function,
     reference_config,
     sweep,
 )
@@ -39,7 +38,7 @@ from sixvb.monodromy import (
 from sixvb.pipeline import ROUTES
 from sixvb.sampling import random_spec, random_z
 
-from dense_reference import component, dense, states_proportional
+from dense_reference import component, dense, f_factor, g_factor, states_proportional
 
 
 def line_spec(reflected=False, theta=F(1, 3), q=F(2)):
@@ -227,15 +226,20 @@ class TestBaxterEquations:
             check_baxter(spec, F(2, 7))
 
     def test_xi_and_lambda_factor_over_q(self):
-        """Xi(z) = Q(z) Q(z+1) and Lambda(z) = Q(z-1) Q(z+1) on seeded specs,
-        N = 1..6.  So both equations of ``check_baxter`` read
-        Q(z-1) Q(z) Q(z+1) on each side: they hold for any rapidities and
-        cannot fail while these two factorisations hold."""
+        """The Q products Xi(z) = Q(z) Q(z+1) and Lambda(z) = Q(z-1) Q(z+1)
+        equal the per-line factors written out, with each line's root
+        theta_k if it is reflected and -theta_k otherwise, on seeded specs,
+        N = 1..6."""
         rng = random.Random(34)
         for i in range(200):
             spec, z = random_spec(rng, 1 + i % 6), random_z(rng)
-            assert xi_value(spec, z) == q_function(spec, z) * q_function(spec, z + 1)
-            assert lambda_value(spec, z) == q_function(spec, z - 1) * q_function(spec, z + 1)
+            xi = lam = F(1)
+            for k, t in enumerate(spec.rapidities, start=1):
+                root = t if spec.is_reflected(k) else -t
+                xi *= g_factor(z, root)
+                lam *= f_factor(z, root)
+            assert xi_value(spec, z) == xi
+            assert lambda_value(spec, z) == lam
 
 
 class TestUnwantedTerms:

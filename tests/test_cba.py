@@ -14,7 +14,6 @@ from sixvb.cba import (
     check_closed_fcr,
     check_state_expansion,
     spec_wave_engine,
-    two_reflection_sum,
     wave_components,
 )
 from sixvb.errors import PoleError
@@ -39,6 +38,7 @@ from dense_reference import (
     amplitude,
     closed_wave,
     component,
+    two_reflection_sum,
     wave_function,
     wave_part,
     wide_spec,

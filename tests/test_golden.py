@@ -44,9 +44,9 @@ GOLDEN = {
 }
 
 VERIFY_GOLDEN = {
-    0: "8df877150aab52ff039bb1fd684e2d49bf8878ba0c5f33a246702c1870ea9e6a",
-    1: "353806ccef4b491d3104e00f94b161a2b4b6e7cca6e7bf44289b6152e4250c5b",
-    2: "8daff5c84220c0c48ee9893ef3b0bbe9c57b8f3509aa7cb2441b6c8ee4a94f89",
+    0: "981a695d272eade734bc0df33e10d64bcb7140e7886ca18315c71c3cc829f953",
+    1: "bb966dd344b49ce24183974b5e176c6bf9430f93a6a9d47a4609c78a5b554cf2",
+    2: "b19d20cc7235f86c1c2c16201cbce9e922a55df582c809cb5fc18f7aea39b9d3",
 }
 
 

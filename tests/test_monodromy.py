@@ -24,8 +24,6 @@ from sixvb.monodromy import (
     check_reflection_algebra,
     double_row_on_state,
     external_component,
-    f_factor,
-    g_factor,
     lambda_value,
     reference_state,
     vacuum_eigenvalues,
@@ -42,6 +40,8 @@ from dense_reference import (
     component,
     dense,
     double_row,
+    f_factor,
+    g_factor,
     lax_embed,
     single_row,
     single_row_on_state,

@@ -10,14 +10,22 @@ the weights are mutated through the kernels they run: the weave move
 that the move runs as P L(theta) or P Lbar(theta), patched both where
 ``contraction`` looks it up and in ``monodromy``, and the swap rule
 ``contraction._swaps`` that gives the planner's moves their arguments.
+Every check that ``verify --suite all`` prints has at least one mutation,
+so none of its draws passes whatever the code does: the functional
+equations through the double-row kernel that ``aba.check_baxter`` reads,
+the remainder terms through an exchange coefficient, the three-route
+invariance through the eigenvalue Lambda and the length reduction through
+its scalar h.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from sixvb import aba, cba, contraction, monodromy
+from sixvb import aba, cba, contraction, monodromy, verify
+from sixvb.lattice import initial_pairing
 from sixvb.sampling import random_positive_pair, random_spec, random_z
 
 from dense_reference import states_proportional
@@ -46,6 +54,21 @@ CHECKS = {
     "transpose": lambda spec, x, y, z: monodromy.check_transpose(z),
     "bootstrap": lambda spec, x, y, z: monodromy.check_bootstrap(z),
     "special_points": lambda spec, x, y, z: monodromy.check_special_points(),
+    "baxter_equations": lambda spec, x, y, z: aba.check_baxter(spec, z),
+    "unwanted_terms": lambda spec, x, y, z: (
+        all(aba.unwanted_terms(spec, z, k) == (0, 0) for k in range(1, spec.n + 1))
+        and aba.unwanted_terms(spec, z, 1, (x, y)) == aba.unwanted_terms_from_fcr(spec, z, 1, (x, y))
+    ),
+    "invariance_three_routes": lambda spec, x, y, z: all(
+        aba.check_invariance(spec, state, z)
+        for state in (
+            contraction.build_invariant(spec), aba.solve_aba(spec).bethe_state, cba.cba_state(spec)
+        )
+    ),
+    # line 1 moved onto the nested end pair (2N, 2N-1), one extra root
+    "length_reduction": lambda spec, x, y, z: aba.check_reduction(
+        replace(spec, chords=initial_pairing(spec.n)), (x,)
+    ),
 }
 
 COLUMN_CHECKS = ["fcr_open", "fcr_closed", "b_expansion", "b_reflection", "crossing"]
@@ -68,7 +91,7 @@ def test_reflection_algebra(seed, n):
 
 
 def _shifted_coefficient(real):
-    return lambda x, y: real(x, y) + SHIFT
+    return lambda *args: real(*args) + SHIFT
 
 
 def _shifted_double_row_kernel(real):
@@ -121,6 +144,11 @@ MUTATIONS = [
     ("transpose", monodromy, "_lax_column", _shifted_site_step),
     ("bootstrap", monodromy, "_lax_column", _shifted_site_step),
     ("special_points", monodromy, "_lax_column", _shifted_site_step),
+    # A(z + 1/7) on the reference state in place of A(z)
+    ("baxter_equations", aba, "_double_row_kernel", _shifted_double_row_kernel),
+    ("unwanted_terms", aba, "h_a_coeff", _shifted_coefficient),
+    ("invariance_three_routes", aba, "lambda_value", _shifted_coefficient),
+    ("length_reduction", aba, "reduction_factor", _shifted_coefficient),
 ]
 
 
@@ -134,6 +162,13 @@ def test_mutation_makes_the_check_fail(monkeypatch, name, module, member, mutant
     assert CHECKS[name](*draw)
     monkeypatch.setattr(module, member, mutant(getattr(module, member)))
     assert not CHECKS[name](*draw)
+
+
+def test_every_verify_check_has_a_mutant():
+    """Each check that ``verify --suite all`` prints can be made to fail, so
+    a draw that cannot fail does not pass unseen."""
+    printed = {result.name for result in verify.run_suites(list(verify.SUITES), 0, 0)}
+    assert printed - {name for name, *_ in MUTATIONS} == set()
 
 
 def test_site_step_mutant_breaks_the_weave(monkeypatch):
