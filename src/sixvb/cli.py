@@ -8,6 +8,7 @@ violations or identity failures, 2 for input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -163,7 +164,11 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call of a process and
+    reused: ``parse_args`` returns a fresh ``Namespace`` each call and only
+    reads the parser, so no flag carries over from one call to the next."""
     parser = argparse.ArgumentParser(
         prog="sixvb",
         description=(
@@ -209,7 +214,11 @@ def main(argv=None) -> int:
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.set_defaults(func=cmd_bench)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SystemExit as exc:  # raised by helpers with an exit code

@@ -20,7 +20,7 @@ The weave runs fraction-free on the entries of a
 ``int`` and one exact ``Fraction`` scale.  With D the lcm of the
 denominators of the inhomogeneities, every theta is Theta/D for an integer
 Theta, so a move applies ``Theta P + D X`` to the integers and multiplies
-the scale by 1/(Theta + D).
+the scale by 1/(Theta + D), Theta and D first divided by their gcd.
 
 The two local identities of the weights run on that move, and so on
 ``_lax_column``, as well: the braid (Yang-Baxter) relation of three
@@ -35,13 +35,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from typing import Optional
 
 from .errors import PoleError
 from .exact import rational
 from .lattice import LatticeSpec, inhomogeneities
-from .monodromy import QuantumState, _basis, _lax_column
+from .monodromy import QuantumState, _basis, _lax_column, _scaled
 
 
 def line_invariant() -> QuantumState:
@@ -170,7 +170,8 @@ def build_invariant(spec: LatticeSpec, plan: Optional[MoveSequence] = None) -> Q
     Each move applies ``swap . C R(theta) C^{-1}`` at its position p, with
     theta its argument, through ``_apply_move``.  The state is exact
     throughout: an integer vector and one scale, with every theta scaled by
-    d, the lcm of the denominators of the inhomogeneities.  Its overall
+    d, the lcm of the denominators of the inhomogeneities, and each move's
+    pair (theta d, d) divided by its gcd.  Its overall
     normalization is arbitrary.  A plan made for another lattice raises
     ``ValueError``.
     """
@@ -182,9 +183,10 @@ def build_invariant(spec: LatticeSpec, plan: Optional[MoveSequence] = None) -> Q
     initial = initial_invariant(spec)
     vec, den = initial.entries, 1
     for move in plan.moves:
-        theta_d = int(move.argument * d)
-        vec = _apply_move(vec, spec.length, move.position, theta_d, d, move.one_end)
-        den *= theta_d + d
+        theta_d = _scaled(move.argument, d)
+        g = gcd(theta_d, d)
+        vec = _apply_move(vec, spec.length, move.position, theta_d // g, d // g, move.one_end)
+        den *= (theta_d + d) // g
     return QuantumState(spec.length, vec, initial.scale / den)
 
 

@@ -28,8 +28,9 @@ The primitive is fraction-free and sparse.  A chain vector is a
 ``Fraction`` scale, the pair the kernels take and return, so a kernel
 result is a state as it stands.  With D the
 lcm of the denominators of z, the inhomogeneities and q, a site factor with
-weights w, w+1 and 1 enters as the integers D w, D w + D and D, and the
-boundary as (D q + D z, D q - D z); each power of D goes into the scale.
+weights w, w+1 and 1 enters as the integers D w, D w + D and D over their
+gcd g, and the boundary as (D q + D z, D q - D z) over theirs; a kernel's
+scale is the product of the g over D^k, for its k factors.
 The monodromy conserves the magnon count, so a column stays in few charge
 sectors and only their amplitudes are ever stored.  The identities are
 compared as integer vectors too: the rational coefficients of one identity
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import PoleError
 from .exact import _strict, rational
@@ -77,13 +78,16 @@ class QuantumState:
         length = _strict(self.length, (int,), "chain length")
         if length < 0:
             raise ValueError(f"chain length must be non-negative, got {length}")
-        den = 1
+        den, ints = 1, True
         for i, x in _strict(self.entries, (dict,), "state entries").items():
             if _strict(i, (int,), "basis index") < 0 or i >> length:
                 raise ValueError(f"basis index {i} out of range for {length} sites")
             if type(x) is not int:
-                den = lcm(den, rational(x, "amplitude").denominator)
-        vec = {i: x.numerator * (den // x.denominator) for i, x in self.entries.items() if x}
+                den, ints = lcm(den, rational(x, "amplitude").denominator), False
+        if ints:  # a kernel's output: nothing to bring to ints
+            vec = {i: x for i, x in self.entries.items() if x}
+        else:
+            vec = {i: x.numerator * (den // x.denominator) for i, x in self.entries.items() if x}
         scale = rational(self.scale, "scale") / den
         if not vec or not scale:
             vec, scale = {}, _F1
@@ -190,22 +194,32 @@ def _lax_column(a, b, mask, w, d, conjugate):
     return a2, b2
 
 
+def _scaled(x: Fraction, d: int) -> int:
+    """The integer x d, for d a multiple of the denominator of x."""
+    return x.numerator * (d // x.denominator)
+
+
 def _site_weights(v: tuple, ends: int, zd: int, d: int, hat: bool) -> tuple:
-    """(mask, weight, conjugate) for each site in the row's order, the weight
-    scaled by d: ``v`` holds the inhomogeneities and ``ends`` the end-site
-    bits (``end_mask``), whose sites are conjugate."""
+    """(mask, w, e, conjugate) for each site in the row's order: ``v`` holds
+    the inhomogeneities and ``ends`` the end-site bits (``end_mask``), whose
+    sites are conjugate.  The site's weight scaled by d is W = zd + v d in
+    Mhat and zd - v d in M; (w, e) is (W, d) over their gcd, so the site
+    step applies e times the factor and the row is 1 / (the product of the
+    e) times the steps."""
     length = len(v)
     order = range(1, length + 1) if hat else range(length, 0, -1)
     sign = 1 if hat else -1
-    return tuple(
-        (1 << (length - s), zd + sign * int(v[s - 1] * d), bool(ends >> (length - s) & 1))
-        for s in order
-    )
+    sites = []
+    for s in order:
+        w = zd + sign * _scaled(v[s - 1], d)
+        g = gcd(w, d)
+        sites.append((1 << (length - s), w // g, d // g, bool(ends >> (length - s) & 1)))
+    return tuple(sites)
 
 
-def _run_sites(a, b, sites, d):
-    for mask, w, conjugate in sites:
-        a, b = _lax_column(a, b, mask, w, d, conjugate)
+def _run_sites(a, b, sites):
+    for mask, w, e, conjugate in sites:
+        a, b = _lax_column(a, b, mask, w, e, conjugate)
     return a, b
 
 
@@ -217,29 +231,30 @@ def _row_kernel(spec: LatticeSpec, z, hat: bool):
     """
     z, v = rational(z, "z"), inhomogeneities(spec)
     d = lcm(z.denominator, spec.boundary_q.denominator, *(x.denominator for x in v))
-    sites = _site_weights(v, end_mask(spec), int(z * d), d, hat)
-    return (lambda a, b: _run_sites(a, b, sites, d)), Fraction(1, d**spec.length)
+    sites = _site_weights(v, end_mask(spec), _scaled(z, d), d, hat)
+    return (lambda a, b: _run_sites(a, b, sites)), Fraction(1, prod(s[2] for s in sites))
 
 
 def _double_row_kernel(spec: LatticeSpec, z):
     """The one-column kernel of the double row M K Mhat, as :func:`_row_kernel`.
 
-    The boundary enters as the integers (Q + Z, Q - Z), the boundary
-    parameter and z scaled by d.
+    The boundary enters as the integers (Q + Z, Q - Z) over their gcd g, the
+    boundary parameter and z scaled by d, and g / d goes into the scale.
     """
     z, v, ends = rational(z, "z"), inhomogeneities(spec), end_mask(spec)
     d = lcm(z.denominator, spec.boundary_q.denominator, *(x.denominator for x in v))
-    qd, zd = int(spec.boundary_q * d), int(z * d)
+    qd, zd = _scaled(spec.boundary_q, d), _scaled(z, d)
     hat_sites, sites = _site_weights(v, ends, zd, d, True), _site_weights(v, ends, zd, d, False)
-    top, bottom = qd + zd, qd - zd
+    g = gcd(qd + zd, qd - zd)  # not 0: a valid spec has q != 0
+    top, bottom = (qd + zd) // g, (qd - zd) // g
 
     def apply(a, b):
-        a, b = _run_sites(a, b, hat_sites, d)
+        a, b = _run_sites(a, b, hat_sites)
         a = {i: top * x for i, x in a.items()} if top else {}
         b = {i: bottom * y for i, y in b.items()} if bottom else {}
-        return _run_sites(a, b, sites, d)
+        return _run_sites(a, b, sites)
 
-    return apply, Fraction(1, d ** (2 * spec.length + 1))
+    return apply, Fraction(g, d * prod(s[2] for s in hat_sites + sites))
 
 
 def double_row_on_state(spec: LatticeSpec, z, state: QuantumState):

@@ -86,24 +86,30 @@ def value_columns(report: RunReport) -> list:
 
 
 def report_json(report: RunReport) -> str:
-    """The one writer of a report's JSON (``json.dumps`` layout): each
-    distinct label tuple and value string is encoded once and each config
-    row is one f-string.  When the methods disagree it also lists the
-    first ``MAX_DISAGREEMENTS`` configs whose values differ."""
-    import json
-
+    """The one writer of a report's JSON, in the ``json.dumps`` layout but
+    without the encoder: the labels are the ints 1 and 2, the digest, the
+    method names and the "p/q" strings need no escape, and each timing is
+    ``float.__repr__``, as ``json.dumps`` writes a float.  Each distinct
+    label tuple is written once and each config row is one f-string.  When
+    the methods disagree it also lists the first ``MAX_DISAGREEMENTS``
+    configs whose values differ."""
     columns = value_columns(report)
     labels = {c.alpha for c in report.configs} | {c.beta for c in report.configs}
-    text = {x: json.dumps(x) for x in labels.union(report.methods, *columns)}
-    cells = zip(*([f"{text[m]}: {text[x]}" for x in col] for m, col in zip(report.methods, columns)))
+    text = {t: f"[{', '.join(map(str, t))}]" for t in labels}
+    names = [f'"{m}"' for m in report.methods]
+    cells = zip(*([f'{name}: "{x}"' for x in col] for name, col in zip(names, columns)))
     rows = [
         f'{{"alpha": {text[c.alpha]}, "beta": {text[c.beta]}, "z": {{{", ".join(cell)}}}}}'
         for c, cell in zip(report.configs, cells)
     ]
-    head = json.dumps({"spec_digest": report.spec_digest, "methods": list(report.methods)})
-    timings = {m: report.timings[m] for m in report.methods}
-    tail = json.dumps({"agreement": report.agreement, "timings_s": timings})
-    out = f'{head[:-1]}, "configs": [{", ".join(rows)}], {tail[1:-1]}'
+    timings = ", ".join(
+        f"{name}: {float.__repr__(report.timings[m])}" for name, m in zip(names, report.methods)
+    )
+    out = (
+        f'{{"spec_digest": "{report.spec_digest}", "methods": [{", ".join(names)}], '
+        f'"configs": [{", ".join(rows)}], "agreement": {"true" if report.agreement else "false"}, '
+        f'"timings_s": {{{timings}}}'
+    )
     if not report.agreement:
         differing = [row for row, *xs in zip(rows, *columns) if len(set(xs)) > 1]
         out += f', "disagreements": [{", ".join(differing[:MAX_DISAGREEMENTS])}]'

@@ -1,12 +1,14 @@
 import json
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sixvb import pipeline
+from sixvb import cli, pipeline
 from sixvb.cli import main
 from sixvb.errors import InvalidSpecError
 from sixvb.fixtures import figure_lattice, fixture_text
@@ -15,6 +17,7 @@ from sixvb.lattice import all_configs, spec_from_dict
 
 from dense_reference import report_dict
 from test_golden import GOLDEN, _lattice_text
+from test_import import SRC
 
 
 @pytest.fixture
@@ -243,6 +246,50 @@ class TestJsonLayout:
             "alpha=2 beta=2  direct=5/7 aba=5/7 cba=5/7\n"
             "# methods: direct, aba, cba; agreement: True; direct=Ts aba=Ts cba=Ts\n"
         )
+
+
+def _timings_masked(out: str) -> str:
+    """``out`` with the timings of a JSON or a text report replaced by T."""
+    return re.sub(r"[0-9]+[.][0-9]+(e-?[0-9]+)?s?(?=[ ,}\n])", "T", out)
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call of a process."""
+
+    SEQUENCE = [
+        ["compute", "{path}", "--json"],
+        ["compute", "{path}", "--method", "direct"],
+        ["validate", "{path}", "--json"],
+        ["compute", "{path}", "--method", "bogus"],  # an argparse error
+        ["compute", "{path}", "--alpha", "3", "--beta", "1"],
+        ["compute", "{path}", "--json"],
+    ]
+
+    def test_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_each_call_is_a_first_call(self, line_path, capsys):
+        """Each call prints what, and exits as, it does as the first call
+        of a fresh interpreter: no flag carries over from the call before."""
+        fresh, reused = [], []
+        for argv in ([a.format(path=line_path) for a in argv] for argv in self.SEQUENCE):
+            done = subprocess.run(
+                [sys.executable, "-m", "sixvb.cli", *argv],
+                env={"PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"},
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            fresh.append((done.returncode, _timings_masked(done.stdout), done.stderr))
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            reused.append((code, _timings_masked(out), err))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 0, 0, 2, 2, 0]
+        assert reused[0][1].startswith('{"spec_digest": ') and reused[1][1].startswith("alpha=1 ")
 
 
 class TestStrictInput:

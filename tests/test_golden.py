@@ -7,7 +7,10 @@ The sha256 of the printed output is pinned for every ``--method`` in
 or printed must leave these bytes alone.  The output of
 ``verify --suite all --draws 20`` holds no timings and is pinned as
 printed for seeds 0, 1 and 2, so a change to how an identity is checked
-must keep every draw and every pass count.
+must keep every draw and every pass count.  The states that ``direct``
+and ``aba`` build, entries and scale, are pinned for one seeded lattice
+per N = 1..8, so a change to how a kernel scales its integers must leave
+each state's fields alone.
 """
 
 import contextlib
@@ -19,10 +22,14 @@ import re
 
 import pytest
 
+from sixvb.aba import solve_aba
 from sixvb.cli import main
+from sixvb.contraction import build_invariant
 from sixvb.fixtures import fixture_text
 from sixvb.lattice import spec_to_dict
 from sixvb.sampling import random_spec
+
+from dense_reference import wide_spec
 
 GOLDEN = {
     ("figure", "direct", "json"): "d23b9954ff098c01fe3ec9362a51c67a89f19118177803e466486fd6efb71966",
@@ -47,6 +54,26 @@ VERIFY_GOLDEN = {
     0: "981a695d272eade734bc0df33e10d64bcb7140e7886ca18315c71c3cc829f953",
     1: "bb966dd344b49ce24183974b5e176c6bf9430f93a6a9d47a4609c78a5b554cf2",
     2: "b19d20cc7235f86c1c2c16201cbce9e922a55df582c809cb5fc18f7aea39b9d3",
+}
+
+# N: sha256 of the (woven, aba) state's sorted entries and scale
+STATE_GOLDEN = {
+    1: ("201729d4ccfa6396f9388a76105378f2b19fb48af888d5f1bb131b1c13e2ccf1",
+        "760fcee56ceb394ef535f4bf4029e678135760fc764a6af8bf9340d59d6c90ec"),
+    2: ("2a768275ffe782d2fe88cad62c9db7942286af60b6626b647d76a7b697aba79c",
+        "944102e5620e7b08ed852b1dbddd23561694b0f83f583f149bd05b7a4f92c8fb"),
+    3: ("2fd27c208a19f87ca2bf0b89271388c35303d6414f3620be01328d005b9bc781",
+        "fd2f0bc173dfa648c82758038199d05a96ea43d45cd4ecd860f312591193f057"),
+    4: ("9107f8e6d967756b70b2d9972f0981df5b9b5a88fed1727dd8ea70f7ec19b5a1",
+        "48770f3d1216f9cc0cfc730e45c87e34314481513219aac25dfcf527f995e3e7"),
+    5: ("42d45fc38753088d95da7a5477f41bfe12eedf694cb147a711934980ab57188d",
+        "6b98c3c5eb4df11fa3ae3120114f08d7770a98e6142906526f83ff6415a844e8"),
+    6: ("c7ba88bccba00e89eea847fcfa33df7278e1a1c7b9dcdf052a8333c684d9a42d",
+        "f797afc8f3fd214b64a47777bde9dca2a166f73f16ad54d849a00c84695f4c13"),
+    7: ("fc6e7478af6097c0adffb951135f97e24bd194f387b4d21b61356d84abfb0491",
+        "2cc98250fa948ee9ecccc546b708d6f387205c30744aa1f2e5cd3eeab24a2d06"),
+    8: ("39cd26cc1909d4bd1e0331d5164f69980f54f39f2021124f2d83cb346286eac8",
+        "989bf80aa71bdb2699dcbae6b7be4b87bbec74c0f5f30d5fdc5ccd08ccb332fb"),
 }
 
 
@@ -84,3 +111,16 @@ def test_verify_all_suites_bytes(seed):
     with contextlib.redirect_stdout(out):
         assert main(["verify", "--suite", "all", "--draws", "20", "--seed", str(seed)]) == 0
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == VERIFY_GOLDEN[seed]
+
+
+def _state_digest(state) -> str:
+    text = repr((sorted(state.entries.items()), str(state.scale)))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("n", sorted(STATE_GOLDEN))
+def test_woven_and_aba_state_fields(n):
+    """Seeded ``random_spec`` lattices up to N=6, ``wide_spec`` ones above."""
+    spec = random_spec(random.Random(700 + n), n) if n <= 6 else wide_spec(random.Random(100 + n), n)
+    states = build_invariant(spec), solve_aba(spec).bethe_state
+    assert tuple(_state_digest(s) for s in states) == STATE_GOLDEN[n]

@@ -34,3 +34,17 @@ def test_import_sixvb_leaves_the_deferred_modules_unloaded():
     loaded = set(done.stdout.split())
     assert "sixvb.pipeline" in loaded
     assert sorted(loaded.intersection(DEFERRED)) == []
+
+
+def test_import_sixvb_cli_builds_no_parser():
+    """The parser is built by the first ``main`` call, not by the import."""
+    code = "import sixvb.cli as cli\nprint(cli._parser.cache_info().currsize)\n"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout.strip() == "0"
