@@ -86,7 +86,7 @@ def cmd_compute(args) -> int:
     if args.all_configs:
         if args.alpha is not None or args.beta is not None:
             return _input_error("--all-configs cannot be combined with --alpha/--beta")
-        configs = list(all_configs(spec.n))
+        configs = all_configs(spec.n)
     elif args.alpha is not None or args.beta is not None:
         if args.alpha is None or args.beta is None:
             return _input_error("--alpha and --beta must be given together")
@@ -108,11 +108,16 @@ def cmd_compute(args) -> int:
     if args.json:
         print(report_json(run))
     else:
+        text = {}  # label tuple -> "1,2"
+        lines = []
         for config, *xs in zip(run.configs, *value_columns(run)):
+            alpha = text.get(config.alpha) or text.setdefault(config.alpha, ",".join(map(str, config.alpha)))
+            beta = text.get(config.beta) or text.setdefault(config.beta, ",".join(map(str, config.beta)))
             cells = " ".join(f"{m}={x}" for m, x in zip(run.methods, xs))
-            print(f"alpha={','.join(map(str, config.alpha))} beta={','.join(map(str, config.beta))}  {cells}")
+            lines.append(f"alpha={alpha} beta={beta}  {cells}")
         times = " ".join(f"{m}={run.timings[m]:.3f}s" for m in run.methods)
-        print(f"# methods: {', '.join(run.methods)}; agreement: {run.agreement}; {times}")
+        lines.append(f"# methods: {', '.join(run.methods)}; agreement: {run.agreement}; {times}")
+        print("\n".join(lines))
     if len(run.methods) > 1 and not run.agreement:
         return EXIT_FAILED
     return EXIT_OK

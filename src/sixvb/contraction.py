@@ -60,21 +60,28 @@ def boundary_line_invariant(theta, q) -> QuantumState:
 
 def initial_invariant(spec: LatticeSpec) -> QuantumState:
     """The invariant of the lines of ``spec`` placed on the nested pairing:
-    a tensor product of two-site invariants.
+    the tensor product of the two-site invariants, as one integer product.
 
-    Line k occupies sites (2(N-k)+1, 2(N-k)+2), so line N fills the most
-    significant pair and line 1 the least significant one.  Only the lines'
-    rapidities, their reflections and q enter, not the pairing of ``spec``.
+    Line k occupies sites (2(N-k)+1, 2(N-k)+2), the bits ``3 << (2k-2)``,
+    so line N fills the most significant pair and line 1 the least
+    significant one.  With (b_k, a_k) = (1, 1) for a free line and the
+    denominator and numerator of the reflection weight (q-theta_k)/(q+theta_k)
+    for a reflected one, the entry of the lines S in state (2,2) is
+    prod_{k in S} a_k prod_{k not in S} b_k and the scale is 1/prod b_k.
+    Only the lines' rapidities, their reflections and q enter, not the
+    pairing of ``spec``.
     """
-    state = QuantumState(0, {0: 1})
-    for k in range(spec.n, 0, -1):
-        local = (
-            boundary_line_invariant(spec.rapidities[k - 1], spec.boundary_q)
-            if spec.is_reflected(k)
-            else line_invariant()
-        )
-        state = state.tensor(local)
-    return state
+    q = spec.boundary_q
+    vec, den = {0: 1}, 1
+    for k, theta in enumerate(spec.rapidities, start=1):
+        a = b = 1
+        if spec.is_reflected(k):  # a valid spec has q + theta != 0
+            weight = (q - theta) / (q + theta)
+            a, b = weight.numerator, weight.denominator
+        pair = 3 << (2 * k - 2)
+        vec = {**{i: x * b for i, x in vec.items()}, **{i | pair: x * a for i, x in vec.items()}}
+        den *= b
+    return QuantumState(spec.length, vec, Fraction(1, den))
 
 
 @dataclass(frozen=True)

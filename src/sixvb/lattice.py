@@ -14,9 +14,9 @@ entries by that index (``sweep``).
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import DegenerateSpecError, InvalidSpecError
 from .exact import _strict, format_rational, parse_rational, rational
@@ -27,6 +27,10 @@ _BAD_THETA = frozenset({Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1
 _BAD_PAIR = frozenset({Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-2)})
 _BAD_Q = frozenset({Fraction(0), Fraction(1, 2), Fraction(-1, 2)})
 _BAD_Q_THETA = frozenset({Fraction(0), Fraction(1), Fraction(-1)})
+
+# The value of every zero config: ``sweep`` shares it, ``pipeline.report_json``
+# writes the rows where every value is it once per tuple of betas.
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -256,66 +260,117 @@ def reference_config(n: int) -> ExternalConfig:
     return ExternalConfig((1,) * n, (1,) * n)
 
 
+def _config(alpha: tuple, beta: tuple) -> ExternalConfig:
+    config = object.__new__(ExternalConfig)
+    fields = config.__dict__
+    fields["alpha"], fields["beta"] = alpha, beta
+    return config
+
+
+class ConfigGrid(Sequence):
+    """All 4^N external configs, alphas x betas in lexicographic order.
+
+    The 2^N label tuples are built once and shared.  A config is made only
+    when it is read, and without the label check of ``ExternalConfig``,
+    since each is valid by construction: its fields are set directly.
+    ``sweep`` and ``pipeline.report_json`` read a grid by its blocks
+    (``config_blocks``) and make no config at all.
+    """
+
+    __slots__ = ("labels",)
+
+    def __init__(self, n: int):
+        self.labels = tuple(itertools.product((1, 2), repeat=n))
+
+    def __len__(self) -> int:
+        return len(self.labels) ** 2
+
+    def __getitem__(self, i: int) -> ExternalConfig:
+        size = len(self)
+        if not -size <= i < size:
+            raise IndexError("config index out of range")
+        a, b = divmod(i % size, len(self.labels))
+        return _config(self.labels[a], self.labels[b])
+
+    def __iter__(self) -> Iterator[ExternalConfig]:
+        for alpha in self.labels:
+            for beta in self.labels:
+                yield _config(alpha, beta)
+
+
+def all_configs(n: int) -> ConfigGrid:
+    """All 4^N external configurations in lexicographic (alpha, beta) order."""
+    return ConfigGrid(n)
+
+
+def config_blocks(configs: Iterable[ExternalConfig]) -> list:
+    """Configs in order as blocks (alpha, betas): one alpha and the run of
+    betas that follows it.  The 2^N blocks of a ``ConfigGrid`` share its
+    one tuple of betas; any other sequence is grouped by consecutive alpha."""
+    if isinstance(configs, ConfigGrid):
+        return [(alpha, configs.labels) for alpha in configs.labels]
+    blocks = []
+    for c in configs:
+        if blocks and blocks[-1][0] == c.alpha:
+            blocks[-1][1].append(c.beta)
+        else:
+            blocks.append((c.alpha, [c.beta]))
+    return blocks
+
+
 def sweep(
     spec: LatticeSpec,
-    configs: Sequence[ExternalConfig],
+    configs: Iterable[ExternalConfig],
     route: Callable[[LatticeSpec, list], Mapping[int, int | Fraction]],
 ) -> list:
     """Partition-function values of many configs from one route's chain entries.
 
-    Each config is read in one pass: every distinct alpha (or beta) tuple is
-    looked up once for its bits of the ``config_index`` and its count of
-    label 2, so a config obeys the ice rule iff its two counts are equal and
-    its index is the or of its two bit sets.  A config whose labels do not
-    have length N raises ``ValueError``.  ``route(spec, keys)`` is called
-    once with the indices of the ice-rule configs, and only when there is
-    one; it returns a mapping from chain index to component holding at least
-    the nonzero components among ``keys`` and at index 0, the reference
-    config.  A component may be any exact rational up to a factor common to
-    all indices, such as the integer entry of a state without its scale:
-    only its ratio to the reference component counts.  The result holds one
+    The configs are read as blocks (``config_blocks``).  Each distinct alpha
+    or beta tuple is read once for its bits of the ``config_index`` and its
+    count of label 2, and each block's betas are grouped by that count once
+    (once for all blocks of a grid), so a block visits only the betas whose
+    count equals its alpha's: the configs that obey the ice rule, whose
+    index is the or of the two bit sets.  A config whose labels do not have
+    length N raises ``ValueError``.  ``route(spec, keys)`` is called once
+    with the indices of the ice-rule configs, and only when there is one; it
+    returns a mapping from chain index to component holding at least the
+    nonzero components among ``keys`` and at index 0, the reference config.
+    A component may be any exact rational up to a factor common to all
+    indices, such as the integer entry of a state without its scale: only
+    its ratio to the reference component counts.  The result holds one
     ``Fraction`` per config, normalized to 1 at the reference config;
     configs whose component is 0, and configs that break the ice rule, share
-    one ``Fraction(0)``.  The spec was validated when it was made, so nothing
+    the one ``_ZERO``.  The spec was validated when it was made, so nothing
     is checked again here.
     """
     start_bits, end_bits = _side_bits(spec)
     starts, ends = {}, {}  # labels -> _read_labels(labels, bits)
-    keys = []
-    for c in configs:
-        a = starts.get(c.alpha) or starts.setdefault(c.alpha, _read_labels(c.alpha, start_bits))
-        b = ends.get(c.beta) or ends.setdefault(c.beta, _read_labels(c.beta, end_bits))
-        keys.append(a[0] | b[0] if a[1] == b[1] else None)
-    zero = Fraction(0)
-    allowed = [k for k in keys if k is not None]
-    if not allowed:
-        return [zero] * len(keys)
-    table = route(spec, allowed)
+    runs = {}  # id(betas) -> {count of label 2: [(position in betas, bits)]}
+    at, keys, offset = [], [], 0
+    for alpha, betas in config_blocks(configs):
+        bits, count = starts.get(alpha) or starts.setdefault(alpha, _read_labels(alpha, start_bits))
+        run = runs.get(id(betas))
+        if run is None:
+            run = runs[id(betas)] = {}
+            for j, beta in enumerate(betas):
+                b = ends.get(beta) or ends.setdefault(beta, _read_labels(beta, end_bits))
+                run.setdefault(b[1], []).append((j, b[0]))
+        for j, b in run.get(count, ()):
+            at.append(offset + j)
+            keys.append(bits | b)
+        offset += len(betas)
+    values = [_ZERO] * offset
+    if not keys:
+        return values
+    table = route(spec, keys)
     norm = table.get(0, 0)
     if norm == 0:
         raise DegenerateSpecError("reference component vanished")
-    values = []
-    for k in keys:
-        x = 0 if k is None else table.get(k, 0)
-        values.append(Fraction(x, norm) if x else zero)
+    for i, k in zip(at, keys):
+        x = table.get(k)
+        if x:
+            values[i] = Fraction(x, norm)
     return values
-
-
-def all_configs(n: int) -> Iterator[ExternalConfig]:
-    """All 4^N external configurations in lexicographic (alpha, beta) order.
-
-    The 2^N label tuples are built once and shared.  Every config is valid
-    by construction, so the label check of ``ExternalConfig`` is skipped:
-    its fields are set directly.
-    """
-    labels = list(itertools.product((1, 2), repeat=n))
-    new = object.__new__
-    for alpha in labels:
-        for beta in labels:
-            config = new(ExternalConfig)
-            fields = config.__dict__
-            fields["alpha"], fields["beta"] = alpha, beta
-            yield config
 
 
 def initial_pairing(n: int) -> tuple:

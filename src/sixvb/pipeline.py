@@ -11,14 +11,17 @@ parse; text mode prints the same value columns (``value_columns``).
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence
+from itertools import compress, count, repeat
+from operator import is_not
+from typing import Dict, Iterable, List, Sequence
 
 from .aba import solve_aba
 from .cba import wave_components
 from .contraction import build_invariant
-from .lattice import ExternalConfig, LatticeSpec, spec_to_dict, sweep
+from .lattice import _ZERO, ConfigGrid, ExternalConfig, LatticeSpec, config_blocks, spec_to_dict, sweep
 
 # Each route maps (spec, ice-rule chain indices) to chain entries {index: component}.
 ROUTES = {
@@ -44,21 +47,22 @@ def spec_digest(spec: LatticeSpec) -> str:
 class RunReport:
     spec_digest: str
     methods: tuple
-    configs: List[ExternalConfig]
+    configs: Sequence[ExternalConfig]
     values: Dict[str, List[Fraction]]
     timings: Dict[str, float]
     agreement: bool
 
 
 def compute_report(
-    spec: LatticeSpec, configs: Sequence[ExternalConfig], methods: Sequence[str] = METHODS
+    spec: LatticeSpec, configs: Iterable[ExternalConfig], methods: Sequence[str] = METHODS
 ) -> RunReport:
     if not methods:
         raise ValueError(f"no method given; choose from {METHODS}")
     for m in methods:
         if m not in ROUTES:
             raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
-    configs = list(configs)
+    if not isinstance(configs, ConfigGrid):  # a grid is immutable and read by blocks
+        configs = list(configs)
     values: Dict[str, List[Fraction]] = {}
     timings: Dict[str, float] = {}
     for method in methods:
@@ -89,19 +93,42 @@ def report_json(report: RunReport) -> str:
     """The one writer of a report's JSON, in the ``json.dumps`` layout but
     without the encoder: the labels are the ints 1 and 2, the digest, the
     method names and the "p/q" strings need no escape, and each timing is
-    ``float.__repr__``, as ``json.dumps`` writes a float.  Each distinct
-    label tuple is written once and each config row is one f-string.  When
-    the methods disagree it also lists the first ``MAX_DISAGREEMENTS``
-    configs whose values differ."""
-    columns = value_columns(report)
-    labels = {c.alpha for c in report.configs} | {c.beta for c in report.configs}
-    text = {t: f"[{', '.join(map(str, t))}]" for t in labels}
+    ``float.__repr__``, as ``json.dumps`` writes a float.  The configs are
+    written by block (``config_blocks``): each distinct label tuple is
+    written once, the rows whose every value is ``_ZERO`` once per tuple of
+    betas (once for all blocks of a grid), and each block is one join of
+    those rows behind its alpha.  Only the live rows, where some value is
+    not ``_ZERO``, are written one at a time; they are found without a
+    Python step per config.  When the methods disagree it also lists the
+    first ``MAX_DISAGREEMENTS`` configs whose values differ, all of them
+    live rows."""
     names = [f'"{m}"' for m in report.methods]
-    cells = zip(*([f'{name}: "{x}"' for x in col] for name, col in zip(names, columns)))
-    rows = [
-        f'{{"alpha": {text[c.alpha]}, "beta": {text[c.beta]}, "z": {{{", ".join(cell)}}}}}'
-        for c, cell in zip(report.configs, cells)
-    ]
+    columns = [report.values[m] for m in report.methods]
+    live = sorted({i for col in columns for i in compress(count(), map(is_not, col, repeat(_ZERO)))})
+    text = {}  # label tuple -> "[1, 2]"
+
+    def label(t):
+        return text.get(t) or text.setdefault(t, f"[{', '.join(map(str, t))}]")
+
+    zero_z = ", ".join([f'{name}: "0"' for name in names])
+    zeros = {}  # id(betas) -> each beta's zero row, without its alpha
+    rows, differing, p, offset = [], [], 0, 0
+    for alpha, betas in config_blocks(report.configs):
+        head = f'{{"alpha": {label(alpha)}, '
+        cells = zeros.get(id(betas))
+        if cells is None:
+            cells = zeros[id(betas)] = [f'"beta": {label(b)}, "z": {{{zero_z}}}}}' for b in betas]
+        stop = bisect_left(live, offset + len(betas), p)
+        if stop > p:
+            cells = list(cells)
+            for i in live[p:stop]:
+                xs = [str(col[i]) if col[i] else "0" for col in columns]
+                z = ", ".join([f'{name}: "{x}"' for name, x in zip(names, xs)])
+                cells[i - offset] = f'"beta": {label(betas[i - offset])}, "z": {{{z}}}}}'
+                if not report.agreement and len(set(xs)) > 1:
+                    differing.append(head + cells[i - offset])
+        rows.append(head + (", " + head).join(cells))
+        p, offset = stop, offset + len(betas)
     timings = ", ".join(
         f"{name}: {float.__repr__(report.timings[m])}" for name, m in zip(names, report.methods)
     )
@@ -111,7 +138,6 @@ def report_json(report: RunReport) -> str:
         f'"timings_s": {{{timings}}}'
     )
     if not report.agreement:
-        differing = [row for row, *xs in zip(rows, *columns) if len(set(xs)) > 1]
         out += f', "disagreements": [{", ".join(differing[:MAX_DISAGREEMENTS])}]'
     return out + "}"
 

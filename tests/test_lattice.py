@@ -1,4 +1,5 @@
 import ast
+import collections.abc
 import itertools
 import json
 import random
@@ -298,6 +299,21 @@ class TestMagnonsAndIce:
         assert all(type(c) is ExternalConfig for c in got)
         assert [hash(c) for c in got] == [hash(c) for c in strict]
 
+    @pytest.mark.parametrize("n", range(5))
+    def test_all_configs_is_a_sequence_read_on_demand(self, n):
+        """The grid is a read-only sequence of 4^N configs whose item i,
+        made when it is read, is the strictly built config, for a negative
+        i too; past its end it raises ``IndexError``."""
+        grid = all_configs(n)
+        assert isinstance(grid, collections.abc.Sequence) and len(grid) == 4**n
+        labels = [tuple(t) for t in itertools.product((1, 2), repeat=n)]
+        strict = [ExternalConfig(a, b) for a in labels for b in labels]
+        for i in range(-len(strict), len(strict)):
+            assert grid[i] == strict[i] and type(grid[i]) is ExternalConfig
+        for i in (4**n, -(4**n) - 1):
+            with pytest.raises(IndexError):
+                grid[i]
+
     @pytest.mark.parametrize("label", [0, 3, True, "1"])
     def test_config_constructor_stays_strict(self, label):
         with pytest.raises(ValueError, match="state labels"):
@@ -422,6 +438,12 @@ class TestSweep:
     def test_config_of_wrong_length_rejected(self, configs):
         with pytest.raises(ValueError, match="length 1"):
             sweep(line_spec(), configs, self.route({(1, 1): 3, (2, 2): 2}))
+
+    @pytest.mark.parametrize("as_list", [False, True], ids=["grid", "list"])
+    def test_grid_of_wrong_length_rejected(self, as_list):
+        configs = all_configs(2)
+        with pytest.raises(ValueError, match="length 1"):
+            sweep(line_spec(), list(configs) if as_list else configs, self.route({(1, 1): 3}))
 
     def test_equal_label_tuples_read_alike(self):
         """Label tuples are looked up by value: a config built from new tuple

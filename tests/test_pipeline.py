@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from sixvb import lattice
-from sixvb.lattice import all_configs
+from sixvb.lattice import ConfigGrid, all_configs, config_blocks
 from sixvb.pipeline import MAX_DISAGREEMENTS, METHODS, compute_report, report_json
 from sixvb.sampling import random_ice_config, random_spec
 
@@ -64,17 +64,30 @@ def _perturbed(report, method, rows):
     return replace(report, values={**report.values, method: column}, agreement=False)
 
 
+def _orders(n: int) -> list:
+    """The 4^N configs as the grid, as its list, as a seeded shuffle of
+    that list, and as that list with the first alpha's run split in two by
+    the last config."""
+    grid = all_configs(n)
+    shuffled, split = list(grid), list(grid)
+    random.Random(n).shuffle(shuffled)
+    split.insert(2**n // 2, split.pop())
+    assert len(config_blocks(split)) == (2**n + 2 if n else 1)
+    return [grid, list(grid), shuffled, split]
+
+
 @pytest.mark.parametrize("n", range(6))
 def test_report_json_is_the_reference_bytes_for_every_method_subset(n):
-    """All 4^N configs, one seeded ice config and no config, N = 0 (the
-    empty lattice) to 5, under each of the seven method subsets."""
+    """All 4^N configs in four orders (``_orders``), one seeded ice config
+    and no config, N = 0 (the empty lattice) to 5, under each of the seven
+    method subsets."""
     rng = random.Random(600 + n)
     spec = random_spec(rng, n)
     reports = [
         compute_report(spec, configs, METHODS)
-        for configs in (all_configs(n), [random_ice_config(rng, spec)], [])
+        for configs in (*_orders(n), [random_ice_config(rng, spec)], [])
     ]
-    assert [len(r.configs) for r in reports] == [4**n, 1, 0]
+    assert [len(r.configs) for r in reports] == [4**n] * 4 + [1, 0]
     for report in reports:
         for k in (1, 2, 3):
             for methods in itertools.combinations(METHODS, k):
@@ -88,11 +101,33 @@ def test_report_json_lists_the_first_disagreements(odd, differing):
     """One method (the first one too) moved off the others at 1 or more
     than ``MAX_DISAGREEMENTS`` seeded configs."""
     rng = random.Random(707)
-    report = compute_report(random_spec(rng, 3), all_configs(3), METHODS)
-    rows = sorted(rng.sample(range(len(report.configs)), differing))
-    bad = _perturbed(report, odd, rows)
-    out = report_json(bad)
-    assert out == json.dumps(report_dict(bad))
-    listed = [(r["alpha"], r["beta"]) for r in json.loads(out)["disagreements"]]
-    configs = [report.configs[i] for i in rows[:MAX_DISAGREEMENTS]]
-    assert listed == [(list(c.alpha), list(c.beta)) for c in configs]
+    spec = random_spec(rng, 3)
+    rows = sorted(rng.sample(range(4**3), differing))
+    for configs in _orders(3):
+        report = compute_report(spec, configs, METHODS)
+        bad = _perturbed(report, odd, rows)
+        out = report_json(bad)
+        assert out == json.dumps(report_dict(bad))
+        listed = [(r["alpha"], r["beta"]) for r in json.loads(out)["disagreements"]]
+        configs = [report.configs[i] for i in rows[:MAX_DISAGREEMENTS]]
+        assert listed == [(list(c.alpha), list(c.beta)) for c in configs]
+
+
+def test_a_grid_report_reads_each_label_tuple_once(monkeypatch):
+    """``compute_report`` and ``report_json`` read a grid by its blocks:
+    they never iterate or index it, and ``sweep`` reads each of the 2^N
+    alpha and 2^N beta tuples once."""
+
+    def refuse(*args):
+        raise AssertionError("the grid was read config by config")
+
+    reads = []
+    real = lattice._read_labels
+    monkeypatch.setattr(ConfigGrid, "__iter__", refuse)
+    monkeypatch.setattr(ConfigGrid, "__getitem__", refuse)
+    monkeypatch.setattr(lattice, "_read_labels", lambda *args: reads.append(args) or real(*args))
+    spec = random_spec(random.Random(31), 6)
+    report = compute_report(spec, all_configs(6), ("direct",))
+    out = json.loads(report_json(report))
+    assert len(out["configs"]) == 4**6 and report.agreement
+    assert len(reads) <= 2 * 2**6
