@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .contraction import boundary_line_invariant, line_invariant
+from .contraction import initial_invariant
 from .errors import DegenerateSpecError, PoleError
 from .exact import _strict, rational
 from .lattice import (
@@ -25,7 +25,6 @@ from .lattice import (
     LatticeSpec,
     _q_of_roots,
     canonical_bethe_roots,
-    inhomogeneities,
     q_function,
 )
 from .monodromy import (
@@ -110,7 +109,7 @@ def check_baxter(spec: LatticeSpec, z) -> bool:
     omega = reference_state(spec).entries
 
     def holds(w, q_other):
-        apply, scale = _double_row_kernel(spec, w)
+        apply, scale = _double_row_kernel(spec.chain, w)
         c_lhs, c_rhs = _integer_coefficients(scale * q_other, (spec.boundary_q + w) * rhs)
         return _combine((c_lhs, apply(omega, {})[0])) == _combine((c_rhs, omega))
 
@@ -229,7 +228,7 @@ def check_fcr_open(spec: LatticeSpec, x, y) -> bool:
     t_lhs, h_dt, k_a, k_dt = _integer_coefficients(
         _F1, h_dt_coeff(x, y), px * k_a_coeff(x, y), px * k_dt_coeff(x, y) / py
     )
-    (ux, _), (uy, _) = _double_row_kernel(spec, x), _double_row_kernel(spec, y)
+    (ux, _), (uy, _) = _double_row_kernel(spec.chain, x), _double_row_kernel(spec.chain, y)
     e = _basis(spec.length)
     (ax, _), (bx, dx), (ay, _), (by, dy) = ux(e, {}), ux({}, e), uy(e, {}), uy({}, e)
     (ax_by, _), (bx_by, dx_by) = ux(by, {}), ux({}, by)
@@ -246,7 +245,8 @@ def check_b_reflection(spec: LatticeSpec, z) -> bool:
     z = rational(z, "z")
     if z == 0 or z == -1:
         raise PoleError("reflection factor z/(z+1) degenerates at z in {0, -1}")
-    (lhs, s_lhs), (rhs, s_rhs) = _double_row_kernel(spec, z), _double_row_kernel(spec, -z - 1)
+    chain = spec.chain
+    (lhs, s_lhs), (rhs, s_rhs) = _double_row_kernel(chain, z), _double_row_kernel(chain, -z - 1)
     c_lhs, c_rhs = _integer_coefficients(s_lhs, -z / (z + 1) * s_rhs)
     e = _basis(spec.length)
     return _combine((c_lhs, lhs({}, e)[0])) == _combine((c_rhs, rhs({}, e)[0]))
@@ -259,14 +259,12 @@ def reduction_factor(spec: LatticeSpec, t, extra_roots: Sequence) -> Fraction:
                         prod_k (t+v_k)(t-v_k+1)
     with the product over the remaining roots and remaining sites.
     """
-    t = rational(t, "t")
-    q = spec.boundary_q
-    out = 4 * t * (t + 1) * (q + t)
+    t, chain = rational(t, "t"), spec.chain
+    out = 4 * t * (t + 1) * (chain.q + t)
     for zi in extra_roots:
         zi = rational(zi, "root")
         out *= (t + zi + 2) * (t - zi - 1) * (t + zi) * (t - zi + 1)
-    v = inhomogeneities(spec)
-    for vk in v[: spec.length - 2]:
+    for vk in chain.v[: chain.length - 2]:
         out *= (t + vk) * (t - vk + 1)
     return out
 
@@ -290,8 +288,9 @@ def check_reduction(spec: LatticeSpec, extra_roots: Sequence) -> bool:
     With line 1 on sites (2N, 2N-1) and its root fixed to the canonical
     branch, the state of m = len(extra_roots) + 1 magnons factorizes as
     (shorter-chain state with the extra roots) tensor (two-site invariant
-    scaled by h).  Also verifies that components with unequal labels on the
-    pair vanish.
+    scaled by h), the two-site invariant being ``initial_invariant`` of
+    line 1 alone on the one-line lattice.  Also verifies that components
+    with unequal labels on the pair vanish.
     """
     extra = tuple(rational(z, "root") for z in extra_roots)
     theta1 = spec.rapidities[0]
@@ -303,10 +302,8 @@ def check_reduction(spec: LatticeSpec, extra_roots: Sequence) -> bool:
 
     sub = reduced_spec(spec)
     small = bethe_state(sub, extra)
-    local = (
-        boundary_line_invariant(theta1, spec.boundary_q)
-        if spec.is_reflected(1)
-        else line_invariant()
+    local = initial_invariant(
+        LatticeSpec((Chord(2, 1),), spec.reflected & {1}, (theta1,), spec.boundary_q)
     )
     expected = small.tensor(local)
     h = reduction_factor(spec, t, extra)

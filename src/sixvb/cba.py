@@ -25,14 +25,7 @@ from typing import Dict, Sequence, Tuple
 
 from .errors import PoleError
 from .exact import rational
-from .lattice import (
-    LatticeSpec,
-    canonical_bethe_roots,
-    end_mask,
-    ice_indices,
-    inhomogeneities,
-    magnon_sites,
-)
+from .lattice import LatticeSpec, ice_indices, magnon_sites
 from .monodromy import (
     QuantumState,
     _basis,
@@ -218,8 +211,8 @@ class WaveEngine:
 
 def spec_wave_engine(spec: LatticeSpec) -> WaveEngine:
     """Engine at the canonical roots of an instance."""
-    zs = canonical_bethe_roots(spec).roots
-    return WaveEngine(inhomogeneities(spec), zs, spec.boundary_q)
+    chain = spec.chain
+    return WaveEngine(chain.v, chain.roots, chain.q)
 
 
 def wave_components(spec: LatticeSpec, keys) -> dict:
@@ -236,7 +229,7 @@ def wave_components(spec: LatticeSpec, keys) -> dict:
 
 
 def _wave_entries(engine: WaveEngine, spec: LatticeSpec, keys) -> dict:
-    mask = end_mask(spec)
+    mask = spec.chain.ends
     out = {}
     for x, k in sorted((magnon_sites(spec, k), k) for k in {*keys, 0}):
         value = engine._total(x)
@@ -293,7 +286,7 @@ def check_closed_fcr(spec: LatticeSpec, x, y) -> bool:
     """
     x, y = rational(x, "x"), rational(y, "y")
     lhs, h, k = _integer_coefficients(_F1, h_closed(y, x), k_closed(y, x))
-    (mx, _), (my, _) = _row_kernel(spec, x, False), _row_kernel(spec, y, False)
+    (mx, _), (my, _) = _row_kernel(spec.chain, x, False), _row_kernel(spec.chain, y, False)
     e = _basis(spec.length)
     (ax, _), (bx, _), (ay, _), (by, _) = mx(e, {}), mx({}, e), my(e, {}), my({}, e)
     a_ok = _combine((lhs, mx(by, {})[0])) == _combine((h, my({}, ax)[0]), (-k, mx({}, ay)[0]))
@@ -310,8 +303,9 @@ def check_b_expansion(spec: LatticeSpec, z) -> bool:
     if 2 * z + 1 == 0:
         raise PoleError("expansion pole at z = -1/2")
     q = spec.boundary_q
-    (u, s_u), (m_plus, s_plus) = _double_row_kernel(spec, z), _row_kernel(spec, z, False)
-    m_minus, s_minus = _row_kernel(spec, -z - 1, False)
+    chain = spec.chain
+    (u, s_u), (m_plus, s_plus) = _double_row_kernel(chain, z), _row_kernel(chain, z, False)
+    m_minus, s_minus = _row_kernel(chain, -z - 1, False)
     factor = 2 * z / (2 * z + 1) * s_plus * s_minus
     c_u, c_plus, c_minus = _integer_coefficients(s_u, factor * (q - z - 1), -factor * (q + z))
     e = _basis(spec.length)
@@ -324,7 +318,7 @@ def kappa(spec: LatticeSpec, z) -> Fraction:
     """prod_i (z - v_i + 1) over the chain sites."""
     z = rational(z, "z")
     out = _F1
-    for vi in inhomogeneities(spec):
+    for vi in spec.chain.v:
         out *= z - vi + 1
     return out
 

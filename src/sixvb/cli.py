@@ -21,7 +21,7 @@ from .lattice import (
     reference_config,
     spec_from_dict,
 )
-from .pipeline import METHODS, compute_report, report_json, value_columns
+from .pipeline import METHODS, compute_report, report_json, write_configs
 from .sampling import random_ice_config, random_spec
 from .verify import SUITES, run_suites
 
@@ -108,13 +108,12 @@ def cmd_compute(args) -> int:
     if args.json:
         print(report_json(run))
     else:
-        text = {}  # label tuple -> "1,2"
-        lines = []
-        for config, *xs in zip(run.configs, *value_columns(run)):
-            alpha = text.get(config.alpha) or text.setdefault(config.alpha, ",".join(map(str, config.alpha)))
-            beta = text.get(config.beta) or text.setdefault(config.beta, ",".join(map(str, config.beta)))
-            cells = " ".join(f"{m}={x}" for m, x in zip(run.methods, xs))
-            lines.append(f"alpha={alpha} beta={beta}  {cells}")
+        def row(beta, xs):
+            return f"beta={beta}  " + " ".join([f"{m}={x}" for m, x in zip(run.methods, xs)])
+
+        lines, _ = write_configs(
+            run, lambda t: ",".join(map(str, t)), lambda a: f"alpha={a} ", row, "\n"
+        )
         times = " ".join(f"{m}={run.timings[m]:.3f}s" for m in run.methods)
         lines.append(f"# methods: {', '.join(run.methods)}; agreement: {run.agreement}; {times}")
         print("\n".join(lines))

@@ -17,10 +17,9 @@ irrelevant because the partition function is a ratio of components.
 
 The weave runs fraction-free on the entries of a
 :class:`sixvb.monodromy.QuantumState`: a dict from index to nonzero
-``int`` and one exact ``Fraction`` scale.  With D the lcm of the
-denominators of the inhomogeneities, every theta is Theta/D for an integer
-Theta, so a move applies ``Theta P + D X`` to the integers and multiplies
-the scale by 1/(Theta + D), Theta and D first divided by their gcd.
+``int`` and one exact ``Fraction`` scale.  A move's theta is Theta/D in
+lowest terms, so it applies ``Theta P + D X`` to the integers and
+multiplies the scale by 1/(Theta + D).
 
 The two local identities of the weights run on that move, and so on
 ``_lax_column``, as well: the braid (Yang-Baxter) relation of three
@@ -35,27 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import lcm
 from typing import Optional
 
 from .errors import PoleError
 from .exact import rational
-from .lattice import LatticeSpec, inhomogeneities
-from .monodromy import QuantumState, _basis, _lax_column, _scaled
-
-
-def line_invariant() -> QuantumState:
-    """Two-site invariant of a free line: components 1 at (1,1) and (2,2)."""
-    return QuantumState(2, {0: 1, 3: 1})
-
-
-def boundary_line_invariant(theta, q) -> QuantumState:
-    """Two-site invariant of a reflected line; the (2,2) component is the
-    reflection weight (q-theta)/(q+theta)."""
-    theta, q = rational(theta, "theta"), rational(q, "q")
-    if q + theta == 0:
-        raise PoleError("reflection weights have a pole at q + theta = 0")
-    return QuantumState(2, {0: 1, 3: (q - theta) / (q + theta)})
+from .lattice import LatticeSpec
+from .monodromy import QuantumState, _basis, _lax_column
 
 
 def initial_invariant(spec: LatticeSpec) -> QuantumState:
@@ -130,7 +115,7 @@ def plan_moves(spec: LatticeSpec, lowest_first: bool = False) -> MoveSequence:
     for k, chord in enumerate(spec.chords, start=1):
         target[chord.start - 1] = (k, False)
         target[chord.end - 1] = (k, True)
-    value = dict(zip(target, inhomogeneities(spec)))
+    value = dict(zip(target, spec.chain.v))
     nested = [(k, end) for k in range(spec.n, 0, -1) for end in (True, False)]
     owner, positions = list(nested), []
     # each target endpoint in turn is carried to its site by adjacent swaps
@@ -176,24 +161,21 @@ def build_invariant(spec: LatticeSpec, plan: Optional[MoveSequence] = None) -> Q
 
     Each move applies ``swap . C R(theta) C^{-1}`` at its position p, with
     theta its argument, through ``_apply_move``.  The state is exact
-    throughout: an integer vector and one scale, with every theta scaled by
-    d, the lcm of the denominators of the inhomogeneities, and each move's
-    pair (theta d, d) divided by its gcd.  Its overall
-    normalization is arbitrary.  A plan made for another lattice raises
-    ``ValueError``.
+    throughout: an integer vector and one scale, each move applying the
+    numerator and denominator (Theta, D) of its theta and dividing the
+    scale by Theta + D.  Its overall normalization is arbitrary.  A plan
+    made for another lattice raises ``ValueError``.
     """
     if plan is None:
         plan = plan_moves(spec)
     elif plan.target != spec:
         raise ValueError("move plan was made for another lattice")
-    d = lcm(*(x.denominator for x in inhomogeneities(spec)))
     initial = initial_invariant(spec)
     vec, den = initial.entries, 1
     for move in plan.moves:
-        theta_d = _scaled(move.argument, d)
-        g = gcd(theta_d, d)
-        vec = _apply_move(vec, spec.length, move.position, theta_d // g, d // g, move.one_end)
-        den *= (theta_d + d) // g
+        theta, d = move.argument.numerator, move.argument.denominator
+        vec = _apply_move(vec, spec.length, move.position, theta, d, move.one_end)
+        den *= theta + d
     return QuantumState(spec.length, vec, initial.scale / den)
 
 
@@ -239,7 +221,7 @@ def check_bybe(theta1, theta2, q) -> bool:
     scaled by d as the boundary of the double row.  Each side holds each
     factor once, so the integer vectors are compared, on every basis vector
     at once as in ``check_ybe`` (two spectator sites).  Raises PoleError at
-    q + t = 0, as ``boundary_line_invariant`` does, and where a or b is -1.
+    q + t = 0, a pole of the reflection weights, and where a or b is -1.
     """
     t1, t2, q = rational(theta1, "theta1"), rational(theta2, "theta2"), rational(q, "q")
     if q + t1 == 0 or q + t2 == 0:

@@ -4,19 +4,22 @@ A lattice instance consists of N oriented chords (lines) attached to the
 perimeter points 1..2N, a subset of lines that bounce off the reflecting
 diameter, one rapidity per line and a boundary parameter q.  This module
 owns validation (run once, when a ``LatticeSpec`` is made), the
-lattice-to-chain dictionary (inhomogeneities), the exactly-known Bethe
-roots and Q-function, and the one map from external edge states to the
-chain: a config is read as the chain basis index of its labels placed at
-the chord ends (``config_index``), and every route returns its chain
-entries by that index (``sweep``).
+lattice-to-chain dictionary (``LatticeSpec.chain``, derived once per spec
+and read by every kernel and route), the exactly-known Bethe roots and
+Q-function, and the one map from external edge states to the chain: a
+config is read as the chain basis index of its labels placed at the chord
+ends (``config_index``), and every route returns its chain entries by that
+index (``sweep``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import DegenerateSpecError, InvalidSpecError
 from .exact import _strict, format_rational, parse_rational, rational
@@ -61,6 +64,24 @@ class ExternalConfig:
 
 
 @dataclass(frozen=True)
+class Chain:
+    """The chain of one lattice: ``v`` the inhomogeneities (entry s - 1 for
+    site s), ``ends`` the index bits of the end sites (site s is bit
+    length - s), ``start_bits`` and ``end_bits`` each line's start and end
+    site bit in line order, ``roots`` the canonical Bethe roots, q, and
+    ``d`` the lcm of the denominators of v and q."""
+
+    length: int
+    v: tuple
+    ends: int
+    start_bits: tuple
+    end_bits: tuple
+    roots: tuple
+    q: Fraction
+    d: int
+
+
+@dataclass(frozen=True)
 class LatticeSpec:
     """A full problem instance: pairing, reflected set, rapidities, boundary q.
 
@@ -98,6 +119,24 @@ class LatticeSpec:
     def is_reflected(self, k: int) -> bool:
         """Whether line k (1-based) bounces off the diameter."""
         return k in self.reflected
+
+    @functools.cached_property
+    def chain(self) -> Chain:
+        """The spec's ``Chain``, built on first use and kept; it is not a
+        field, so it enters no repr, comparison or hash.  A line's root is
+        theta_k if it is reflected and -theta_k otherwise."""
+        v, length, q = inhomogeneities(self), self.length, self.boundary_q
+        end_bits = tuple(length - c.end for c in self.chords)
+        return Chain(
+            length=length,
+            v=v,
+            ends=sum(1 << b for b in end_bits),
+            start_bits=tuple(length - c.start for c in self.chords),
+            end_bits=end_bits,
+            roots=tuple(t if k in self.reflected else -t for k, t in enumerate(self.rapidities, 1)),
+            q=q,
+            d=lcm(q.denominator, *(x.denominator for x in v)),
+        )
 
 
 @dataclass(frozen=True)
@@ -178,12 +217,7 @@ def canonical_bethe_roots(spec: LatticeSpec) -> BetheRootSet:
     The partner branch z -> -z - 1 yields the same state up to a scalar, so
     a single canonical branch keeps every downstream output deterministic.
     """
-    return BetheRootSet(
-        tuple(
-            t if spec.is_reflected(k) else -t
-            for k, t in enumerate(spec.rapidities, start=1)
-        )
-    )
+    return BetheRootSet(spec.chain.roots)
 
 
 def _q_of_roots(roots: Sequence, z: Fraction) -> Fraction:
@@ -196,10 +230,10 @@ def _q_of_roots(roots: Sequence, z: Fraction) -> Fraction:
 
 def q_function(spec: LatticeSpec, z) -> Fraction:
     """Baxter Q at z: ``_q_of_roots`` at the canonical roots."""
-    return _q_of_roots(canonical_bethe_roots(spec).roots, rational(z, "z"))
+    return _q_of_roots(spec.chain.roots, rational(z, "z"))
 
 
-def _read_labels(labels: tuple, bits: list) -> tuple:
+def _read_labels(labels: tuple, bits: tuple) -> tuple:
     """(index bits, count of label 2) of one side's labels; ``bits`` holds the
     chain bit of each line's site on that side, in line order."""
     if len(labels) != len(bits):
@@ -207,39 +241,27 @@ def _read_labels(labels: tuple, bits: list) -> tuple:
     return sum((s - 1) << b for s, b in zip(labels, bits)), labels.count(2)
 
 
-def _side_bits(spec: LatticeSpec) -> tuple:
-    """The chain bits of the start sites and of the end sites, in line order."""
-    length = spec.length
-    return [length - c.start for c in spec.chords], [length - c.end for c in spec.chords]
-
-
-def end_mask(spec: LatticeSpec) -> int:
-    """Chain basis index bits of the end sites; site s is bit L - s."""
-    return sum(1 << (spec.length - c.end) for c in spec.chords)
-
-
 def config_index(spec: LatticeSpec, config: ExternalConfig) -> int:
     """Chain basis index of the perimeter labels: alpha at starts, beta at ends.
 
     Label 2 sets the site's bit, so the reference config has index 0 and the
-    magnons of index k are the set bits of ``k ^ end_mask(spec)``.
+    magnons of index k are the set bits of ``k ^ spec.chain.ends``.
     """
-    start_bits, end_bits = _side_bits(spec)
-    return _read_labels(config.alpha, start_bits)[0] | _read_labels(config.beta, end_bits)[0]
+    starts, ends = spec.chain.start_bits, spec.chain.end_bits
+    return _read_labels(config.alpha, starts)[0] | _read_labels(config.beta, ends)[0]
 
 
 def magnon_sites(spec: LatticeSpec, index: int) -> tuple:
     """Sites carrying a magnon in a chain basis index, ascending: the set
-    bits of ``index ^ end_mask(spec)``."""
-    bits, length = index ^ end_mask(spec), spec.length
+    bits of ``index ^ spec.chain.ends``."""
+    bits, length = index ^ spec.chain.ends, spec.length
     return tuple(s for s in range(1, length + 1) if bits >> (length - s) & 1)
 
 
 def ice_indices(spec: LatticeSpec) -> list:
     """Every chain basis index with N magnons, the C(2N, N) ice-rule configs."""
-    mask = end_mask(spec)
     return [
-        mask ^ sum(1 << b for b in bits)
+        spec.chain.ends ^ sum(1 << b for b in bits)
         for bits in itertools.combinations(range(spec.length), spec.n)
     ]
 
@@ -251,8 +273,8 @@ def magnon_positions(spec: LatticeSpec, config: ExternalConfig) -> tuple:
 
 def ice_rule_satisfied(spec: LatticeSpec, config: ExternalConfig) -> bool:
     """Charge conservation: the magnon count must equal the number of lines."""
-    start_bits, end_bits = _side_bits(spec)
-    return _read_labels(config.alpha, start_bits)[1] == _read_labels(config.beta, end_bits)[1]
+    starts, ends = spec.chain.start_bits, spec.chain.end_bits
+    return _read_labels(config.alpha, starts)[1] == _read_labels(config.beta, ends)[1]
 
 
 def reference_config(n: int) -> ExternalConfig:
@@ -343,7 +365,7 @@ def sweep(
     the one ``_ZERO``.  The spec was validated when it was made, so nothing
     is checked again here.
     """
-    start_bits, end_bits = _side_bits(spec)
+    start_bits, end_bits = spec.chain.start_bits, spec.chain.end_bits
     starts, ends = {}, {}  # labels -> _read_labels(labels, bits)
     runs = {}  # id(betas) -> {count of label 2: [(position in betas, bits)]}
     at, keys, offset = [], [], 0

@@ -11,10 +11,10 @@ the D block.
 Every local factor of a monodromy touches one site only, so one primitive,
 a row product on one auxiliary column (a, b) of chain vectors, carries every
 monodromy action.  Its kernels are built by ``_row_kernel`` (M or Mhat) and
-``_double_row_kernel`` (M K Mhat), which compute the site integers once per
-(spec, z).  A kernel is the pair (apply, scale): ``apply(a, b)`` returns
-both rows (a', b') of the integer product, and the row itself is scale
-times that.  A creation operator is the top row of the column (0, v), the
+``_double_row_kernel`` (M K Mhat) from a lattice's ``Chain``, and compute
+the site integers once per (chain, z).  A kernel is the pair (apply,
+scale): ``apply(a, b)`` returns both rows (a', b') of the integer product,
+and the row itself is scale times that.  A creation operator is the top row of the column (0, v), the
 four blocks on a state come from the columns (v, 0) and (0, v), and every
 operator identity applies each side once to ``_basis``, every basis vector
 e_j at once with its copy j on spectator bits that no kernel touches.  The
@@ -26,11 +26,11 @@ columns of one site, labelled the same way.  A weave move of
 The primitive is fraction-free and sparse.  A chain vector is a
 :class:`QuantumState`: a dict from index to nonzero ``int`` and one exact
 ``Fraction`` scale, the pair the kernels take and return, so a kernel
-result is a state as it stands.  With D the
-lcm of the denominators of z, the inhomogeneities and q, a site factor with
-weights w, w+1 and 1 enters as the integers D w, D w + D and D over their
-gcd g, and the boundary as (D q + D z, D q - D z) over theirs; a kernel's
-scale is the product of the g over D^k, for its k factors.
+result is a state as it stands.  With D the lcm of the denominator of z
+and the chain's ``d``, that of the inhomogeneities and q, a site factor
+with weights w, w+1 and 1 enters as the integers D w, D w + D and D over
+their gcd g, and the boundary as (D q + D z, D q - D z) over theirs; a
+kernel's scale is the product of the g over D^k, for its k factors.
 The monodromy conserves the magnon count, so a column stays in few charge
 sectors and only their amplitudes are ever stored.  The identities are
 compared as integer vectors too: the rational coefficients of one identity
@@ -46,14 +46,7 @@ from math import gcd, lcm, prod
 
 from .errors import PoleError
 from .exact import _strict, rational
-from .lattice import (
-    ExternalConfig,
-    LatticeSpec,
-    config_index,
-    end_mask,
-    inhomogeneities,
-    q_function,
-)
+from .lattice import Chain, ExternalConfig, LatticeSpec, config_index, q_function
 
 _F1 = Fraction(1)
 
@@ -147,7 +140,7 @@ def reference_state(spec: LatticeSpec) -> QuantumState:
 
     Each end-site rotation sends |1> to -|2>, so the overall sign is (-1)^N.
     """
-    return QuantumState(spec.length, {end_mask(spec): 1 if spec.n % 2 == 0 else -1})
+    return QuantumState(spec.length, {spec.chain.ends: 1 if spec.n % 2 == 0 else -1})
 
 
 # -- sparse integer kernel ----------------------------------------------------
@@ -199,14 +192,14 @@ def _scaled(x: Fraction, d: int) -> int:
     return x.numerator * (d // x.denominator)
 
 
-def _site_weights(v: tuple, ends: int, zd: int, d: int, hat: bool) -> tuple:
-    """(mask, w, e, conjugate) for each site in the row's order: ``v`` holds
-    the inhomogeneities and ``ends`` the end-site bits (``end_mask``), whose
-    sites are conjugate.  The site's weight scaled by d is W = zd + v d in
-    Mhat and zd - v d in M; (w, e) is (W, d) over their gcd, so the site
-    step applies e times the factor and the row is 1 / (the product of the
-    e) times the steps."""
-    length = len(v)
+def _site_weights(chain: Chain, zd: int, d: int, hat: bool) -> tuple:
+    """(mask, w, e, conjugate) for each site of the chain in the row's
+    order, the end sites (``chain.ends``) conjugate.  The site's weight
+    scaled by d is W = zd + v d in Mhat and zd - v d in M, v its
+    inhomogeneity; (w, e) is (W, d) over their gcd, so the site step
+    applies e times the factor and the row is 1 / (the product of the e)
+    times the steps."""
+    length, v, ends = chain.length, chain.v, chain.ends
     order = range(1, length + 1) if hat else range(length, 0, -1)
     sign = 1 if hat else -1
     sites = []
@@ -223,28 +216,28 @@ def _run_sites(a, b, sites):
     return a, b
 
 
-def _row_kernel(spec: LatticeSpec, z, hat: bool):
+def _row_kernel(chain: Chain, z, hat: bool):
     """The one-column kernel of the conjugated single row M, or Mhat when ``hat``.
 
-    Returns (apply, f), both fixed per (spec, z): the row applied to an
+    Returns (apply, f), both fixed per (chain, z): the row applied to an
     integer column (a, b) is f times the integer column ``apply(a, b)``.
     """
-    z, v = rational(z, "z"), inhomogeneities(spec)
-    d = lcm(z.denominator, spec.boundary_q.denominator, *(x.denominator for x in v))
-    sites = _site_weights(v, end_mask(spec), _scaled(z, d), d, hat)
+    z = rational(z, "z")
+    d = lcm(z.denominator, chain.d)
+    sites = _site_weights(chain, _scaled(z, d), d, hat)
     return (lambda a, b: _run_sites(a, b, sites)), Fraction(1, prod(s[2] for s in sites))
 
 
-def _double_row_kernel(spec: LatticeSpec, z):
+def _double_row_kernel(chain: Chain, z):
     """The one-column kernel of the double row M K Mhat, as :func:`_row_kernel`.
 
     The boundary enters as the integers (Q + Z, Q - Z) over their gcd g, the
     boundary parameter and z scaled by d, and g / d goes into the scale.
     """
-    z, v, ends = rational(z, "z"), inhomogeneities(spec), end_mask(spec)
-    d = lcm(z.denominator, spec.boundary_q.denominator, *(x.denominator for x in v))
-    qd, zd = _scaled(spec.boundary_q, d), _scaled(z, d)
-    hat_sites, sites = _site_weights(v, ends, zd, d, True), _site_weights(v, ends, zd, d, False)
+    z = rational(z, "z")
+    d = lcm(z.denominator, chain.d)
+    qd, zd = _scaled(chain.q, d), _scaled(z, d)
+    hat_sites, sites = _site_weights(chain, zd, d, True), _site_weights(chain, zd, d, False)
     g = gcd(qd + zd, qd - zd)  # not 0: a valid spec has q != 0
     top, bottom = (qd + zd) // g, (qd - zd) // g
 
@@ -261,7 +254,7 @@ def double_row_on_state(spec: LatticeSpec, z, state: QuantumState):
     """Blocks of the double-row monodromy applied to a state: the 2x2 nested
     list ``[[A v, B v], [C v, D v]]`` from the two auxiliary columns (v, 0)
     and (0, v)."""
-    apply, f = _double_row_kernel(spec, z)
+    apply, f = _double_row_kernel(spec.chain, z)
     cols = apply(state.entries, {}), apply({}, state.entries)  # cols[c][r]: block (r, c) v
     return [[QuantumState(state.length, cols[c][r], state.scale * f) for c in (0, 1)] for r in (0, 1)]
 
@@ -272,13 +265,13 @@ def apply_open_b(spec: LatticeSpec, z, state: QuantumState) -> QuantumState:
     Only the second auxiliary column feeds block (1, 2), so one column is
     tracked.
     """
-    apply, f = _double_row_kernel(spec, z)
+    apply, f = _double_row_kernel(spec.chain, z)
     return QuantumState(spec.length, apply({}, state.entries)[0], state.scale * f)
 
 
 def apply_closed_b(spec: LatticeSpec, z, state: QuantumState) -> QuantumState:
     """Apply the closed-chain (single-row) creation block to a state."""
-    apply, f = _row_kernel(spec, z, False)
+    apply, f = _row_kernel(spec.chain, z, False)
     return QuantumState(spec.length, apply({}, state.entries)[0], state.scale * f)
 
 
@@ -322,7 +315,8 @@ def check_crossing(spec: LatticeSpec, z) -> bool:
     Mhat_{rc} = +-M_{1-c,1-r}, + on the diagonal, - off it.
     """
     z = rational(z, "z")
-    (hat, s_hat), (m, s_m) = _row_kernel(spec, z, True), _row_kernel(spec, -z - 1, False)
+    chain = spec.chain
+    (hat, s_hat), (m, s_m) = _row_kernel(chain, z, True), _row_kernel(chain, -z - 1, False)
     c_hat, c_m = _integer_coefficients(s_hat, s_m)
     e = _basis(spec.length)
     hat_cols, m_cols = (hat(e, {}), hat({}, e)), (m(e, {}), m({}, e))  # [c][r]: block (r, c) e
@@ -373,7 +367,7 @@ def check_reflection_algebra(spec: LatticeSpec, x, y) -> bool:
     """
     x, y = rational(x, "x"), rational(y, "y")
     rm, rp = _r_rows(x - y), _r_rows(x + y)
-    (u1, _), (u2, _) = _double_row_kernel(spec, x), _double_row_kernel(spec, y)
+    (u1, _), (u2, _) = _double_row_kernel(spec.chain, x), _double_row_kernel(spec.chain, y)
 
     def r_on(r, vecs):
         return [_combine(*((r[k][l], vecs[l]) for l in range(4) if r[k][l])) for k in range(4)]

@@ -5,7 +5,7 @@ compares them exactly, and carries per-method wall times; when the methods
 disagree, its JSON form names the first configs that differ.  Rationals
 serialize as "p/q" strings so a parsed report reproduces the exact values.
 ``report_json`` is the one writer of that JSON, and ``report_to_dict`` its
-parse; text mode prints the same value columns (``value_columns``).
+parse; it and text mode write the configs by block (``write_configs``).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, repeat
 from operator import is_not
-from typing import Dict, Iterable, List, Sequence
+from typing import Callable, Dict, Iterable, List, Sequence
 
 from .aba import solve_aba
 from .cba import wave_components
@@ -82,11 +82,42 @@ def compute_report(
     )
 
 
-def value_columns(report: RunReport) -> list:
-    """One column of "p/q" strings per method, in report order, for both
-    ``compute --json`` and text mode: zero values share one "0", and each
-    nonzero value, a ``Fraction`` already, is printed by ``str``."""
-    return [[str(x) if x else "0" for x in report.values[m]] for m in report.methods]
+def write_configs(report: RunReport, label: Callable, head: Callable, row: Callable, sep: str):
+    """A report's configs written by block (``config_blocks``), for both
+    ``report_json`` and text mode: (blocks, differing).  Each label tuple t
+    is written once, as ``label(t)``; a row is ``row(beta, xs)``, xs the
+    "p/q" string of each method's value ("0" for ``_ZERO``), and a block is
+    its rows joined by ``sep``, each behind ``head(alpha)``.  The rows whose
+    every value is ``_ZERO`` are made once per tuple of betas (once for a
+    whole grid); only the live rows are made one at a time, found without a
+    Python step per config.  When the methods disagree, ``differing`` lists
+    the live rows whose values differ, each behind its head."""
+    text = {}  # label tuple -> label(t)
+
+    def once(t):
+        return text.get(t) or text.setdefault(t, label(t))
+
+    columns = [report.values[m] for m in report.methods]
+    live = sorted({i for col in columns for i in compress(count(), map(is_not, col, repeat(_ZERO)))})
+    zero = ["0"] * len(columns)
+    zeros = {}  # id(betas) -> each beta's zero row
+    blocks, differing, p, offset = [], [], 0, 0
+    for alpha, betas in config_blocks(report.configs):
+        start = head(once(alpha))
+        rows = zeros.get(id(betas))
+        if rows is None:
+            rows = zeros[id(betas)] = [row(once(beta), zero) for beta in betas]
+        stop = bisect_left(live, offset + len(betas), p)
+        if stop > p:
+            rows = list(rows)
+            for i in live[p:stop]:
+                xs = [str(col[i]) if col[i] else "0" for col in columns]
+                rows[i - offset] = row(once(betas[i - offset]), xs)
+                if not report.agreement and len(set(xs)) > 1:
+                    differing.append(start + rows[i - offset])
+        blocks.append(start + (sep + start).join(rows))
+        p, offset = stop, offset + len(betas)
+    return blocks, differing
 
 
 def report_json(report: RunReport) -> str:
@@ -94,41 +125,17 @@ def report_json(report: RunReport) -> str:
     without the encoder: the labels are the ints 1 and 2, the digest, the
     method names and the "p/q" strings need no escape, and each timing is
     ``float.__repr__``, as ``json.dumps`` writes a float.  The configs are
-    written by block (``config_blocks``): each distinct label tuple is
-    written once, the rows whose every value is ``_ZERO`` once per tuple of
-    betas (once for all blocks of a grid), and each block is one join of
-    those rows behind its alpha.  Only the live rows, where some value is
-    not ``_ZERO``, are written one at a time; they are found without a
-    Python step per config.  When the methods disagree it also lists the
-    first ``MAX_DISAGREEMENTS`` configs whose values differ, all of them
-    live rows."""
+    written by ``write_configs``; when the methods disagree it also lists
+    the first ``MAX_DISAGREEMENTS`` configs whose values differ."""
     names = [f'"{m}"' for m in report.methods]
-    columns = [report.values[m] for m in report.methods]
-    live = sorted({i for col in columns for i in compress(count(), map(is_not, col, repeat(_ZERO)))})
-    text = {}  # label tuple -> "[1, 2]"
 
-    def label(t):
-        return text.get(t) or text.setdefault(t, f"[{', '.join(map(str, t))}]")
+    def row(beta, xs):
+        z = ", ".join([f'{name}: "{x}"' for name, x in zip(names, xs)])
+        return f'"beta": {beta}, "z": {{{z}}}}}'
 
-    zero_z = ", ".join([f'{name}: "0"' for name in names])
-    zeros = {}  # id(betas) -> each beta's zero row, without its alpha
-    rows, differing, p, offset = [], [], 0, 0
-    for alpha, betas in config_blocks(report.configs):
-        head = f'{{"alpha": {label(alpha)}, '
-        cells = zeros.get(id(betas))
-        if cells is None:
-            cells = zeros[id(betas)] = [f'"beta": {label(b)}, "z": {{{zero_z}}}}}' for b in betas]
-        stop = bisect_left(live, offset + len(betas), p)
-        if stop > p:
-            cells = list(cells)
-            for i in live[p:stop]:
-                xs = [str(col[i]) if col[i] else "0" for col in columns]
-                z = ", ".join([f'{name}: "{x}"' for name, x in zip(names, xs)])
-                cells[i - offset] = f'"beta": {label(betas[i - offset])}, "z": {{{z}}}}}'
-                if not report.agreement and len(set(xs)) > 1:
-                    differing.append(head + cells[i - offset])
-        rows.append(head + (", " + head).join(cells))
-        p, offset = stop, offset + len(betas)
+    rows, differing = write_configs(
+        report, lambda t: f"[{', '.join(map(str, t))}]", lambda a: f'{{"alpha": {a}, ', row, ", "
+    )
     timings = ", ".join(
         f"{name}: {float.__repr__(report.timings[m])}" for name, m in zip(names, report.methods)
     )

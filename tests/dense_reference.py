@@ -8,14 +8,16 @@ one-column matrix).  The local weights are plain ``ExactMatrix``es:
 weights, ``lax_matrix`` the unnormalised local factor of a monodromy on
 (auxiliary leg, site), ``site_transpose`` its partial transpose in the site
 leg and ``embed_pair`` a two-leg operator placed on two legs of a larger
-space.  The library applies the same weights as one sparse integer site
-kernel, ``monodromy._lax_column`` (a weave move,
-``contraction._apply_move``, is that step as P L(theta) or P Lbar(theta)),
-and checks their local identities there; the tests compare those kernels
-with these matrices.  Conventions: state labels 1 and 2 are the basis
-vectors (1, 0) and (0, 1), and in a tensor product the first factor owns
-the most significant index, so the two-leg basis is (1,1), (1,2), (2,1),
-(2,2).
+space.  ``line_invariant`` and ``boundary_line_invariant`` are the two-site
+invariants of a free and of a reflected line, written out; the library
+builds them as ``contraction.initial_invariant`` of a one-line lattice.
+The library applies the same weights as one sparse integer site kernel,
+``monodromy._lax_column`` (a weave move, ``contraction._apply_move``, is
+that step as P L(theta) or P Lbar(theta)), and checks their local
+identities there; the tests compare those kernels with these matrices.
+Conventions: state labels 1 and 2 are the basis vectors (1, 0) and
+(0, 1), and in a tensor product the first factor owns the most
+significant index, so the two-leg basis is (1,1), (1,2), (2,1), (2,2).
 
 An operator with an auxiliary leg is one ``ExactMatrix`` of size 2^(L+1) on
 (auxiliary leg, chain), the auxiliary leg most significant; ``aux_block``
@@ -193,6 +195,20 @@ def k_matrix(theta, q) -> ExactMatrix:
     return ExactMatrix(((_F1, _F0), (_F0, (q - theta) / (q + theta))))
 
 
+def line_invariant() -> QuantumState:
+    """Two-site invariant of a free line: components 1 at (1,1) and (2,2)."""
+    return QuantumState(2, {0: 1, 3: 1})
+
+
+def boundary_line_invariant(theta, q) -> QuantumState:
+    """Two-site invariant of a reflected line; the (2,2) component is the
+    reflection weight (q-theta)/(q+theta)."""
+    theta, q = rational(theta, "theta"), rational(q, "q")
+    if q + theta == 0:
+        raise PoleError("reflection weights have a pole at q + theta = 0")
+    return QuantumState(2, {0: 1, 3: (q - theta) / (q + theta)})
+
+
 def lax_matrix(z, conjugate: bool = False) -> ExactMatrix:
     """Unnormalized local block on (auxiliary leg, site leg) as a 4x4 matrix.
 
@@ -299,7 +315,7 @@ def single_row_on_state(spec: LatticeSpec, z, hat: bool, state: QuantumState):
     Returns a 2x2 nested list ``phi`` with ``phi[r][c]`` the chain vector
     block(r+1, c+1) |state>, from the two auxiliary columns (v, 0), (0, v).
     """
-    apply, f = _row_kernel(spec, z, hat)
+    apply, f = _row_kernel(spec.chain, z, hat)
     (av, cv), (bv, dv) = apply(state.entries, {}), apply({}, state.entries)
     return [
         [QuantumState(state.length, x, state.scale * f) for x in (av, bv)],

@@ -38,7 +38,15 @@ from sixvb.monodromy import (
 from sixvb.pipeline import ROUTES
 from sixvb.sampling import random_spec, random_z
 
-from dense_reference import component, dense, f_factor, g_factor, states_proportional
+from dense_reference import (
+    boundary_line_invariant,
+    component,
+    dense,
+    f_factor,
+    g_factor,
+    line_invariant,
+    states_proportional,
+)
 
 
 def line_spec(reflected=False, theta=F(1, 3), q=F(2)):
@@ -114,8 +122,6 @@ class TestZAba:
 
 class TestInvariance:
     def test_line_invariant_states(self):
-        from sixvb.contraction import boundary_line_invariant, line_invariant
-
         assert check_invariance(line_spec(theta=F(2, 7), q=F(4, 5)), line_invariant(), F(1, 5))
         assert check_invariance(
             line_spec(reflected=True, theta=F(2, 7), q=F(4, 5)),

@@ -13,7 +13,7 @@ from sixvb.cli import main
 from sixvb.errors import InvalidSpecError
 from sixvb.fixtures import figure_lattice, fixture_text
 from sixvb.exact import parse_rational
-from sixvb.lattice import all_configs, spec_from_dict
+from sixvb.lattice import ConfigGrid, all_configs, spec_from_dict
 
 from dense_reference import report_dict
 from test_golden import GOLDEN, _lattice_text
@@ -246,6 +246,21 @@ class TestJsonLayout:
             "alpha=2 beta=2  direct=5/7 aba=5/7 cba=5/7\n"
             "# methods: direct, aba, cba; agreement: True; direct=Ts aba=Ts cba=Ts\n"
         )
+
+    def test_text_mode_reads_the_grid_by_blocks(self, figure_path, capsys, monkeypatch):
+        """Text mode, like ``--json``, writes the configs by block and never
+        iterates or indexes the grid; the printed bytes stay the same."""
+        assert main(["compute", figure_path, "--all-configs"]) == 0
+        want = _timings_masked(capsys.readouterr().out)
+
+        def refuse(*args):
+            raise AssertionError("the grid was read config by config")
+
+        monkeypatch.setattr(ConfigGrid, "__iter__", refuse)
+        monkeypatch.setattr(ConfigGrid, "__getitem__", refuse)
+        assert main(["compute", figure_path, "--all-configs"]) == 0
+        out = _timings_masked(capsys.readouterr().out)
+        assert out == want and out.count("\n") == 4**4 + 1
 
 
 def _timings_masked(out: str) -> str:

@@ -5,13 +5,7 @@ import pytest
 
 from sixvb.aba import check_invariance, solve_aba
 from sixvb import contraction
-from sixvb.contraction import (
-    boundary_line_invariant,
-    build_invariant,
-    initial_invariant,
-    line_invariant,
-    plan_moves,
-)
+from sixvb.contraction import build_invariant, initial_invariant, plan_moves
 from sixvb.errors import PoleError
 from sixvb.fixtures import figure_lattice, initial_condition
 from sixvb.lattice import (
@@ -33,11 +27,13 @@ from dense_reference import (
     S_MATRIX,
     ExactMatrix,
     aux_block,
+    boundary_line_invariant,
     component,
     dense,
     embed_pair,
     k_matrix,
     lax_embed,
+    line_invariant,
     r_matrix,
     states_proportional,
     wide_spec,

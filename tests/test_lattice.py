@@ -1,7 +1,9 @@
 import ast
 import collections.abc
+import dataclasses
 import itertools
 import json
+import math
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -20,7 +22,6 @@ from sixvb.lattice import (
     all_configs,
     canonical_bethe_roots,
     config_index,
-    end_mask,
     ice_indices,
     ice_rule_satisfied,
     inhomogeneities,
@@ -188,6 +189,31 @@ class TestInhomogeneities:
             )
 
 
+class TestChain:
+    """``LatticeSpec.chain`` derives the lattice's chain once."""
+
+    def test_built_once_and_not_a_field(self):
+        spec, twin = figure_lattice(), figure_lattice()
+        before = repr(spec), hash(spec)
+        chain = spec.chain
+        assert spec.chain is chain and "chain" not in vars(twin)
+        assert (repr(spec), hash(spec)) == before and spec == twin
+        assert "chain" not in {f.name for f in dataclasses.fields(spec)}
+
+    @pytest.mark.parametrize("seed, n", [(3, 1), (5, 3), (7, 5)])
+    def test_fields_read_the_spec(self, seed, n):
+        spec = random_spec(random.Random(seed), n)
+        chain, length = spec.chain, spec.length
+        assert (chain.length, chain.v, chain.q) == (length, inhomogeneities(spec), spec.boundary_q)
+        assert chain.start_bits == tuple(length - c.start for c in spec.chords)
+        assert chain.end_bits == tuple(length - c.end for c in spec.chords)
+        assert chain.ends == sum(1 << (length - c.end) for c in spec.chords)
+        assert chain.roots == tuple(
+            t if spec.is_reflected(k) else -t for k, t in enumerate(spec.rapidities, start=1)
+        )
+        assert chain.d == math.lcm(spec.boundary_q.denominator, *(x.denominator for x in chain.v))
+
+
 class TestBetheRoots:
     def test_reflected_branch(self):
         assert canonical_bethe_roots(line_spec(reflected=True)).roots == (F(1, 3),)
@@ -333,7 +359,7 @@ class TestConfigIndex:
         ],
     )
     def test_index_magnons_and_ice_rule_agree(self, spec):
-        mask, length = end_mask(spec), spec.length
+        mask, length = spec.chain.ends, spec.length
         ice = []
         for config in all_configs(spec.n):
             labels = [0] * length

@@ -196,9 +196,9 @@ def _leak_at(real, z0):
     the b row to the a row (the B block): E e_0 = e_2 and E e_1 = -e_2 on
     the chain bits, the spectator bits kept.  E sums every column to zero,
     so it leaves the image of sum_j e_j unchanged."""
-    def factory(spec, z, *hat):
-        apply, scale = real(spec, z, *hat)
-        mask = (1 << spec.length) - 1
+    def factory(chain, z, *hat):
+        apply, scale = real(chain, z, *hat)
+        mask = (1 << chain.length) - 1
 
         def leaky(a, b):
             a2, b2 = apply(a, b)
@@ -229,7 +229,7 @@ def test_spectator_copy_sees_a_leak_that_sums_to_zero(monkeypatch, name, module,
     assert CHECKS[name](*draw)
     w = at(x, y, z)
     leaky = _leak_at(getattr(module, member), w)
-    args = (spec, w, True) if member == "_row_kernel" else (spec, w)
+    args = (spec.chain, w, True) if member == "_row_kernel" else (spec.chain, w)
     plain = {j: 1 for j in range(1 << spec.length)}
     real_apply, leaky_apply = getattr(module, member)(*args)[0], leaky(*args)[0]
     assert leaky_apply({}, plain) == real_apply({}, plain)

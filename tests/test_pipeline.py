@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+import sixvb
 from sixvb import lattice
 from sixvb.lattice import ConfigGrid, all_configs, config_blocks
 from sixvb.pipeline import MAX_DISAGREEMENTS, METHODS, compute_report, report_json
@@ -25,6 +26,21 @@ def test_validation_count_does_not_grow_with_the_sweep(monkeypatch):
         assert report.agreement and len(report.configs) == 4**n
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 16
+
+
+def test_each_lattice_derives_its_chain_once(monkeypatch):
+    """Every kernel and route of a report reads the spec's one ``Chain``:
+    the inhomogeneities are derived once per lattice, not once per kernel."""
+    calls = []
+    real = lattice.inhomogeneities
+    for module in vars(sixvb).values():  # wherever the name is bound
+        if getattr(module, "inhomogeneities", None) is real:
+            monkeypatch.setattr(module, "inhomogeneities", lambda spec: calls.append(spec) or real(spec))
+    for n in range(1, 6):
+        spec = random_spec(random.Random(40 + n), n)
+        calls.clear()
+        assert compute_report(spec, all_configs(n), METHODS).agreement
+        assert calls == [spec]
 
 
 @pytest.mark.parametrize("methods", [(), ("direct", "dense")], ids=["empty", "unknown"])
