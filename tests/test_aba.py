@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from sixvb import monodromy
 from sixvb.aba import (
     bethe_state,
     check_b_reflection,
@@ -16,7 +17,7 @@ from sixvb.aba import (
     unwanted_terms_from_fcr,
 )
 from sixvb.contraction import build_invariant
-from sixvb.errors import PoleError
+from sixvb.errors import DegenerateSpecError, PoleError
 from sixvb.fixtures import figure_lattice
 from sixvb.lattice import (
     Chord,
@@ -46,6 +47,7 @@ from dense_reference import (
     g_factor,
     line_invariant,
     states_proportional,
+    wide_spec,
 )
 
 
@@ -88,6 +90,43 @@ class TestBetheState:
         spec = crossed_spec()
         roots = (F(5, 193), F(31, 193))
         assert bethe_state(spec, roots) == bethe_state(spec, roots[::-1])
+
+    def test_vanishing_product_raises(self):
+        # B(0) annihilates the reference state; a zero stays zero under later factors
+        cases = (line_spec(), (F(0),)), (crossed_spec(), (F(0), F(5, 193))), (crossed_spec(), (F(5, 193), F(0)))
+        for spec, roots in cases:
+            with pytest.raises(DegenerateSpecError, match="annihilated the reference state"):
+                bethe_state(spec, roots)
+
+    def test_solve_aba_order_gives_the_line_order_state(self):
+        specs = [random_spec(random.Random(7500 + n), n) for n in range(1, 7)]
+        for spec in specs + [wide_spec(random.Random(107), 7)]:
+            result = solve_aba(spec)
+            want = bethe_state(spec, canonical_bethe_roots(spec).roots)
+            got = result.bethe_state
+            assert (got.length, got.entries, got.scale) == (want.length, want.entries, want.scale)
+            assert result.roots == canonical_bethe_roots(spec)
+
+    def test_descending_end_order_visits_fewer_entries(self, monkeypatch):
+        """The site steps of ``solve_aba`` visit at most 0.8 times the
+        entries of the line order (0.70 on these specs)."""
+        step, visits = monodromy._lax_column, [0]
+
+        def counted(a, b, *args):
+            visits[0] += len(a) + len(b)
+            return step(a, b, *args)
+
+        monkeypatch.setattr(monodromy, "_lax_column", counted)
+        ordered = line = 0
+        for s in range(20):
+            spec = random_spec(random.Random(7600 + s), 6)
+            visits[0] = 0
+            solve_aba(spec)
+            ordered += visits[0]
+            visits[0] = 0
+            bethe_state(spec, canonical_bethe_roots(spec).roots)
+            line += visits[0]
+        assert ordered <= 0.8 * line
 
 
 class TestZAba:

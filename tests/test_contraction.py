@@ -427,3 +427,13 @@ def test_three_routes_agree_at_seven_lines():
     sample = [random_ice_config(rng, spec) for _ in range(100)]
     index = {config: i for i, config in enumerate(configs)}
     assert sweep(spec, sample, ROUTES["cba"]) == [direct[index[config]] for config in sample]
+
+
+@pytest.mark.parametrize("seed, n", [(109, 8), (110, 9)])
+def test_woven_and_aba_states_agree_past_seven_lines(seed, n):
+    """Both full states are canonical (coprime ints, positive scale), so
+    the routes agree iff their entries match up to one global sign."""
+    spec = wide_spec(random.Random(seed), n)
+    woven, bethe = build_invariant(spec).entries, solve_aba(spec).bethe_state.entries
+    assert len(woven) > 1000
+    assert bethe in (woven, {i: -x for i, x in woven.items()})
