@@ -13,7 +13,8 @@ This module also verifies the algebra it relies on: the exchange
 relations of the double-row blocks, the closed forms of the off-shell
 remainder terms, Baxter's functional equations with the reference state's
 eigenvalue read from the double-row kernel, and the length-reduction
-identity for nested end pairs.
+identity for nested end pairs.  The state identities, as the operator ones,
+compare integer vectors, every scale folded into their coefficients.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .monodromy import (
     _double_row_kernel,
     _integer_coefficients,
     apply_open_b,
-    double_row_on_state,
     lambda_value,
     reference_state,
     vacuum_eigenvalues,
@@ -88,17 +88,18 @@ def check_invariance(spec: LatticeSpec, state: QuantumState, z) -> bool:
     """Eigen-relations of the double-row monodromy on an invariant state.
 
     The off-diagonal blocks must annihilate the state while the diagonal
-    blocks act with eigenvalue Lambda(z) times (q+z) and (q-z).
+    blocks act with eigenvalue Lambda(z) times (q+z) and (q-z): the kernel's
+    columns (v, 0) and (0, v) of the state's integer vector v against v, the
+    state's scale on both sides.
     """
     z = rational(z, "z")
-    q = spec.boundary_q
-    lam = lambda_value(spec, z)
-    blocks = double_row_on_state(spec, z, state)
-    if not blocks[0][1].is_zero() or not blocks[1][0].is_zero():
+    q, lam, v = spec.boundary_q, lambda_value(spec, z), state.entries
+    apply, scale = _double_row_kernel(spec.chain, z)
+    (av, cv), (bv, dv) = apply(v, {}), apply({}, v)
+    if bv or cv:
         return False
-    if blocks[0][0] != QuantumState(state.length, state.entries, state.scale * lam * (q + z)):
-        return False
-    return blocks[1][1] == QuantumState(state.length, state.entries, state.scale * lam * (q - z))
+    c_f, c_a, c_d = _integer_coefficients(scale, lam * (q + z), lam * (q - z))
+    return _combine((c_f, av)) == _combine((c_a, v)) and _combine((c_f, dv)) == _combine((c_d, v))
 
 
 def check_baxter(spec: LatticeSpec, z) -> bool:
@@ -301,22 +302,19 @@ def check_reduction(spec: LatticeSpec, extra_roots: Sequence) -> bool:
     branch, the state of m = len(extra_roots) + 1 magnons factorizes as
     (shorter-chain state with the extra roots) tensor (two-site invariant
     scaled by h), the two-site invariant being ``initial_invariant`` of
-    line 1 alone on the one-line lattice.  Also verifies that components
-    with unequal labels on the pair vanish.
+    line 1 alone on the one-line lattice.  The product holds only the
+    entries 0 and 3 of the pair, so components with unequal labels on the
+    pair must vanish.
     """
     extra = tuple(rational(z, "root") for z in extra_roots)
-    theta1 = spec.rapidities[0]
-    t = theta1 if spec.is_reflected(1) else -theta1
+    t = spec.chain.roots[0]
     full = bethe_state(spec, extra + (t,))
-
-    if any(((idx >> 1) ^ idx) & 1 for idx in full.entries):  # sites 2N-1 and 2N differ
-        return False
-
-    sub = reduced_spec(spec)
-    small = bethe_state(sub, extra)
+    small = bethe_state(reduced_spec(spec), extra)
     local = initial_invariant(
-        LatticeSpec((Chord(2, 1),), spec.reflected & {1}, (theta1,), spec.boundary_q)
+        LatticeSpec((Chord(2, 1),), spec.reflected & {1}, spec.rapidities[:1], spec.boundary_q)
     )
-    expected = small.tensor(local)
-    h = reduction_factor(spec, t, extra)
-    return full == QuantumState(expected.length, expected.entries, expected.scale * h)
+    product = {i << 2 | j: x * y for i, x in small.entries.items() for j, y in local.entries.items()}
+    c_full, c_product = _integer_coefficients(
+        full.scale, small.scale * local.scale * reduction_factor(spec, t, extra)
+    )
+    return _combine((c_full, full.entries)) == _combine((c_product, product))

@@ -14,7 +14,7 @@ positions read off an external configuration reproduces the partition
 function up to an explicit sign.  The translation identities between this
 picture and the creation-operator one (creation-block expansion over
 single-row blocks, reflection-sum expansion of the state) are verified here
-as exact operator and state identities."""
+as exact identities of integer vectors."""
 
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ from .monodromy import (
     _double_row_kernel,
     _integer_coefficients,
     _row_kernel,
-    apply_closed_b,
     reference_state,
 )
 
@@ -328,7 +327,8 @@ def check_state_expansion(spec: LatticeSpec, roots: Sequence) -> bool:
 
     psi_m = N_{L,m} sum_tau (-1)^{|tau|} prod_{i<j} h(z_i, -z_j - 1)
             prod_i (q - z_i - 1) kappa(-z_i - 1) B(z_i) |Omega>,
-    evaluated over the 2^m reflections of the given (off-shell) roots.
+    evaluated over the 2^m reflections of the given (off-shell) roots, each
+    term's kernel scales folded into its coefficient.
     """
     from .aba import bethe_state  # deferred: aba imports contraction, not cba
 
@@ -336,6 +336,7 @@ def check_state_expansion(spec: LatticeSpec, roots: Sequence) -> bool:
     m = len(zs)
     lhs = bethe_state(spec, zs)
     q = spec.boundary_q
+    omega = reference_state(spec).entries
     coeffs, states = [], []
     for bits in range(1 << m):
         sign = _F1 if bin(bits).count("1") % 2 == 0 else -_F1
@@ -346,11 +347,12 @@ def check_state_expansion(spec: LatticeSpec, roots: Sequence) -> bool:
                 coeff *= h_closed(images[i], -images[j] - 1)
         for w in images:
             coeff *= (q - w - 1) * kappa(spec, -w - 1)
-        state = reference_state(spec)
+        vec = omega
         for w in reversed(images):
-            state = apply_closed_b(spec, w, state)
-        coeffs.append(coeff * state.scale)
-        states.append(state.entries)
+            apply, scale = _row_kernel(spec.chain, w, False)
+            vec, coeff = apply({}, vec)[0], coeff * scale
+        coeffs.append(coeff)
+        states.append(vec)
     pref = norm_prefactor(zs)
     c_lhs, *c_terms = _integer_coefficients(lhs.scale, *(pref * c for c in coeffs))
     return _combine((c_lhs, lhs.entries)) == _combine(*zip(c_terms, states))

@@ -32,9 +32,10 @@ with weights w, w+1 and 1 enters as the integers D w, D w + D and D over
 their gcd g, and the boundary as (D q + D z, D q - D z) over theirs; a
 kernel's scale is the product of the g over D^k, for its k factors.
 The monodromy conserves the magnon count, so a column stays in few charge
-sectors and only their amplitudes are ever stored.  The identities are
-compared as integer vectors too: the rational coefficients of one identity
-are brought to ints by one common positive factor
+sectors and only their amplitudes are ever stored.  The identities, the
+state identities of :mod:`sixvb.aba` and :mod:`sixvb.cba` too, are compared
+as integer vectors: the rational coefficients of one identity, scales
+included, are brought to ints by one common positive factor
 (``_integer_coefficients``).
 """
 
@@ -94,16 +95,6 @@ class QuantumState:
 
     def is_zero(self) -> bool:
         return not self.entries
-
-    def tensor(self, other: "QuantumState") -> "QuantumState":
-        """The product state self (x) other; self owns the most significant sites."""
-        shift = other.length
-        vec = {
-            (i << shift) | j: x * y
-            for i, x in self.entries.items()
-            for j, y in other.entries.items()
-        }
-        return QuantumState(self.length + shift, vec, self.scale * other.scale)
 
 
 # -- eigenvalue functions -----------------------------------------------------
@@ -250,15 +241,6 @@ def _double_row_kernel(chain: Chain, z):
     return apply, Fraction(g, d * prod(s[2] for s in hat_sites + sites))
 
 
-def double_row_on_state(spec: LatticeSpec, z, state: QuantumState):
-    """Blocks of the double-row monodromy applied to a state: the 2x2 nested
-    list ``[[A v, B v], [C v, D v]]`` from the two auxiliary columns (v, 0)
-    and (0, v)."""
-    apply, f = _double_row_kernel(spec.chain, z)
-    cols = apply(state.entries, {}), apply({}, state.entries)  # cols[c][r]: block (r, c) v
-    return [[QuantumState(state.length, cols[c][r], state.scale * f) for c in (0, 1)] for r in (0, 1)]
-
-
 def apply_open_b(spec: LatticeSpec, z, state: QuantumState) -> QuantumState:
     """Apply the open-chain creation operator at parameter z to a state.
 
@@ -266,12 +248,6 @@ def apply_open_b(spec: LatticeSpec, z, state: QuantumState) -> QuantumState:
     tracked.
     """
     apply, f = _double_row_kernel(spec.chain, z)
-    return QuantumState(spec.length, apply({}, state.entries)[0], state.scale * f)
-
-
-def apply_closed_b(spec: LatticeSpec, z, state: QuantumState) -> QuantumState:
-    """Apply the closed-chain (single-row) creation block to a state."""
-    apply, f = _row_kernel(spec.chain, z, False)
     return QuantumState(spec.length, apply({}, state.entries)[0], state.scale * f)
 
 

@@ -17,6 +17,7 @@ from typing import List, Sequence
 from . import aba, cba, contraction, monodromy
 from .lattice import Chord, LatticeSpec, canonical_bethe_roots, q_function
 from .sampling import (
+    _THETA_DENOMS,
     random_pairing,
     random_positive_pair,
     random_q,
@@ -213,7 +214,7 @@ def reduction_suite(seed: int, draws: int) -> List[CheckResult]:
         inner = random_pairing(rng, n - 1)
         chords = (Chord(2 * n, 2 * n - 1),) + inner
         reflected = frozenset(k for k in range(1, n + 1) if rng.random() < 0.5)
-        denoms = rng.sample((7, 11, 13, 17, 19, 23), n)
+        denoms = rng.sample(_THETA_DENOMS, n)
         spec = LatticeSpec(
             chords=chords,
             reflected=reflected,

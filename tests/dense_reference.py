@@ -23,9 +23,11 @@ An operator with an auxiliary leg is one ``ExactMatrix`` of size 2^(L+1) on
 (auxiliary leg, chain), the auxiliary leg most significant; ``aux_block``
 slices out its chain block (r, c).  ``single_row`` and ``double_row``
 assemble that matrix column by column from the site-local kernel of
-:mod:`sixvb.monodromy` (its blocks on each basis vector), so the tests can
-compare it with explicit products of ``lax_embed`` factors.  ``dense``
-lists the 2^L amplitudes of a sparse state, and ``component`` reads one of
+:mod:`sixvb.monodromy` (its blocks on each basis vector, as
+``single_row_on_state`` and ``double_row_on_state`` give them on a state),
+so the tests can compare it with explicit products of ``lax_embed``
+factors; ``apply_closed_b`` is the single-row creation block on a state.
+``dense`` lists the 2^L amplitudes of a sparse state, and ``component`` reads one of
 them by its site labels (``basis_index``).  ``S_MATRIX`` is the one-site
 similarity S that conjugates the end sites, S^{-1} = -S.  ``wide_spec`` draws lattices
 past the six lines that ``random_spec`` covers.
@@ -54,7 +56,7 @@ from sixvb.cba import WaveEngine, k_closed
 from sixvb.errors import PoleError
 from sixvb.exact import rational
 from sixvb.lattice import LatticeSpec, inhomogeneities
-from sixvb.monodromy import QuantumState, _row_kernel, double_row_on_state
+from sixvb.monodromy import QuantumState, _double_row_kernel, _row_kernel
 from sixvb.pipeline import MAX_DISAGREEMENTS
 from sixvb.sampling import random_pairing, random_q, random_theta
 
@@ -321,6 +323,21 @@ def single_row_on_state(spec: LatticeSpec, z, hat: bool, state: QuantumState):
         [QuantumState(state.length, x, state.scale * f) for x in (av, bv)],
         [QuantumState(state.length, x, state.scale * f) for x in (cv, dv)],
     ]
+
+
+def double_row_on_state(spec: LatticeSpec, z, state: QuantumState):
+    """Blocks of the double-row monodromy applied to a state: the 2x2 nested
+    list ``[[A v, B v], [C v, D v]]`` from the two auxiliary columns (v, 0)
+    and (0, v)."""
+    apply, f = _double_row_kernel(spec.chain, z)
+    cols = apply(state.entries, {}), apply({}, state.entries)  # cols[c][r]: block (r, c) v
+    return [[QuantumState(state.length, cols[c][r], state.scale * f) for c in (0, 1)] for r in (0, 1)]
+
+
+def apply_closed_b(spec: LatticeSpec, z, state: QuantumState) -> QuantumState:
+    """Apply the closed-chain (single-row) creation block to a state."""
+    apply, f = _row_kernel(spec.chain, z, False)
+    return QuantumState(spec.length, apply({}, state.entries)[0], state.scale * f)
 
 
 def single_row(spec, z, hat: bool = False) -> ExactMatrix:

@@ -1,9 +1,10 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from sixvb import monodromy
+from sixvb import aba, monodromy
 from sixvb.aba import (
     bethe_state,
     check_b_reflection,
@@ -16,6 +17,7 @@ from sixvb.aba import (
     unwanted_terms,
     unwanted_terms_from_fcr,
 )
+from sixvb.cba import cba_state
 from sixvb.contraction import build_invariant
 from sixvb.errors import DegenerateSpecError, PoleError
 from sixvb.fixtures import figure_lattice
@@ -25,12 +27,12 @@ from sixvb.lattice import (
     LatticeSpec,
     all_configs,
     canonical_bethe_roots,
+    initial_pairing,
     reference_config,
     sweep,
 )
 from sixvb.monodromy import (
     QuantumState,
-    double_row_on_state,
     external_component,
     lambda_value,
     reference_state,
@@ -43,6 +45,7 @@ from dense_reference import (
     boundary_line_invariant,
     component,
     dense,
+    double_row_on_state,
     f_factor,
     g_factor,
     line_invariant,
@@ -185,6 +188,21 @@ class TestInvariance:
     def test_rejects_non_invariant_state(self):
         spec = line_spec(theta=F(2, 7), q=F(4, 5))
         assert not check_invariance(spec, reference_state(spec), F(1, 5))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_each_route_state_with_one_entry_raised_fails(self, n):
+        """The woven, creation-operator and wave-sum states pass, and each
+        fails once one of its integer entries is raised by 1."""
+        rng = random.Random(3300 + n)
+        for _ in range(10):
+            spec, z = random_spec(rng, n), random_z(rng)
+            for state in (build_invariant(spec), solve_aba(spec).bethe_state, cba_state(spec)):
+                assert check_invariance(spec, state, z)
+                entries = dict(state.entries)
+                k = rng.choice(sorted(entries))
+                entries[k] += 1
+                raised = QuantumState(state.length, entries, state.scale)
+                assert not check_invariance(spec, raised, z)
 
 
 _PRIME = (1 << 61) - 1
@@ -369,6 +387,28 @@ class TestReduction:
         for idx, amp in enumerate(dense(state)):
             if ((idx >> 1) & 1) != (idx & 1):
                 assert amp == 0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_planted_mixed_component_fails(self, monkeypatch, n):
+        """A full state with one more entry at pair labels (1, 2) or (2, 1),
+        bits 1 or 2 of the pair, fails the check."""
+        rng = random.Random(3400 + n)
+        real = aba.bethe_state
+        for _ in range(20):
+            spec = replace(random_spec(rng, n), chords=initial_pairing(n))
+            extra = (random_z(rng),) if rng.random() < 0.5 else ()
+            assert check_reduction(spec, extra)
+            for pair in (1, 2):
+                def planted(lattice, roots):
+                    state = real(lattice, roots)
+                    if lattice != spec:
+                        return state
+                    k = (next(iter(state.entries)) & ~3) | pair
+                    return QuantumState(state.length, {**state.entries, k: 1}, state.scale)
+
+                monkeypatch.setattr(aba, "bethe_state", planted)
+                assert not check_reduction(spec, extra)
+                monkeypatch.setattr(aba, "bethe_state", real)
 
     def test_reduced_spec_shape(self):
         spec = LatticeSpec(

@@ -30,12 +30,13 @@ from sixvb.lattice import (
     reference_config,
     sweep,
 )
-from sixvb.monodromy import apply_closed_b, reference_state
+from sixvb.monodromy import reference_state
 from sixvb.pipeline import ROUTES
 from sixvb.sampling import random_ice_config, random_spec, random_z
 
 from dense_reference import (
     amplitude,
+    apply_closed_b,
     closed_wave,
     component,
     two_reflection_sum,

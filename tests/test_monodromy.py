@@ -18,11 +18,9 @@ from sixvb.lattice import (
 from sixvb import monodromy
 from sixvb.monodromy import (
     QuantumState,
-    apply_closed_b,
     apply_open_b,
     check_crossing,
     check_reflection_algebra,
-    double_row_on_state,
     external_component,
     lambda_value,
     reference_state,
@@ -35,11 +33,13 @@ from dense_reference import (
     PERMUTATION,
     S_MATRIX,
     ExactMatrix,
+    apply_closed_b,
     aux_block,
     basis_index,
     component,
     dense,
     double_row,
+    double_row_on_state,
     f_factor,
     g_factor,
     lax_embed,

@@ -14,8 +14,9 @@ Every check that ``verify --suite all`` prints has at least one mutation,
 so none of its draws passes whatever the code does: the functional
 equations through the double-row kernel that ``aba.check_baxter`` reads,
 the remainder terms through an exchange coefficient, the three-route
-invariance through the eigenvalue Lambda and the length reduction through
-its scalar h.
+invariance through the eigenvalue Lambda and the double-row kernel it
+reads, the state expansion through its coefficients and its single-row
+kernel, and the length reduction through its scalar h.
 """
 
 import random
@@ -126,6 +127,9 @@ MUTATIONS = [
     ("fcr_closed", cba, "k_closed", _shifted_coefficient),
     ("state_expansion", cba, "h_closed", _shifted_coefficient),
     ("state_expansion", cba, "kappa", _shifted_coefficient),  # kappa(spec, z) + 1/7
+    # each reflection term's single rows at z + 1/7
+    ("state_expansion", cba, "_row_kernel",
+     lambda real: lambda chain, z, hat: real(chain, z + SHIFT, hat)),
     ("b_expansion", cba, "_double_row_kernel", _shifted_double_row_kernel),
     ("b_reflection", aba, "_double_row_kernel", _shifted_double_row_kernel),
     # the hat row at z + 1/7 against M(-z-1)
@@ -148,6 +152,8 @@ MUTATIONS = [
     ("baxter_equations", aba, "_double_row_kernel", _shifted_double_row_kernel),
     ("unwanted_terms", aba, "h_a_coeff", _shifted_coefficient),
     ("invariance_three_routes", aba, "lambda_value", _shifted_coefficient),
+    # the blocks at z + 1/7 against Lambda(z)
+    ("invariance_three_routes", aba, "_double_row_kernel", _shifted_double_row_kernel),
     ("length_reduction", aba, "reduction_factor", _shifted_coefficient),
 ]
 
@@ -236,6 +242,29 @@ def test_spectator_copy_sees_a_leak_that_sums_to_zero(monkeypatch, name, module,
     assert leaky_apply({}, {0: 1}) != real_apply({}, {0: 1})
     monkeypatch.setattr(module, member, leaky)
     assert not CHECKS[name](*draw)
+
+
+@pytest.mark.parametrize("r, c", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_invariance_reads_every_block(monkeypatch, r, c):
+    """The double-row kernel plus the identity in block (r, c) alone fails
+    the three-route invariance check, whichever block that is: the check
+    reads B and C, and compares both A and D with their eigenvalues."""
+    draw = _draw(2401, 2)
+    assert CHECKS["invariance_three_routes"](*draw)
+    real = aba._double_row_kernel
+
+    def factory(chain, z):
+        apply, scale = real(chain, z)
+
+        def plus_identity(a, b):
+            rows = list(apply(a, b))
+            rows[r] = monodromy._combine((1, rows[r]), (1, (a, b)[c]))
+            return tuple(rows)
+
+        return plus_identity, scale
+
+    monkeypatch.setattr(aba, "_double_row_kernel", factory)
+    assert not CHECKS["invariance_three_routes"](*draw)
 
 
 def test_reflection_algebra_slot_tags_give_disjoint_keys():
